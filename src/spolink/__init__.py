@@ -4,7 +4,7 @@ thickenings, orthosymplectic root and flag data, and linkage graphs."""
 from .padic import Prime, a_val, all_divisible, binom_mod, carries, defect, digits
 from .sl2 import decompose_sl2, linked_sl2
 from .spo21 import block_of, comp_factors_h0, hom_dim, ker_im_coker_factors
-from .frobenius import block_of_r, comp_factors_r, psi_r_ker_im_coker
+from .frobenius import comp_factors_r, psi_r_ker_im_coker
 from .rootdata import GroupShape, chain_of_borels, phi_plus, standard_flag
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "comp_factors_h0",
     "hom_dim",
     "ker_im_coker_factors",
-    "block_of_r",
     "comp_factors_r",
     "psi_r_ker_im_coker",
     "GroupShape",

@@ -119,44 +119,13 @@ def ch_product_Zr(
 ) -> PolyN:
     """Product character e^lam * prod_even (1 + e^-a + ... + e^-(p^r-1)a)
     * prod_odd (1 + e^-a), all in integer coordinate tuples."""
-    q = p**r
+    steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
     acc: PolyN = {tuple(lam): 1}
-    for alpha in even_pos:
+    for alpha, ts in steps:
         nxt: PolyN = {}
         for wt, c in acc.items():
-            for t in range(q):
-                key = tuple(w - t * a for w, a in zip(wt, alpha))
-                nxt[key] = nxt.get(key, 0) + c
-        acc = nxt
-    for alpha in odd_pos:
-        nxt = {}
-        for wt, c in acc.items():
-            for t in (0, 1):
+            for t in ts:
                 key = tuple(w - t * a for w, a in zip(wt, alpha))
                 nxt[key] = nxt.get(key, 0) + c
         acc = nxt
     return acc
-
-
-def factors_to_json(factors: Counter) -> dict:
-    return {
-        "factors": [
-            {"hw": hw, "mult": m} for hw, m in sorted(factors.items(), reverse=True)
-        ]
-    }
-
-
-def poly1_to_json(ch: Poly1) -> dict:
-    return {
-        "terms": [
-            {"weight": [w], "coeff": ch[w]} for w in sorted(ch, reverse=True)
-        ]
-    }
-
-
-def polyn_to_json(ch: PolyN) -> dict:
-    return {
-        "terms": [
-            {"weight": list(w), "coeff": ch[w]} for w in sorted(ch, reverse=True)
-        ]
-    }

@@ -1,6 +1,10 @@
 """Command-line front end: one subcommand per computation, JSON/TSV output,
 and a verify-all mode that replays every oracle sweep.
 
+Each subcommand is one row of COMMANDS: its help line, its arguments and the
+handler that formats its result.  The maths lives in the library; this module
+parses, validates ranges before any output, and formats.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 """
 
@@ -13,9 +17,25 @@ from collections import Counter
 from fractions import Fraction
 
 from . import frobenius, linkage, rootdata, sl2, spo21, verify
-from .characters import factors_to_json, polyn_to_json
+from .characters import PolyN
 from .padic import Prime
 from .rootdata import GroupShape
+
+
+def factors_to_json(factors: Counter) -> dict:
+    return {
+        "factors": [
+            {"hw": hw, "mult": m} for hw, m in sorted(factors.items(), reverse=True)
+        ]
+    }
+
+
+def polyn_to_json(ch: PolyN) -> dict:
+    return {
+        "terms": [
+            {"weight": list(w), "coeff": ch[w]} for w in sorted(ch, reverse=True)
+        ]
+    }
 
 
 def _factors_out(factors: Counter, fmt: str) -> str:
@@ -38,8 +58,18 @@ def _monomials_out(monos, fmt: str) -> str:
     return json.dumps({"basis": names})
 
 
-def _parse_flag(s: str, shape: GroupShape):
-    flag = tuple(rootdata.parse_label(tok.strip()) for tok in s.split(","))
+def _roots_out(roots) -> str:
+    return json.dumps({"roots": [
+        {"root": list(r.natural()), "parity": r.parity, "isotropic": r.isotropic}
+        for r in roots
+    ]})
+
+
+def _flag(args, shape: GroupShape):
+    """The --flag given, checked against the shape, or the standard flag."""
+    if not args.flag:
+        return rootdata.standard_flag(shape)
+    flag = tuple(rootdata.parse_label(tok.strip()) for tok in args.flag.split(","))
     rootdata.check_flag(flag, shape)
     return flag
 
@@ -53,23 +83,25 @@ def _parse_weight(s: str, shape: GroupShape) -> tuple[int, ...]:
 
 def _parse_window(s: str) -> tuple[int, int]:
     lo, hi = s.split(":")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"range {s} is empty: need LO <= HI")
+    return lo, hi
 
 
-def _parse_box(s: str) -> list[tuple[int, int]]:
-    return [_parse_window(tok) for tok in s.split(",")]
+def _parse_rset(s: str) -> set[int]:
+    r_set = {int(tok) for tok in s.split(",")}
+    if min(r_set) < 1:
+        raise ValueError(f"--rset entries must be >= 1, got {s}")
+    return r_set
 
 
 def _shape(args) -> GroupShape:
     return GroupShape(args.n, args.m, args.type)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _halves(vec) -> list[str]:
-    return [_frac_str(Fraction(c, 2)) for c in vec]
+    return [str(Fraction(c, 2)) for c in vec]
 
 
 def _step_json(step: rootdata.ChainStep | None, flag) -> dict:
@@ -82,6 +114,186 @@ def _step_json(step: rootdata.ChainStep | None, flag) -> dict:
             "alpha": alpha, "levi": step.levi}
 
 
+# ------------------------------------------------------------------ handlers
+# handler(args, p) returns the text to print; p is the validated prime, or
+# None for subcommands without --p.
+
+
+def _need_j(args) -> int:
+    if args.j is None:
+        raise ValueError(f"{args.command} needs --j unless --grt is given")
+    return args.j
+
+
+def _socle(args, p):
+    if args.grt:
+        monos = frobenius.socle_basis_r(args.l, args.r, p, args.side)
+    else:
+        monos = spo21.socle_basis(args.l, p, args.side)
+    return _monomials_out(monos, args.format)
+
+
+def _hom(args, p):
+    if args.grt:
+        dim, parity = frobenius.hom_r(args.k, args.l, args.r, p)
+    else:
+        dim, parity = spo21.hom_dim(args.k, args.l, p)
+    return json.dumps({"dim": dim, "parity": parity})
+
+
+def _psi_table(args, p):
+    if args.grt:
+        tab = frobenius.psi_r_table(args.k, args.r, p)
+    else:
+        tab = spo21.psi_table(args.k, _need_j(args), p)
+    return tab.to_tsv().removesuffix("\n")
+
+
+def _ker_im_coker(args, p):
+    if args.grt:
+        ker, im, coker = frobenius.psi_r_ker_im_coker(args.k, args.r, p)
+    else:
+        ker, im, coker = spo21.ker_im_coker_factors(args.k, _need_j(args), p)
+    return json.dumps({
+        "kernel": factors_to_json(ker),
+        "image": factors_to_json(im),
+        "cokernel": factors_to_json(coker),
+    })
+
+
+def _blocks_out(lo: int, hi: int, p: int) -> str:
+    rows = [f"{l}\t{spo21.block_of(l, p)}" for l in range(lo, hi + 1)]
+    return "\n".join(["weight\tblock"] + rows)
+
+
+def _blocks(args, p):
+    lo, hi = _parse_window(args.window)
+    if lo < 0:
+        raise ValueError(
+            f"blocks needs weights >= 0, got {args.window} (blocks-grt takes any integer)"
+        )
+    return _blocks_out(lo, hi, p)
+
+
+def _phiplus(args, p):
+    shape = _shape(args)
+    return _roots_out(sorted(rootdata.phi_plus(_flag(args, shape), shape), key=lambda r: r.vec))
+
+
+def _chain(args, p):
+    shape = _shape(args)
+    entries = [_step_json(None, rootdata.standard_flag(shape))]
+    entries += [_step_json(s, None) for s in rootdata.chain_of_borels(shape)]
+    return json.dumps(entries)
+
+
+def _rho(args, p):
+    shape = _shape(args)
+    rho0, rho1, rho = rootdata.rho_parts(_flag(args, shape), shape)
+    return json.dumps({
+        "rho0": _halves(rho0), "rho1": _halves(rho1), "rho": _halves(rho),
+        "doubled": {"rho0": list(rho0), "rho1": list(rho1), "rho": list(rho)},
+    })
+
+
+def _weight_at_flag(args) -> tuple:
+    """(doubled --weight, flag, shape), with the flag checked first."""
+    shape = _shape(args)
+    flag = _flag(args, shape)
+    return rootdata.doubled(_parse_weight(args.weight, shape)), flag, shape
+
+
+def _lambda_bracket(args, p):
+    br = rootdata.lambda_bracket(*_weight_at_flag(args), args.r, p)
+    return json.dumps({"weight": list(rootdata.natural(br))})
+
+
+def _char_z(args, p):
+    return json.dumps(polyn_to_json(rootdata.ch_z_flag(*_weight_at_flag(args), args.r, p)))
+
+
+def _graph(args, p) -> linkage.LinkageGraph:
+    shape = _shape(args)
+    box = [_parse_window(tok) for tok in args.box.split(",")]
+    return linkage.build_graph(box, shape, _parse_rset(args.rset), p)
+
+
+def _linkage_graph(args, p):
+    graph = _graph(args, p)
+    return json.dumps({
+        "nodes": [list(w) for w in graph.nodes],
+        "edges": [
+            {"src": list(e.source), "dst": list(e.target), "kind": e.kind,
+             "alpha": list(e.alpha), "r": e.r}
+            for e in graph.edges
+        ],
+    })
+
+
+def _components(args, p):
+    rows = ["component\tweight"]
+    for cid, comp in enumerate(linkage.components(_graph(args, p))):
+        rows += [f"{cid}\t{','.join(map(str, w))}" for w in comp]
+    return "\n".join(rows)
+
+
+# ------------------------------------------------------------- the commands
+# Arguments are (flag, add_argument keywords), added in the order listed.
+
+
+def _int(flag: str, **kw) -> tuple[str, dict]:
+    return flag, {"type": int, **kw}
+
+
+P, K, L, R = (_int(f, required=True) for f in ("--p", "--k", "--l", "--r"))
+J = _int("--j")
+GRT = [("--grt", {"action": "store_true"}), _int("--r", default=1)]
+SHAPE = [_int("--n", required=True), _int("--m", required=True),
+         ("--type", {"choices": ("odd", "even"), "required": True})]
+FLAG = ("--flag", {"help": "comma list like 1,-2,1bar (default: standard)"})
+WEIGHT = ("--weight", {"required": True})
+WINDOW = ("--window", {"required": True, "metavar": "LO:HI"})
+GRAPH = [*SHAPE, P, ("--rset", {"default": "1,2"}),
+         ("--box", {"required": True, "metavar": "LO:HI[,LO:HI...]"})]
+
+# name -> (help line or None, arguments, handler); verify-all's handler
+# prints its report as the sweeps run and returns whether all passed.
+COMMANDS = {
+    "decompose-sl2": ("constituents of the rank-one induced module", [P, K],
+                      lambda args, p: _factors_out(sl2.decompose_sl2(args.k, p), args.format)),
+    "decompose-spo21": ("constituents of the super induced module", [P, L],
+                        lambda args, p: _factors_out(spo21.comp_factors_h0(args.l, p),
+                                                     args.format)),
+    "decompose-grt": ("constituents of the thickened induced module", [P, R, L],
+                      lambda args, p: _factors_out(frobenius.comp_factors_r(args.l, args.r, p),
+                                                   args.format)),
+    "socle": ("socle monomial basis",
+              [P, L, ("--side", {"choices": ("minus", "plus"), "default": "minus"}), *GRT],
+              _socle),
+    "hom": ("Hom dimension between induced modules", [P, K, L, *GRT], _hom),
+    "psi-table": ("morphism table on basis monomials", [P, K, J, *GRT], _psi_table),
+    "kernel": ("closed-form kernel basis of a morphism", [P, K, _int("--j", required=True)],
+               lambda args, p: _monomials_out(spo21.kernel_basis(args.k, args.j, p), args.format)),
+    "ker-im-coker": ("kernel/image/cokernel constituents", [P, K, J, *GRT], _ker_im_coker),
+    "blocks": ("block ids over a weight window", [P, WINDOW], _blocks),
+    "blocks-grt": ("thickening block ids over a weight window", [P, WINDOW],
+                   lambda args, p: _blocks_out(*_parse_window(args.window), p)),
+    "roots": (None, SHAPE, lambda args, p: _roots_out(rootdata.roots(_shape(args)))),
+    "phiplus": (None, [*SHAPE, FLAG], _phiplus),
+    "chain": (None, SHAPE, _chain),
+    "rho": (None, [*SHAPE, FLAG], _rho),
+    "lambda-bracket": ("flag-normalised weight",
+                       [*SHAPE, ("--flag", {"required": True}), WEIGHT, R, P], _lambda_bracket),
+    "char-z": ("product character of the thickened induced module",
+               [*SHAPE, ("--flag", {}), WEIGHT, R, P], _char_z),
+    "linkage-graph": (None, GRAPH, _linkage_graph),
+    "components": (None, GRAPH, _components),
+    "verify-all": ("run every oracle-equivalence sweep",
+                   [("--quick", {"action": "store_true", "help": "reduced sweep bounds"})],
+                   lambda args, p: verify.run_all(quick=args.quick)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="spolink",
@@ -91,226 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed-irrelevant", action="store_true",
                      help="accepted for interface compatibility; nothing here is random")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
+    for name, (help_, arguments, _) in COMMANDS.items():
+        # a subcommand without help stays out of the top-level listing
+        sp = sub.add_parser(name, **({"help": help_} if help_ else {}))
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="json")
-        return sp
-
-    sp = add("decompose-sl2", help="constituents of the rank-one induced module")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = add("decompose-spo21", help="constituents of the super induced module")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-
-    sp = add("decompose-grt", help="constituents of the thickened induced module")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-
-    sp = add("socle", help="socle monomial basis")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--side", choices=("minus", "plus"), default="minus")
-    sp.add_argument("--grt", action="store_true")
-    sp.add_argument("--r", type=int, default=1)
-
-    sp = add("hom", help="Hom dimension between induced modules")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--grt", action="store_true")
-    sp.add_argument("--r", type=int, default=1)
-
-    sp = add("psi-table", help="morphism table on basis monomials")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--grt", action="store_true")
-    sp.add_argument("--r", type=int, default=1)
-
-    sp = add("kernel", help="closed-form kernel basis of a morphism")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-
-    sp = add("ker-im-coker", help="kernel/image/cokernel constituents")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--grt", action="store_true")
-    sp.add_argument("--r", type=int, default=1)
-
-    sp = add("blocks", help="block ids over a weight window")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--window", type=str, required=True, metavar="LO:HI")
-
-    sp = add("blocks-grt", help="thickening block ids over a weight window")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--window", type=str, required=True, metavar="LO:HI")
-
-    for name in ("roots", "phiplus", "chain", "rho"):
-        sp = add(name)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--type", choices=("odd", "even"), required=True)
-        if name in ("phiplus", "rho"):
-            sp.add_argument("--flag", type=str, default=None,
-                            help="comma list like 1,-2,1bar (default: standard)")
-
-    sp = add("lambda-bracket", help="flag-normalised weight")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--type", choices=("odd", "even"), required=True)
-    sp.add_argument("--flag", type=str, required=True)
-    sp.add_argument("--weight", type=str, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = add("char-z", help="product character of the thickened induced module")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--type", choices=("odd", "even"), required=True)
-    sp.add_argument("--flag", type=str, default=None)
-    sp.add_argument("--weight", type=str, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    for name in ("linkage-graph", "components"):
-        sp = add(name)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--type", choices=("odd", "even"), required=True)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--rset", type=str, default="1,2")
-        sp.add_argument("--box", type=str, required=True, metavar="LO:HI[,LO:HI...]")
-
-    sp = add("verify-all", help="run every oracle-equivalence sweep")
-    sp.add_argument("--quick", action="store_true", help="reduced sweep bounds")
-
+        for flag, kw in arguments:
+            sp.add_argument(flag, **kw)
     return top
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = getattr(args, "format", "json")
-    out = sys.stdout
-
-    if args.command == "verify-all":
-        return 0 if verify.run_all(quick=args.quick) else 1
-
-    p = Prime(args.p).p if hasattr(args, "p") and args.p is not None else None
-
-    if args.command == "decompose-sl2":
-        print(_factors_out(sl2.decompose_sl2(args.k, p), fmt), file=out)
-    elif args.command == "decompose-spo21":
-        print(_factors_out(spo21.comp_factors_h0(args.l, p), fmt), file=out)
-    elif args.command == "decompose-grt":
-        print(_factors_out(frobenius.comp_factors_r(args.l, args.r, p), fmt), file=out)
-    elif args.command == "socle":
-        if args.grt:
-            monos = frobenius.socle_basis_r(args.l, args.r, p, args.side)
-        else:
-            monos = spo21.socle_basis(args.l, p, args.side)
-        print(_monomials_out(monos, fmt), file=out)
-    elif args.command == "hom":
-        if args.grt:
-            dim = frobenius.hom_r(args.k, args.l, args.r, p)
-            parity = ("even" if args.l == args.k else "odd") if dim else None
-        else:
-            dim, parity = spo21.hom_dim(args.k, args.l, p)
-        print(json.dumps({"dim": dim, "parity": parity}), file=out)
-    elif args.command == "psi-table":
-        if args.grt:
-            tab = frobenius.psi_r_table(args.k, args.r, p)
-        else:
-            if args.j is None:
-                raise ValueError("psi-table needs --j unless --grt is given")
-            tab = spo21.psi_table(args.k, args.j, p)
-        print(tab.to_tsv(), end="", file=out)
-    elif args.command == "kernel":
-        print(_monomials_out(spo21.kernel_basis(args.k, args.j, p), fmt), file=out)
-    elif args.command == "ker-im-coker":
-        if args.grt:
-            ker, im, coker = frobenius.psi_r_ker_im_coker(args.k, args.r, p)
-        else:
-            if args.j is None:
-                raise ValueError("ker-im-coker needs --j unless --grt is given")
-            ker, im, coker = spo21.ker_im_coker_factors(args.k, args.j, p)
-        print(json.dumps({
-            "kernel": factors_to_json(ker),
-            "image": factors_to_json(im),
-            "cokernel": factors_to_json(coker),
-        }), file=out)
-    elif args.command in ("blocks", "blocks-grt"):
-        lo, hi = _parse_window(args.window)
-        fn = spo21.block_of if args.command == "blocks" else frobenius.block_of_r
-        print("weight\tblock", file=out)
-        for l in range(lo, hi + 1):
-            print(f"{l}\t{fn(l, p)}", file=out)
-    elif args.command == "roots":
-        shape = _shape(args)
-        print(json.dumps({"roots": [
-            {"root": list(r.natural()), "parity": r.parity, "isotropic": r.isotropic}
-            for r in rootdata.roots(shape)
-        ]}), file=out)
-    elif args.command == "phiplus":
-        shape = _shape(args)
-        flag = _parse_flag(args.flag, shape) if args.flag else rootdata.standard_flag(shape)
-        pos = sorted(rootdata.phi_plus(flag, shape), key=lambda r: r.vec)
-        print(json.dumps({"roots": [
-            {"root": list(r.natural()), "parity": r.parity, "isotropic": r.isotropic}
-            for r in pos
-        ]}), file=out)
-    elif args.command == "chain":
-        shape = _shape(args)
-        steps = rootdata.chain_of_borels(shape)
-        entries = [_step_json(None, rootdata.standard_flag(shape))]
-        entries += [_step_json(s, None) for s in steps]
-        print(json.dumps(entries), file=out)
-    elif args.command == "rho":
-        shape = _shape(args)
-        flag = _parse_flag(args.flag, shape) if args.flag else rootdata.standard_flag(shape)
-        rho0, rho1, rho = rootdata.rho_parts(flag, shape)
-        print(json.dumps({
-            "rho0": _halves(rho0), "rho1": _halves(rho1), "rho": _halves(rho),
-            "doubled": {"rho0": list(rho0), "rho1": list(rho1), "rho": list(rho)},
-        }), file=out)
-    elif args.command == "lambda-bracket":
-        shape = _shape(args)
-        flag = _parse_flag(args.flag, shape)
-        lam = rootdata.doubled(_parse_weight(args.weight, shape))
-        br = rootdata.lambda_bracket(lam, flag, shape, args.r, p)
-        print(json.dumps({"weight": list(rootdata.natural(br))}), file=out)
-    elif args.command == "char-z":
-        shape = _shape(args)
-        flag = _parse_flag(args.flag, shape) if args.flag else rootdata.standard_flag(shape)
-        lam = rootdata.doubled(_parse_weight(args.weight, shape))
-        ch = rootdata.ch_z_flag(lam, flag, shape, args.r, p)
-        print(json.dumps(polyn_to_json(ch)), file=out)
-    elif args.command in ("linkage-graph", "components"):
-        shape = _shape(args)
-        box = _parse_box(args.box)
-        r_set = {int(tok) for tok in args.rset.split(",")}
-        graph = linkage.build_graph(box, shape, r_set, p)
-        if args.command == "linkage-graph":
-            print(json.dumps({
-                "nodes": [list(w) for w in graph.nodes],
-                "edges": [
-                    {"src": list(e.source), "dst": list(e.target), "kind": e.kind,
-                     "alpha": list(e.alpha), "r": e.r}
-                    for e in graph.edges
-                ],
-            }), file=out)
-        else:
-            print("component\tweight", file=out)
-            for cid, comp in enumerate(linkage.components(graph)):
-                for w in comp:
-                    print(f"{cid}\t{','.join(map(str, w))}", file=out)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled command {args.command!r}")
+    p = Prime(args.p).p if hasattr(args, "p") else None
+    if getattr(args, "r", 1) < 1:
+        raise ValueError(f"--r must be >= 1, got {args.r}")
+    out = COMMANDS[args.command][2](args, p)
+    if isinstance(out, bool):
+        return 0 if out else 1
+    print(out)
     return 0
 
 

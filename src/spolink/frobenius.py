@@ -1,6 +1,6 @@
 """Thickened rank-one modules: 2p^r-dimensional induced modules over the r-th
 thickening, their socles, the unique Hom criterion, the thickened morphism
-tables, composition factors, and blocks.
+tables and composition factors.  Their blocks are spo21.block_of.
 
 Weights live in all of Z here; the group-like generators may carry negative
 exponents.  Monomials are indexed by (head, idx, eps) with 0 <= idx < p^r:
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 from .characters import Poly1
 from .padic import binom_mod
-from .spo21 import MorphismTable, branch_parts, _sub_multiset
-
-R_MINUS = "minus"
-R_PLUS = "plus"
+from .spo21 import MINUS, PLUS, MorphismTable, branch_parts, render, _sub_multiset
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -33,7 +30,7 @@ class GrtMonomial:
     eps: int
 
     def __post_init__(self) -> None:
-        if self.side not in (R_MINUS, R_PLUS):
+        if self.side not in (MINUS, PLUS):
             raise ValueError(f"bad side {self.side!r}")
         if self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps}")
@@ -42,24 +39,12 @@ class GrtMonomial:
 
     @property
     def weight(self) -> int:
-        if self.side == R_MINUS:
+        if self.side == MINUS:
             return self.head - 2 * self.idx - self.eps
         return 2 * self.idx + self.eps - self.head
 
     def __str__(self) -> str:
-        if self.side == R_MINUS:
-            parts = [("x(1,1)", self.head - self.idx - self.eps), ("x(1,-1)", self.idx)]
-            odd = "x(1,0')"
-        else:
-            parts = [
-                ("x(-1,-1)", self.head - self.idx - self.eps),
-                ("x(-1,1)", self.idx),
-            ]
-            odd = "x(-1,0')"
-        if self.eps:
-            parts.append((odd, 1))
-        shown = [f"{name}^{e}" if e != 1 else name for name, e in parts if e != 0]
-        return " ".join(shown) if shown else "1"
+        return render(self.side, self.head - self.idx - self.eps, self.idx, self.eps)
 
 
 def basis_h0_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
@@ -105,12 +90,15 @@ def ch_h0_r(l: int, r: int, p: int) -> Poly1:
 
 def ch_l_r(l: int, r: int, p: int) -> Poly1:
     """Minus-side simple character, from the socle index sets."""
-    return {m.weight: 1 for m in socle_basis_r(l, r, p, R_MINUS)}
+    return {m.weight: 1 for m in socle_basis_r(l, r, p, MINUS)}
 
 
-def hom_r(k: int, l: int, r: int, p: int) -> int:
-    """1 when l = 2p^r - k - 1, else 0: the only nonzero Hom space."""
-    return int(l == 2 * p**r - k - 1)
+def hom_r(k: int, l: int, r: int, p: int) -> tuple[int, str | None]:
+    """Dimension and parity of the morphism space from the plus module of head
+    k to the minus module of head l, like spo21.hom_dim: (1, "odd") exactly
+    when l = 2p^r - k - 1, else (0, None).  The space is never even: l = k
+    would need 2k = 2p^r - 1."""
+    return (1, "odd") if l == 2 * p**r - k - 1 else (0, None)
 
 
 def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
@@ -129,15 +117,15 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
     kt = k % q + q
     lt = 2 * q - k - 1
     rows: dict[GrtMonomial, dict[GrtMonomial, int]] = {}
-    for src in basis_h0_r(k, r, p, R_PLUS):
+    for src in basis_h0_r(k, r, p, PLUS):
         i = src.idx
         b = binom_mod(kt - i - 1, kt - q, p)
         if src.eps == 0:
             c = (kt - i) * b % p
-            tgt = GrtMonomial(R_MINUS, lt, q - i - 1, 1)
+            tgt = GrtMonomial(MINUS, lt, q - i - 1, 1)
         else:
             c = b
-            tgt = GrtMonomial(R_MINUS, lt, q - i - 1, 0)
+            tgt = GrtMonomial(MINUS, lt, q - i - 1, 0)
         rows[src] = {tgt: c} if c else {}
         if c:
             assert tgt.weight == src.weight, (src, tgt)
@@ -154,12 +142,6 @@ def comp_factors_r(l: int, r: int, p: int) -> Counter:
     out = Counter({e + shift: 1 for e in branch_parts(lt, p, drop_negative=False)})
     assert all(v == 1 for v in out.values()), f"multiplicity > 1 at l={l}: {out}"
     return out
-
-
-def block_of_r(l: int, p: int) -> int:
-    """Block id in [0, p) for any integer weight; independent of r."""
-    m = l % (2 * p)
-    return m if m < p else 2 * p - 1 - m
 
 
 def psi_r_ker_im_coker(k: int, r: int, p: int) -> tuple[Counter, Counter, Counter]:

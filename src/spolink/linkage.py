@@ -45,8 +45,10 @@ class LinkageMove:
     detail: tuple | None = None  # (l, l') for noniso_odd, wall index for even
 
 
-def _rho(shape: GroupShape):
-    return rho_parts(standard_flag(shape), shape)[2]
+def _shifted(lam: Weight, shape: GroupShape):
+    """lam + rho in doubled coordinates, rho of the standard flag."""
+    rho = rho_parts(standard_flag(shape), shape)[2]
+    return tuple(a + b for a, b in zip(doubled(lam), rho))
 
 
 def _positive_roots(shape: GroupShape) -> list[Root]:
@@ -56,8 +58,7 @@ def _positive_roots(shape: GroupShape) -> list[Root]:
 def moves_iso_odd(lam: Weight, shape: GroupShape, r: int, p: int) -> list[LinkageMove]:
     """lam -> lam - alpha for each positive odd isotropic root alpha with
     p dividing (lam + rho, alpha); the pairing is always an integer there."""
-    rho = _rho(shape)
-    shifted = tuple(a + b for a, b in zip(doubled(lam), rho))
+    shifted = _shifted(lam, shape)
     out = []
     for root in _positive_roots(shape):
         if root.parity != "odd" or not root.isotropic:
@@ -80,8 +81,7 @@ def moves_noniso_odd(lam: Weight, shape: GroupShape, r: int, p: int) -> list[Lin
     """
     if shape.parity_type != ODD:
         return []
-    rho = _rho(shape)
-    shifted = tuple(a + b for a, b in zip(doubled(lam), rho))
+    shifted = _shifted(lam, shape)
     out = []
     for root in _positive_roots(shape):
         if root.parity != "odd" or root.isotropic:
@@ -108,8 +108,7 @@ def moves_even(lam: Weight, shape: GroupShape, r: int, p: int, box: Box) -> list
     target inside the box.  The coroot is normalised with the positive-definite
     form; the rho shift is the supersymmetric one, which is what keeps rank-one
     components inside the block congruence classes."""
-    rho = _rho(shape)
-    shifted = tuple(a + b for a, b in zip(doubled(lam), rho))
+    shifted = _shifted(lam, shape)
     q = p**r
     out = []
     for root in _positive_roots(shape):
@@ -155,32 +154,36 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     edges = []
     for lam in nodes:
         for r in sorted(r_set):
-            for mv in moves_iso_odd(lam, shape, r, p):
-                if _in_box(mv.target, box):
-                    edges.append(mv)
-            for mv in moves_noniso_odd(lam, shape, r, p):
+            for mv in moves_iso_odd(lam, shape, r, p) + moves_noniso_odd(lam, shape, r, p):
                 if _in_box(mv.target, box):
                     edges.append(mv)
             edges.extend(moves_even(lam, shape, r, p, box))
     return LinkageGraph(nodes, tuple(edges))
 
 
+def connected_components(nodes, pairs) -> list[list]:
+    """Connected components of the undirected graph on nodes whose edges are
+    the given (a, b) pairs, by union-find; each component sorted, listed by
+    smallest member."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for x in nodes:
+        groups.setdefault(find(x), []).append(x)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
 def components(graph: LinkageGraph) -> list[list[Weight]]:
     """Connected components under the symmetrised move relation, each sorted,
     listed by smallest member."""
-    parent = {w: w for w in graph.nodes}
-
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for mv in graph.edges:
-        a, b = find(mv.source), find(mv.target)
-        if a != b:
-            parent[a] = b
-    groups: dict[Weight, list[Weight]] = {}
-    for w in graph.nodes:
-        groups.setdefault(find(w), []).append(w)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    return connected_components(graph.nodes, ((mv.source, mv.target) for mv in graph.edges))

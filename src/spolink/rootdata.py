@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .characters import PolyN, ch_product_Zr
 
@@ -116,48 +117,33 @@ def check_flag(flag: tuple[Label, ...], shape: GroupShape) -> None:
         raise ValueError(f"flag {flag} does not match shape {shape}")
 
 
+def _signed(vecs, parity: str, isotropic: bool | None) -> list[Root]:
+    """Each vector, then its negative."""
+    return [Root(s, parity, isotropic) for v in vecs for s in (v, vneg(v))]
+
+
+def _signed_sums(pairs, parity: str, isotropic: bool | None) -> list[Root]:
+    """For each pair (a, b): a + b, a - b, -a + b, -a - b."""
+    return [
+        Root(vadd(sa, sb), parity, isotropic)
+        for a, b in pairs
+        for sa in (a, vneg(a))
+        for sb in (b, vneg(b))
+    ]
+
+
 def roots(shape: GroupShape) -> list[Root]:
     """The full root list: even part, then odd part."""
-    n, m = shape.n, shape.m
-    out: list[Root] = []
-    for i in range(1, n + 1):
-        for i2 in range(i + 1, n + 1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    v = vadd(
-                        delta(i, shape) if s1 > 0 else vneg(delta(i, shape)),
-                        delta(i2, shape) if s2 > 0 else vneg(delta(i2, shape)),
-                    )
-                    out.append(Root(v, "even", None))
-    for i in range(1, n + 1):
-        for s in (1, -1):
-            out.append(Root(tuple(2 * s * c for c in delta(i, shape)), "even", None))
-    for j in range(1, m + 1):
-        for j2 in range(j + 1, m + 1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    v = vadd(
-                        eps(j, shape) if s1 > 0 else vneg(eps(j, shape)),
-                        eps(j2, shape) if s2 > 0 else vneg(eps(j2, shape)),
-                    )
-                    out.append(Root(v, "even", None))
+    ds = [delta(i, shape) for i in range(1, shape.n + 1)]
+    es = [eps(j, shape) for j in range(1, shape.m + 1)]
+    out = _signed_sums(combinations(ds, 2), "even", None)
+    out += _signed([vadd(d, d) for d in ds], "even", None)
+    out += _signed_sums(combinations(es, 2), "even", None)
     if shape.parity_type == ODD:
-        for j in range(1, m + 1):
-            for s in (1, -1):
-                out.append(Root(eps(j, shape) if s > 0 else vneg(eps(j, shape)), "even", None))
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    v = vadd(
-                        delta(i, shape) if s1 > 0 else vneg(delta(i, shape)),
-                        eps(j, shape) if s2 > 0 else vneg(eps(j, shape)),
-                    )
-                    out.append(Root(v, "odd", True))
+        out += _signed(es, "even", None)
+    out += _signed_sums(product(ds, es), "odd", True)
     if shape.parity_type == ODD:
-        for i in range(1, n + 1):
-            for s in (1, -1):
-                out.append(Root(delta(i, shape) if s > 0 else vneg(delta(i, shape)), "odd", False))
+        out += _signed(ds, "odd", False)
     return out
 
 
@@ -175,19 +161,14 @@ def phi_plus(flag: tuple[Label, ...], shape: GroupShape) -> set[Root]:
     bs = [lb for lb in flag if lb[0] == SP]
     cs = [lb for lb in flag if lb[0] == OR]
     out: set[Root] = set()
-    for a_i in range(len(bs)):
-        for a_j in range(a_i + 1, len(bs)):
-            va, vb = label_vec(bs[a_i], shape), label_vec(bs[a_j], shape)
+    for block in (bs, cs):
+        for a, b in combinations(block, 2):
+            va, vb = label_vec(a, shape), label_vec(b, shape)
             out.add(Root(vsub(va, vb), "even", None))
             out.add(Root(vadd(va, vb), "even", None))
     for lb in bs:
         v = label_vec(lb, shape)
         out.add(Root(tuple(2 * c for c in v), "even", None))
-    for a_i in range(len(cs)):
-        for a_j in range(a_i + 1, len(cs)):
-            va, vb = label_vec(cs[a_i], shape), label_vec(cs[a_j], shape)
-            out.add(Root(vsub(va, vb), "even", None))
-            out.add(Root(vadd(va, vb), "even", None))
     if shape.parity_type == ODD:
         for lb in cs:
             out.add(Root(label_vec(lb, shape), "even", None))
@@ -343,12 +324,6 @@ def pairing(x: Vec, y: Vec, shape: GroupShape) -> Fraction:
     for t, (a, b) in enumerate(zip(x, y)):
         tot += a * b if t < n else -a * b
     return Fraction(tot, 4)
-
-
-def pairing_euclid(x: Vec, y: Vec) -> Fraction:
-    """Positive-definite companion form (+1 on every coordinate), used only to
-    normalise even coroots."""
-    return Fraction(sum(a * b for a, b in zip(x, y)), 4)
 
 
 def coroot_pairing(x: Vec, alpha: Vec) -> Fraction:

@@ -23,6 +23,23 @@ from .words import FIRST, SECOND, kind, pruned_words
 MINUS = "minus"
 PLUS = "plus"
 
+# The even generators x(s,s), x(s,-s) and the odd one x(s,0') of each side s.
+_GENERATORS = {
+    MINUS: ("x(1,1)", "x(1,-1)", "x(1,0')"),
+    PLUS: ("x(-1,-1)", "x(-1,1)", "x(-1,0')"),
+}
+
+
+def render(side: str, first: int, second: int, eps: int) -> str:
+    """Print a monomial from the exponents of its side's three generators:
+    exponent 0 is left out, exponent 1 prints bare, the empty product is 1."""
+    shown = [
+        name if e == 1 else f"{name}^{e}"
+        for name, e in zip(_GENERATORS[side], (first, second, eps))
+        if e != 0
+    ]
+    return " ".join(shown) if shown else "1"
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class Monomial:
@@ -46,16 +63,10 @@ class Monomial:
         return self.head - 2 * self.i - self.eps
 
     def __str__(self) -> str:
+        rest = self.head - self.i - self.eps
         if self.side == MINUS:
-            parts = [("x(1,1)", self.head - self.i - self.eps), ("x(1,-1)", self.i)]
-            odd = "x(1,0')"
-        else:
-            parts = [("x(-1,-1)", self.i), ("x(-1,1)", self.head - self.i - self.eps)]
-            odd = "x(-1,0')"
-        if self.eps:
-            parts.append((odd, 1))
-        shown = [f"{name}^{e}" if e != 1 else name for name, e in parts if e != 0]
-        return " ".join(shown) if shown else "1"
+            return render(MINUS, rest, self.i, self.eps)
+        return render(PLUS, self.i, rest, self.eps)
 
 
 VectorExpr = dict[Monomial, int]
@@ -327,10 +338,9 @@ def comp_factors_h0(l: int, p: int) -> Counter:
 
 
 def block_of(l: int, p: int) -> int:
-    """Block id in [0, p): the unique a with l congruent to a or to 2p-1-a
-    modulo 2p."""
-    if l < 0:
-        raise ValueError("block_of() needs l >= 0")
+    """Block id in [0, p) of any integer weight: the unique a with l congruent
+    to a or to 2p-1-a modulo 2p.  The group and every thickening share these
+    classes, for every r."""
     m = l % (2 * p)
     return m if m < p else 2 * p - 1 - m
 

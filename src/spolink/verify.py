@@ -150,6 +150,10 @@ def _char_of_factors(factors: Counter, p: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
+def _char_minus(a: dict, b: dict) -> dict:
+    return {w: c for w in set(a) | set(b) if (c := a.get(w, 0) - b.get(w, 0))}
+
+
 def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
     """Criterion 6: morphism tables vanish exactly on the closed-form kernel,
     weight spaces satisfy rank-nullity, and the image/kernel/cokernel factor
@@ -170,20 +174,10 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
                 ker, im, coker = spo21.ker_im_coker_factors(k, j, p)
                 if peel(im_char, lambda w: ch_L_spo(w, p)) != im:
                     return False, f"image factors mismatch at (k={k}, j={j}, p={p})"
-                dom_char = ch_H0_spo(k)
-                ker_char = {
-                    w: c
-                    for w in set(dom_char) | set(im_char)
-                    if (c := dom_char.get(w, 0) - im_char.get(w, 0))
-                }
+                ker_char = _char_minus(ch_H0_spo(k), im_char)
                 if _char_of_factors(ker, p) != ker_char:
                     return False, f"kernel characters mismatch at (k={k}, j={j}, p={p})"
-                cod_char = ch_H0_spo(k - 1 - 2 * j)
-                coker_char = {
-                    w: c
-                    for w in set(cod_char) | set(im_char)
-                    if (c := cod_char.get(w, 0) - im_char.get(w, 0))
-                }
+                coker_char = _char_minus(ch_H0_spo(k - 1 - 2 * j), im_char)
                 if _char_of_factors(coker, p) != coker_char:
                     return False, f"cokernel characters mismatch at (k={k}, j={j}, p={p})"
     return True, f"all admissible (k, j), k <= {kmax}, p in {tuple(primes)}"
@@ -239,53 +233,21 @@ def _partition_by(nodes, key) -> list[list]:
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def _graph_components(nodes, edges) -> list[list]:
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict = {}
-    for x in nodes:
-        groups.setdefault(find(x), []).append(x)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
 def check_blocks(primes=(3, 5, 7)) -> Check:
     """Criterion 8: shared-factor components reproduce the p block classes,
     for the group on [0, 4p^2] and for the thickening on [-2p^2, 2p^2]."""
     for p in primes:
-        hi = 4 * p * p
-        nodes = range(hi + 1)
-        edges = [
-            (l, f)
-            for l in nodes
-            for f in spo21.comp_factors_h0(l, p)
-            if 0 <= f <= hi
+        windows = [
+            ("group", 0, 4 * p * p, lambda l: spo21.comp_factors_h0(l, p)),
+            ("thickening", -2 * p * p, 2 * p * p, lambda l: frobenius.comp_factors_r(l, 1, p)),
         ]
-        got = _graph_components(nodes, edges)
-        want = _partition_by(nodes, lambda l: spo21.block_of(l, p))
-        if got != want or len(got) != p:
-            return False, f"group block mismatch at p={p}"
-        lo, hi = -2 * p * p, 2 * p * p
-        nodes = range(lo, hi + 1)
-        edges = [
-            (l, f)
-            for l in nodes
-            for f in frobenius.comp_factors_r(l, 1, p)
-            if lo <= f <= hi
-        ]
-        got = _graph_components(nodes, edges)
-        want = _partition_by(nodes, lambda l: frobenius.block_of_r(l, p))
-        if got != want or len(got) != p:
-            return False, f"thickening block mismatch at p={p}"
+        for name, lo, hi, factors in windows:
+            nodes = range(lo, hi + 1)
+            edges = [(l, f) for l in nodes for f in factors(l) if lo <= f <= hi]
+            got = linkage.connected_components(nodes, edges)
+            want = _partition_by(nodes, lambda l: spo21.block_of(l, p))
+            if got != want or len(got) != p:
+                return False, f"{name} block mismatch at p={p}"
     return True, f"p block classes on both windows, p in {tuple(primes)}"
 
 

@@ -150,3 +150,32 @@ def test_verify_all_quick_smoke(capsys):
     assert main(["verify-all", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--p", "3", "--window=-2:3"],
+    ["blocks", "--p", "3", "--window", "5:0"],
+    ["blocks-grt", "--p", "3", "--window", "5:0"],
+    ["decompose-grt", "--p", "3", "--r=-1", "--l", "1"],
+    ["decompose-grt", "--p", "3", "--r", "0", "--l", "2"],
+    ["socle", "--p", "3", "--l", "2", "--grt", "--r=-1"],
+    ["hom", "--p", "3", "--k", "1", "--l", "1", "--grt", "--r", "0"],
+    ["psi-table", "--p", "3", "--k", "2", "--grt", "--r=-1"],
+    ["ker-im-coker", "--p", "3", "--k", "2", "--grt", "--r", "0"],
+    ["lambda-bracket", "--n", "1", "--m", "1", "--type", "odd", "--flag", "1,1bar",
+     "--weight", "2,1", "--r=-1", "--p", "3"],
+    ["char-z", "--n", "1", "--m", "1", "--type", "odd", "--weight", "0,0", "--r=-1",
+     "--p", "3"],
+    ["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--rset", "0",
+     "--box", "0:5"],
+    ["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--rset=1,-1",
+     "--box", "0:5"],
+    ["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--box", "5:0"],
+    ["linkage-graph", "--n", "1", "--m", "1", "--type", "odd", "--p", "3",
+     "--box", "0:2,3:1"],
+])
+def test_ranges_rejected_before_any_output(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import pytest
-
 from spolink.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -156,8 +154,8 @@ EXIT_2 = [
      "--p", "3"],
 ]
 
-# Inputs the CLI validates as ranges: negative blocks windows, r < 1, and
-# windows or boxes with lo > hi.
+# Out-of-range inputs, rejected with exit 2 before any output: negative blocks
+# windows, r < 1, and windows or boxes with lo > hi.
 RANGES = [
     ["blocks", "--p", "3", "--window=-2:3"],
     ["blocks", "--p", "3", "--window", "5:0"],
@@ -232,7 +230,7 @@ def test_corpus_covers_every_subcommand_and_format():
     used = {(q[0], f) for q in QUERIES for f in FORMATS}
     cli_commands = [name for name in SUBCOMMANDS if name != "verify-all"]
     assert used == {(name, f) for name in cli_commands for f in FORMATS}
-    assert all(e["code"] == 2 for e in _load()["cases"] if e["argv"] in EXIT_2)
+    assert all(e["code"] == 2 for e in _load()["cases"] if e["argv"] in EXIT_2 + RANGES)
 
 
 if __name__ == "__main__":

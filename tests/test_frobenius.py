@@ -4,11 +4,8 @@ import pytest
 
 from spolink.characters import ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
-    R_MINUS,
-    R_PLUS,
     GrtMonomial,
     basis_h0_r,
-    block_of_r,
     ch_h0_r,
     ch_l_r,
     comp_factors_r,
@@ -17,17 +14,18 @@ from spolink.frobenius import (
     psi_r_table,
     socle_basis_r,
 )
+from spolink.spo21 import MINUS, PLUS, block_of
 
 PRIMES = (3, 5)
 
 
 def test_basis_h0_r():
-    basis = basis_h0_r(5, 1, 3, R_MINUS)
+    basis = basis_h0_r(5, 1, 3, MINUS)
     assert len(basis) == 6
     assert sorted(m.weight for m in basis) == [0, 1, 2, 3, 4, 5]
     for l in (-4, 0, 7):
-        assert len(basis_h0_r(l, 2, 3, R_MINUS)) == 2 * 9
-        assert len(basis_h0_r(l, 1, 5, R_PLUS)) == 10
+        assert len(basis_h0_r(l, 2, 3, MINUS)) == 2 * 9
+        assert len(basis_h0_r(l, 1, 5, PLUS)) == 10
 
 
 def test_plus_side_weights_mirror_minus():
@@ -37,15 +35,15 @@ def test_plus_side_weights_mirror_minus():
         for r in (1, 2):
             q = p**r
             for k in (-3, 0, q, 2 * q - 1, 2 * q + 4):
-                plus = sorted(m.weight for m in basis_h0_r(k, r, p, R_PLUS))
-                minus = sorted(m.weight for m in basis_h0_r(2 * q - k - 1, r, p, R_MINUS))
+                plus = sorted(m.weight for m in basis_h0_r(k, r, p, PLUS))
+                minus = sorted(m.weight for m in basis_h0_r(2 * q - k - 1, r, p, MINUS))
                 assert plus == minus
 
 
 def test_socle_basis_r_known():
-    got = socle_basis_r(3, 1, 3, R_MINUS)
-    assert got == [GrtMonomial(R_MINUS, 3, 0, 0)]
-    assert len(socle_basis_r(2, 1, 3, R_MINUS)) == 5
+    got = socle_basis_r(3, 1, 3, MINUS)
+    assert got == [GrtMonomial(MINUS, 3, 0, 0)]
+    assert len(socle_basis_r(2, 1, 3, MINUS)) == 5
     assert ch_l_r(2, 1, 3) == ch_L_spo(2, 3)  # small simple survives truncation
 
 
@@ -54,10 +52,10 @@ def test_socle_shift_invariance():
         for r in (1, 2):
             q = p**r
             for l in range(-q, q + 1):
-                base = [(m.idx, m.eps) for m in socle_basis_r(l, r, p, R_MINUS)]
+                base = [(m.idx, m.eps) for m in socle_basis_r(l, r, p, MINUS)]
                 for t in (-2, 1, 5):
                     shifted = [
-                        (m.idx, m.eps) for m in socle_basis_r(l + t * q, r, p, R_MINUS)
+                        (m.idx, m.eps) for m in socle_basis_r(l + t * q, r, p, MINUS)
                     ]
                     assert shifted == base
 
@@ -71,24 +69,24 @@ def test_ch_l_r_is_truncated_group_character():
 
 
 def test_hom_r():
-    assert hom_r(4, 1, 1, 3) == 1
-    assert hom_r(4, 2, 1, 3) == 0
+    assert hom_r(4, 1, 1, 3) == (1, "odd")
+    assert hom_r(4, 2, 1, 3) == (0, None)
     for p in PRIMES:
         for r in (1, 2):
-            assert hom_r(p**r, p**r - 1, r, p) == 1
+            assert hom_r(p**r, p**r - 1, r, p) == (1, "odd")
 
 
 def test_psi_r_table_normalisation():
     tab = psi_r_table(3, 1, 3)
-    src = GrtMonomial(R_PLUS, 3, 2, 1)
-    assert tab.rows[src] == {GrtMonomial(R_MINUS, 2, 0, 0): 1}
+    src = GrtMonomial(PLUS, 3, 2, 1)
+    assert tab.rows[src] == {GrtMonomial(MINUS, 2, 0, 0): 1}
     for p in PRIMES:
         for r in (1, 2):
             q = p**r
             for k in (-2, 0, q, 2 * q - 1, 3 * q + 1):
                 tab = psi_r_table(k, r, p)
-                src = GrtMonomial(R_PLUS, k, q - 1, 1)
-                tgt = GrtMonomial(R_MINUS, 2 * q - k - 1, 0, 0)
+                src = GrtMonomial(PLUS, k, q - 1, 1)
+                tgt = GrtMonomial(MINUS, 2 * q - k - 1, 0, 0)
                 assert tab.rows[src] == {tgt: 1}
 
 
@@ -101,7 +99,7 @@ def test_psi_r_shift_covariance():
             for t in (-2, 3):
                 other = psi_r_table(k + t * q, r, p)
                 for src, expr in base.rows.items():
-                    src2 = GrtMonomial(R_PLUS, k + t * q, src.idx, src.eps)
+                    src2 = GrtMonomial(PLUS, k + t * q, src.idx, src.eps)
                     got = {(m.idx, m.eps): c for m, c in other.rows[src2].items()}
                     want = {(m.idx, m.eps): c for m, c in expr.items()}
                     assert got == want
@@ -139,20 +137,20 @@ def test_comp_factors_r_equal_truncated_peel(p):
 
 
 def test_block_of_r_known():
-    assert block_of_r(-1, 3) == 0
-    assert block_of_r(3, 3) == 2
+    assert block_of(-1, 3) == 0
+    assert block_of(3, 3) == 2
     for p in PRIMES:
         for a in range(p):
             for t in (-3, 0, 4):
-                assert block_of_r(a + 2 * p * t, p) == a
+                assert block_of(a + 2 * p * t, p) == a
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_factors_stay_in_block_r(p):
     for r in (1, 2):
         for l in range(-30, 60):
-            b = block_of_r(l, p)
-            assert all(block_of_r(f, p) == b for f in comp_factors_r(l, r, p))
+            b = block_of(l, p)
+            assert all(block_of(f, p) == b for f in comp_factors_r(l, r, p))
 
 
 def test_psi_r_ker_im_coker():

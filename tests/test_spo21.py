@@ -204,8 +204,8 @@ def test_block_of_known():
         for a in range(p):
             assert block_of(a, p) == a
         assert block_of(2 * p - 1, p) == 0
-    with pytest.raises(ValueError):
-        block_of(-1, 3)
+    # any integer: -1 is congruent to 2p - 1
+    assert block_of(-1, 3) == 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
