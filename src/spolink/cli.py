@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections import Counter
@@ -60,37 +61,50 @@ def _monomials_out(monos, fmt: str) -> str:
 
 def _roots_out(roots) -> str:
     return json.dumps({"roots": [
-        {"root": list(r.natural()), "parity": r.parity, "isotropic": r.isotropic}
+        {"root": list(rootdata.natural(r.vec)), "parity": r.parity, "isotropic": r.isotropic}
         for r in roots
     ]})
+
+
+@contextlib.contextmanager
+def _malformed(option: str, value: str, form: str):
+    """Turn a ValueError from parsing an option's value into one message that
+    names the option."""
+    try:
+        yield
+    except ValueError:
+        raise ValueError(f"{option} needs {form}, got {value!r}") from None
 
 
 def _flag(args, shape: GroupShape):
     """The --flag given, checked against the shape, or the standard flag."""
     if not args.flag:
         return rootdata.standard_flag(shape)
-    flag = tuple(rootdata.parse_label(tok.strip()) for tok in args.flag.split(","))
+    with _malformed("--flag", args.flag, "a comma list like 1,-2,1bar"):
+        flag = tuple(rootdata.parse_label(tok.strip()) for tok in args.flag.split(","))
     rootdata.check_flag(flag, shape)
     return flag
 
 
 def _parse_weight(s: str, shape: GroupShape) -> tuple[int, ...]:
-    out = tuple(int(tok) for tok in s.split(","))
+    with _malformed("--weight", s, "comma-separated integers"):
+        out = tuple(int(tok) for tok in s.split(","))
     if len(out) != shape.rank:
         raise ValueError(f"weight needs {shape.rank} coordinates, got {len(out)}")
     return out
 
 
-def _parse_window(s: str) -> tuple[int, int]:
-    lo, hi = s.split(":")
-    lo, hi = int(lo), int(hi)
+def _parse_window(s: str, option: str) -> tuple[int, int]:
+    with _malformed(option, s, "LO:HI"):
+        lo, hi = map(int, s.split(":"))
     if lo > hi:
         raise ValueError(f"range {s} is empty: need LO <= HI")
     return lo, hi
 
 
 def _parse_rset(s: str) -> set[int]:
-    r_set = {int(tok) for tok in s.split(",")}
+    with _malformed("--rset", s, "comma-separated integers"):
+        r_set = {int(tok) for tok in s.split(",")}
     if min(r_set) < 1:
         raise ValueError(f"--rset entries must be >= 1, got {s}")
     return r_set
@@ -167,7 +181,7 @@ def _blocks_out(lo: int, hi: int, p: int) -> str:
 
 
 def _blocks(args, p):
-    lo, hi = _parse_window(args.window)
+    lo, hi = _parse_window(args.window, "--window")
     if lo < 0:
         raise ValueError(
             f"blocks needs weights >= 0, got {args.window} (blocks-grt takes any integer)"
@@ -214,7 +228,7 @@ def _char_z(args, p):
 
 def _graph(args, p) -> linkage.LinkageGraph:
     shape = _shape(args)
-    box = [_parse_window(tok) for tok in args.box.split(",")]
+    box = [_parse_window(tok, "--box") for tok in args.box.split(",")]
     return linkage.build_graph(box, shape, _parse_rset(args.rset), p)
 
 
@@ -277,7 +291,7 @@ COMMANDS = {
     "ker-im-coker": ("kernel/image/cokernel constituents", [P, K, J, *GRT], _ker_im_coker),
     "blocks": ("block ids over a weight window", [P, WINDOW], _blocks),
     "blocks-grt": ("thickening block ids over a weight window", [P, WINDOW],
-                   lambda args, p: _blocks_out(*_parse_window(args.window), p)),
+                   lambda args, p: _blocks_out(*_parse_window(args.window, "--window"), p)),
     "roots": (None, SHAPE, lambda args, p: _roots_out(rootdata.roots(_shape(args)))),
     "phiplus": (None, [*SHAPE, FLAG], _phiplus),
     "chain": (None, SHAPE, _chain),

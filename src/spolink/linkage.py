@@ -9,23 +9,12 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .frobenius import comp_factors_r
-from .rootdata import (
-    GroupShape,
-    ODD,
-    Root,
-    coroot_pairing,
-    doubled,
-    pairing,
-    phi_plus,
-    rho_parts,
-    standard_flag,
-)
+from .rootdata import GroupShape, Vec, natural, phi_plus, rho_parts, standard_flag
 
 ISO_ODD = "iso_odd"
 NONISO_ODD = "noniso_odd"
@@ -45,51 +34,57 @@ class LinkageMove:
     detail: tuple | None = None  # (l, l') for noniso_odd, wall index for even
 
 
-def _shifted(lam: Weight, shape: GroupShape):
-    """lam + rho in doubled coordinates, rho of the standard flag."""
-    rho = rho_parts(standard_flag(shape), shape)[2]
-    return tuple(a + b for a, b in zip(doubled(lam), rho))
+class RootTable(NamedTuple):
+    """The standard-flag data every move is anchored at."""
+
+    n: int  # symplectic rank: the supersymmetric form is + on coordinates < n
+    rho: Vec  # doubled coordinates
+    iso: tuple[Weight, ...]  # odd isotropic positive roots, natural coordinates
+    noniso: tuple[Weight, ...]  # odd non-isotropic ones (none in the even type)
+    even: tuple[Weight, ...]
 
 
-def _positive_roots(shape: GroupShape) -> list[Root]:
-    return sorted(phi_plus(standard_flag(shape), shape), key=lambda r: r.vec)
+def root_table(shape: GroupShape) -> RootTable:
+    """rho and the positive roots of the standard flag, each family sorted
+    by doubled vector; built once per graph."""
+    flag = standard_flag(shape)
+    families = {("odd", True): [], ("odd", False): [], ("even", None): []}
+    for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
+        families[root.parity, root.isotropic].append(natural(root.vec))
+    return RootTable(shape.n, rho_parts(flag, shape)[2], *map(tuple, families.values()))
 
 
-def moves_iso_odd(lam: Weight, shape: GroupShape, r: int, p: int) -> list[LinkageMove]:
+def _form2(lam: Weight, table: RootTable, alpha: Weight) -> int:
+    """2 (lam + rho, alpha) in the supersymmetric form, an integer."""
+    return sum((2 * x + y) * (a if t < table.n else -a)
+               for t, (x, y, a) in enumerate(zip(lam, table.rho, alpha)))
+
+
+def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
     """lam -> lam - alpha for each positive odd isotropic root alpha with
     p dividing (lam + rho, alpha); the pairing is always an integer there."""
-    shifted = _shifted(lam, shape)
     out = []
-    for root in _positive_roots(shape):
-        if root.parity != "odd" or not root.isotropic:
-            continue
-        val = pairing(shifted, root.vec, shape)
-        assert val.denominator == 1, (lam, root)
-        if int(val) % p == 0:
-            alpha = root.natural()
+    for alpha in table.iso:
+        val = _form2(lam, table, alpha)
+        assert val % 2 == 0, (lam, alpha)
+        if val // 2 % p == 0:
             target = tuple(a - b for a, b in zip(lam, alpha))
             out.append(LinkageMove(ISO_ODD, alpha, lam, target, r))
     return out
 
 
-def moves_noniso_odd(lam: Weight, shape: GroupShape, r: int, p: int) -> list[LinkageMove]:
+def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
     """Moves along the odd non-isotropic roots (odd parity type only).
 
     For alpha the i-th such root, take l = (lam + rho, alpha) - 1/2 reduced
     mod p^r, list the thickened constituents of the head-l module, and step
     down by l - l' for every constituent weight l' other than l.
     """
-    if shape.parity_type != ODD:
-        return []
-    shifted = _shifted(lam, shape)
     out = []
-    for root in _positive_roots(shape):
-        if root.parity != "odd" or root.isotropic:
-            continue
-        val = pairing(shifted, root.vec, shape) - Fraction(1, 2)
-        assert val.denominator == 1, (lam, root)
-        l = int(val) % p**r
-        alpha = root.natural()
+    for alpha in table.noniso:
+        val = _form2(lam, table, alpha) - 1
+        assert val % 2 == 0, (lam, alpha)
+        l = val // 2 % p**r
         for lp in sorted(comp_factors_r(l, r, p)):
             if lp == l:
                 continue
@@ -102,36 +97,32 @@ def _in_box(w: Weight, box: Box) -> bool:
     return all(lo <= c <= hi for c, (lo, hi) in zip(w, box))
 
 
-def moves_even(lam: Weight, shape: GroupShape, r: int, p: int, box: Box) -> list[LinkageMove]:
+def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[LinkageMove]:
     """Downward affine reflections lam -> lam - ((lam + rho, alpha^vee) - w p^r) alpha
     across every even positive root alpha, for every wall index w keeping the
     target inside the box.  The coroot is normalised with the positive-definite
     form; the rho shift is the supersymmetric one, which is what keeps rank-one
-    components inside the block congruence classes."""
-    shifted = _shifted(lam, shape)
+    components inside the block congruence classes.
+
+    In integers: with v = (2 lam + rho).alpha and d = alpha.alpha, the pairing
+    is v / d; w ascends from the first wall whose target clears the box's near
+    edges to the last with a positive step."""
     q = p**r
     out = []
-    for root in _positive_roots(shape):
-        if root.parity != "even":
-            continue
-        v = coroot_pairing(shifted, root.vec)
-        alpha = root.natural()
-        bounds = [
-            Fraction(c - (box[t][0] if a > 0 else box[t][1]), a)
-            for t, (c, a) in enumerate(zip(lam, alpha))
+    for alpha in table.even:
+        v = sum((2 * x + y) * a for x, y, a in zip(lam, table.rho, alpha))
+        d = sum(a * a for a in alpha)
+        # integral at every wall or none; rho's parities are equal within a block
+        assert not any(v * a % d for a in alpha), (lam, alpha)
+        w_lo = max(
+            -((d * (c - (lo if a > 0 else hi)) - v * a) // (q * d * a))
+            for c, a, (lo, hi) in zip(lam, alpha, box)
             if a != 0
-        ]
-        cmax = min(bounds)
-        if cmax <= 0:
-            continue
-        w_lo = math.ceil((v - cmax) / q)
-        w_hi = math.ceil(v / q) - 1  # largest w with v - w q > 0
+        )
+        w_hi = (v - 1) // (q * d)
+        base = tuple(c - v * a // d for c, a in zip(lam, alpha))
         for w in range(w_lo, w_hi + 1):
-            c = v - w * q
-            target_f = [Fraction(x) - c * a for x, a in zip(lam, alpha)]
-            if any(tf.denominator != 1 for tf in target_f):
-                continue
-            target = tuple(int(tf) for tf in target_f)
+            target = tuple(b + w * q * a for b, a in zip(base, alpha))
             if _in_box(target, box):
                 out.append(LinkageMove(EVEN_MOVE, alpha, lam, target, r, (w,)))
     return out
@@ -151,13 +142,14 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
+    table = root_table(shape)
     edges = []
     for lam in nodes:
         for r in sorted(r_set):
-            for mv in moves_iso_odd(lam, shape, r, p) + moves_noniso_odd(lam, shape, r, p):
+            for mv in moves_iso_odd(lam, table, r, p) + moves_noniso_odd(lam, table, r, p):
                 if _in_box(mv.target, box):
                     edges.append(mv)
-            edges.extend(moves_even(lam, shape, r, p, box))
+            edges.extend(moves_even(lam, table, r, p, box))
     return LinkageGraph(nodes, tuple(edges))
 
 

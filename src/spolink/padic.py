@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-INFINITY: float = math.inf
-
 
 def is_odd_prime(p: int) -> bool:
     """True for odd primes >= 3 (2 is deliberately excluded)."""
@@ -33,9 +31,6 @@ class Prime:
     def __post_init__(self) -> None:
         if not is_odd_prime(self.p):
             raise ValueError(f"need an odd prime >= 3, got {self.p!r}")
-
-    def __int__(self) -> int:
-        return self.p
 
 
 def digits(n: int, p: int) -> list[int]:
@@ -82,10 +77,10 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return r
 
 
-def a_val(l: int, p: int) -> int | float:
-    """Exponent of the exact power of p dividing l; a_val(0) = INFINITY."""
+def a_val(l: int, p: int) -> int:
+    """Exponent of the exact power of p dividing l != 0."""
     if l == 0:
-        return INFINITY
+        raise ValueError("a_val() needs l != 0")
     l = abs(l)
     v = 0
     while l % p == 0:
@@ -98,7 +93,7 @@ def defect(l: int, p: int) -> int:
     """Largest d such that p^d divides l + 1 (always finite for l >= 0)."""
     if l < 0:
         raise ValueError(f"defect() needs l >= 0, got {l}")
-    return int(a_val(l + 1, p))
+    return a_val(l + 1, p)
 
 
 def all_divisible(k: int, j: int, p: int) -> bool:
@@ -113,4 +108,4 @@ def all_divisible(k: int, j: int, p: int) -> bool:
         raise ValueError(f"all_divisible() needs 0 <= j < k, got j={j}, k={k}")
     if j == 0:
         return True
-    return j < p ** int(a_val(k - j, p))
+    return j < p ** a_val(k - j, p)

@@ -49,10 +49,6 @@ class Root:
     parity: str  # "even" / "odd"
     isotropic: bool | None  # set for odd roots only
 
-    def natural(self) -> tuple[int, ...]:
-        assert all(c % 2 == 0 for c in self.vec)
-        return tuple(c // 2 for c in self.vec)
-
 
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
@@ -326,13 +322,6 @@ def pairing(x: Vec, y: Vec, shape: GroupShape) -> Fraction:
     return Fraction(tot, 4)
 
 
-def coroot_pairing(x: Vec, alpha: Vec) -> Fraction:
-    """<x, alpha^vee> = 2 (x, alpha)_euclid / (alpha, alpha)_euclid."""
-    num = sum(a * b for a, b in zip(x, alpha))
-    den = sum(a * a for a in alpha)
-    return Fraction(2 * num, den)
-
-
 def lambda_bracket(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: int) -> Vec:
     """Flag-normalised weight lam + (p^r - 1)(rho0(F) - rho0) + (rho1(F) - rho1),
     doubled in and out; the result is always integral (asserted)."""
@@ -353,5 +342,5 @@ def ch_z_flag(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: i
     (1 + e^-alpha) per odd positive root.  Keys are natural coordinates."""
     ev, od = [], []
     for root in phi_plus(flag, shape):
-        (ev if root.parity == "even" else od).append(root.natural())
+        (ev if root.parity == "even" else od).append(natural(root.vec))
     return ch_product_Zr(natural(lam), sorted(ev), sorted(od), r, p)

@@ -341,6 +341,7 @@ def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
     """Criterion 11: rank-one linkage graphs reproduce the block partition,
     and the odd non-isotropic targets are exactly the non-head constituents."""
     shape = rootdata.GroupShape(1, 0, rootdata.ODD)
+    table = linkage.root_table(shape)
     for p in primes:
         hi = 4 * p * p
         box = [(0, hi)]
@@ -353,7 +354,7 @@ def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
             q = p**r
             for c in range(0, 3 * p * p + 1, 3):
                 lam = (c,)
-                moves = linkage.moves_noniso_odd(lam, shape, r, p)
+                moves = linkage.moves_noniso_odd(lam, table, r, p)
                 l = c % q
                 want_targets = {
                     c - (l - lp)

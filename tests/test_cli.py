@@ -152,6 +152,21 @@ def test_verify_all_quick_smoke(capsys):
     assert out.count("PASS") == 11
 
 
+# Malformed option values, by the option their one error line must name.
+MALFORMED = {
+    "--window": [["blocks", "--p", "3", "--window", "1"],
+                 ["blocks", "--p", "3", "--window", "a:b"],
+                 ["blocks-grt", "--p", "3", "--window", "0:1:2"]],
+    "--box": [["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
+               "--box", "0-3"]],
+    "--rset": [["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
+                "--rset", "x", "--box", "0:3"]],
+    "--flag": [["phiplus", "--n", "1", "--m", "1", "--type", "odd", "--flag", "1,xbar"]],
+    "--weight": [["char-z", "--n", "1", "--m", "1", "--type", "odd", "--weight", "0,x",
+                  "--r", "1", "--p", "3"]],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["blocks", "--p", "3", "--window=-2:3"],
     ["blocks", "--p", "3", "--window", "5:0"],
@@ -173,9 +188,13 @@ def test_verify_all_quick_smoke(capsys):
     ["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--box", "5:0"],
     ["linkage-graph", "--n", "1", "--m", "1", "--type", "odd", "--p", "3",
      "--box", "0:2,3:1"],
+    *[argv for argvs in MALFORMED.values() for argv in argvs],
 ])
 def test_ranges_rejected_before_any_output(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for option, argvs in MALFORMED.items():
+        if argv in argvs:
+            assert option in captured.err

@@ -10,6 +10,7 @@ from spolink.linkage import (
     moves_even,
     moves_iso_odd,
     moves_noniso_odd,
+    root_table,
 )
 from spolink.rootdata import EVEN, ODD, GroupShape, doubled, pairing, phi_plus, rho_parts, standard_flag
 from spolink.spo21 import block_of
@@ -17,7 +18,7 @@ from spolink.spo21 import block_of
 
 def test_iso_odd_known():
     shape = GroupShape(1, 1, ODD)
-    moves = moves_iso_odd((2, 1), shape, 1, 3)
+    moves = moves_iso_odd((2, 1), root_table(shape), 1, 3)
     # both isotropic roots pair to a multiple of 3 at this weight
     assert {(m.alpha, m.target) for m in moves} == {
         ((1, -1), (1, 2)),
@@ -25,7 +26,7 @@ def test_iso_odd_known():
     }
     assert all(m.kind == ISO_ODD for m in moves)
     # at (1, 1) the shifted pairings are 2 and -1: nothing divides
-    assert moves_iso_odd((1, 1), shape, 1, 3) == []
+    assert moves_iso_odd((1, 1), root_table(shape), 1, 3) == []
 
 
 def test_iso_odd_pairings_are_integral():
@@ -43,23 +44,24 @@ def test_iso_odd_pairings_are_integral():
 
 def test_noniso_odd_even_type_is_empty():
     shape = GroupShape(2, 1, EVEN)
-    assert moves_noniso_odd((3, 1, 0), shape, 1, 3) == []
+    assert root_table(shape).noniso == ()
+    assert moves_noniso_odd((3, 1, 0), root_table(shape), 1, 3) == []
 
 
 def test_noniso_odd_rank1_known():
     shape = GroupShape(1, 0, ODD)
     # l = 3 mod 3 = 0; the non-head thickened constituent at head 0 is -1
-    moves = moves_noniso_odd((3,), shape, 1, 3)
+    moves = moves_noniso_odd((3,), root_table(shape), 1, 3)
     assert [(m.detail, m.target) for m in moves] == [((0, -1), (2,))]
 
 
 def test_noniso_targets_match_constituents():
-    shape = GroupShape(1, 0, ODD)
+    table = root_table(GroupShape(1, 0, ODD))
     for p in (3, 5):
         for r in (1, 2):
             q = p**r
             for c in range(0, 40):
-                moves = moves_noniso_odd((c,), shape, r, p)
+                moves = moves_noniso_odd((c,), table, r, p)
                 l = c % q
                 want = {c - (l - lp) for lp in comp_factors_r(l, r, p) if lp != l}
                 assert {m.target[0] for m in moves} == want
@@ -67,7 +69,7 @@ def test_noniso_targets_match_constituents():
 
 def test_moves_even_rank1_known():
     shape = GroupShape(1, 0, ODD)
-    moves = moves_even((3,), shape, 1, 3, [(-20, 20)])
+    moves = moves_even((3,), root_table(shape), 1, 3, [(-20, 20)])
     assert {m.target[0] for m in moves} == {2, -4, -10, -16}
     assert all(m.kind == EVEN_MOVE for m in moves)
     # every reflected weight stays in the block of the source

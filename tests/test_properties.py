@@ -1,12 +1,34 @@
-"""Hypothesis properties of the shared block, union-find and Hom code, past
-the fixed sweep bounds."""
+"""Hypothesis properties of the shared block, union-find, Hom and linkage-move
+code, past the fixed sweep bounds."""
+
+import math
+from fractions import Fraction
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spolink.frobenius import comp_factors_r, hom_r
-from spolink.linkage import connected_components
+from spolink.linkage import (
+    EVEN_MOVE,
+    LinkageMove,
+    connected_components,
+    moves_even,
+    moves_iso_odd,
+    moves_noniso_odd,
+    root_table,
+)
+from spolink.rootdata import (
+    EVEN,
+    ODD,
+    GroupShape,
+    doubled,
+    natural,
+    pairing,
+    phi_plus,
+    rho_parts,
+    standard_flag,
+)
 from spolink.spo21 import block_of
 
 primes = st.sampled_from((3, 5, 7, 11))
@@ -53,3 +75,75 @@ def test_block_of_constant_on_thickened_factors(l, r, p):
 def test_hom_r_is_one_dimensional_and_odd_or_zero(k, l, r, p):
     assert hom_r(k, l, r, p) in ((1, "odd"), (0, None))
     assert hom_r(k, 2 * p**r - k - 1, r, p) == (1, "odd")
+
+
+@st.composite
+def move_inputs(draw):
+    """A shape of rank <= 3, a small weight and a small box (the weight may lie outside it)."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1 if n == 0 else 0, 3 - n))
+    shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
+    lam = tuple(draw(st.integers(-6, 6)) for _ in range(shape.rank))
+    box = []
+    for _ in range(shape.rank):
+        lo = draw(st.integers(-6, 6))
+        box.append((lo, lo + draw(st.integers(0, 6))))
+    return shape, lam, box, draw(st.sampled_from((3, 5, 7))), draw(st.integers(1, 2))
+
+
+def _standard_roots(shape):
+    """rho (doubled) and the positive roots, sorted by doubled vector, of the
+    standard flag, straight from rootdata."""
+    flag = standard_flag(shape)
+    return rho_parts(flag, shape)[2], sorted(phi_plus(flag, shape), key=lambda root: root.vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_inputs())
+def test_moves_even_match_wall_enumeration(inputs):
+    shape, lam, box, p, r = inputs
+    rho, roots = _standard_roots(shape)
+    q = p**r
+    shifted = [Fraction(c) + Fraction(h, 2) for c, h in zip(lam, rho)]  # lam + rho
+    reach = max(map(abs, lam)) + max(abs(b) for lo_hi in box for b in lo_hi) + 1
+    want = []
+    for root in roots:
+        if root.parity != "even":
+            continue
+        alpha = natural(root.vec)
+        # <lam + rho, alpha^vee> with the positive-definite form
+        coroot = 2 * sum(x * a for x, a in zip(shifted, alpha)) / sum(a * a for a in alpha)
+        # every kept step c satisfies 0 < c <= reach, so these walls cover the box
+        for w in range(math.floor((coroot - reach) / q) - 1, math.ceil(coroot / q) + 1):
+            c = coroot - w * q
+            target = [x - c * a for x, a in zip(lam, alpha)]
+            if c > 0 and all(t.denominator == 1 and lo <= t <= hi
+                             for t, (lo, hi) in zip(target, box)):
+                want.append(LinkageMove(EVEN_MOVE, alpha, lam, tuple(map(int, target)), r, (w,)))
+    assert moves_even(lam, root_table(shape), r, p, box) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_inputs())
+def test_odd_moves_match_the_pairing(inputs):
+    shape, lam, _, p, r = inputs
+    rho, roots = _standard_roots(shape)
+    shifted = tuple(a + b for a, b in zip(doubled(lam), rho))  # 2 (lam + rho)
+    table = root_table(shape)
+    iso = [root for root in roots if root.parity == "odd" and root.isotropic]
+    want_iso = [
+        tuple(x - a for x, a in zip(lam, natural(root.vec)))
+        for root in iso
+        if pairing(shifted, root.vec, shape) % p == 0
+    ]
+    assert [mv.target for mv in moves_iso_odd(lam, table, r, p)] == want_iso
+    want_noniso = []
+    for root in roots:
+        if root.parity == "odd" and not root.isotropic:
+            l = int(pairing(shifted, root.vec, shape) - Fraction(1, 2)) % p**r
+            want_noniso += [
+                tuple(x - (l - lp) * a for x, a in zip(lam, natural(root.vec)))
+                for lp in sorted(comp_factors_r(l, r, p))
+                if lp != l
+            ]
+    assert [mv.target for mv in moves_noniso_odd(lam, table, r, p)] == want_noniso

@@ -72,7 +72,7 @@ def test_root_counts():
 
 def test_phi_plus_standard_rank11():
     shape = GroupShape(1, 1, ODD)
-    pos = {r.natural() for r in phi_plus(standard_flag(shape), shape)}
+    pos = {natural(r.vec) for r in phi_plus(standard_flag(shape), shape)}
     assert pos == {(2, 0), (0, 1), (1, 1), (1, 0), (1, -1)}
 
 
