@@ -90,7 +90,7 @@ def _parse_weight(s: str, shape: GroupShape) -> tuple[int, ...]:
     with _malformed("--weight", s, "comma-separated integers"):
         out = tuple(int(tok) for tok in s.split(","))
     if len(out) != shape.rank:
-        raise ValueError(f"weight needs {shape.rank} coordinates, got {len(out)}")
+        raise ValueError(f"--weight needs {shape.rank} coordinates, got {len(out)}")
     return out
 
 
@@ -98,7 +98,7 @@ def _parse_window(s: str, option: str) -> tuple[int, int]:
     with _malformed(option, s, "LO:HI"):
         lo, hi = map(int, s.split(":"))
     if lo > hi:
-        raise ValueError(f"range {s} is empty: need LO <= HI")
+        raise ValueError(f"{option} range {s} is empty: need LO <= HI")
     return lo, hi
 
 
@@ -229,7 +229,10 @@ def _char_z(args, p):
 def _graph(args, p) -> linkage.LinkageGraph:
     shape = _shape(args)
     box = [_parse_window(tok, "--box") for tok in args.box.split(",")]
-    return linkage.build_graph(box, shape, _parse_rset(args.rset), p)
+    r_set = _parse_rset(args.rset)
+    if len(box) != shape.rank:
+        raise ValueError(f"--box needs {shape.rank} ranges (the shape rank), got {len(box)}")
+    return linkage.build_graph(box, shape, r_set, p)
 
 
 def _linkage_graph(args, p):

@@ -22,13 +22,19 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+MAX_PRIME = 2**31  # trial division takes a few milliseconds at most below this
+
+
 @dataclass(frozen=True, slots=True)
 class Prime:
-    """A validated odd prime, the characteristic used by every module."""
+    """A validated odd prime below MAX_PRIME, the characteristic used by
+    every module."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"p must be below 2^31 = {MAX_PRIME}, got {self.p!r}")
         if not is_odd_prime(self.p):
             raise ValueError(f"need an odd prime >= 3, got {self.p!r}")
 

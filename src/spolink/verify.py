@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
 from .characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
-from .padic import defect, digits
-from .words import GE, GT, LE, LT, build_words, ell
+from .padic import defect
+from .words import GE, GT, LE, LT, build_words
 
 Check = tuple[bool, str]
 
@@ -42,17 +42,15 @@ WORD_TABLE: list[tuple[str, list[tuple[int, int]]]] = [
 
 def check_word_table() -> Check:
     """Criterion 1: the length-5 word list and its weight offsets, exactly."""
-    entries = build_words(5, 4)
-    got = [w for w, _ in entries]
     want = [w for w, _ in WORD_TABLE]
-    if got != want:
-        return False, f"word list mismatch:\n got {got}\nwant {want}"
     for p, a in ((7, (1, 2, 3, 4, 5)), (11, (3, 1, 4, 1, 5))):
         k = sum(ai * p**i for i, ai in enumerate(a)) - 1
-        assert digits(k + 1, p) == list(a)
-        for word, offsets in WORD_TABLE:
-            expect = k - sum(2 * (a[i] + bump) * p**i for i, bump in offsets)
-            if ell(k, word, p) != expect:
+        entries = build_words(k, p)  # no digit is 0 or p - 1: all 16 words live
+        got = [pw.word for pw in entries]
+        if got != want:
+            return False, f"word list mismatch:\n got {got}\nwant {want}"
+        for pw, (word, offsets) in zip(entries, WORD_TABLE):
+            if pw.ell != k - sum(2 * (a[i] + bump) * p**i for i, bump in offsets):
                 return False, f"offset mismatch at word {word} (p={p})"
     return True, "16 words and all symbolic offsets reproduced"
 

@@ -1,10 +1,10 @@
 """Comparison words over {<, ≤, ≥, >} and the weight/subset maps attached to them.
 
 A weight k determines base-p digits a_0, ..., a_u of k + 1.  Words of length
-u + 1 are grown generation by generation; each surviving word names one simple
-constituent of the induced rank-one module of highest weight k, via the weight
-map ell(k, w).  The subset map s_set(k, w) carves {0, ..., k} into the blocks
-of weights each constituent covers.
+u + 1 are grown generation by generation, each with its weight ell; each
+surviving word names the simple constituent of highest weight ell of the
+induced rank-one module of highest weight k.  The subset map s_set(k, w)
+carves {0, ..., k} into the blocks of weights each constituent covers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ BASE = "base"
 FIRST = "first"
 SECOND = "second"
 
-
-class WordEntry(NamedTuple):
-    word: str
-    gen: int
+MAX_DIGITS = 20  # live words grow exponentially with the digit count
 
 
 class PrunedWord(NamedTuple):
@@ -35,63 +32,47 @@ class PrunedWord(NamedTuple):
     ell: int
 
 
-def _bump(word: str, j: int) -> str:
-    # first half of generation j: < at j becomes >=, <= at j+1 becomes <
-    assert word[j] == LT and word[j + 1] == LE, (word, j)
-    return word[:j] + GE + LT + word[j + 2 :]
+def build_words(k: int, p: int) -> list[PrunedWord]:
+    """The live words for weight k >= 0 with their weights, in listing order.
 
+    Words have one position per base-p digit a_0, ..., a_u of k + 1.  The
+    listing is the base word < ≤ ... ≤ (generation -1), then generations
+    0, ..., u - 1.  Generation j holds the bumps of generation j - 1 (its
+    trailing < at j becomes ≥, the ≤ at j + 1 becomes <), then the spikes of
+    the words of generations -1, ..., j - 2 in listing order (the ≤ at j
+    becomes >, the ≤ at j + 1 becomes <).  A bump lowers the weight ell = k
+    by 2 a_j p^j, a spike by 2 (a_j + 1) p^j.
 
-def _spike(word: str, j: int) -> str:
-    # second half of generation j: <= at j becomes >, <= at j+1 becomes <
-    assert word[j] == LE and word[j + 1] == LE, (word, j)
-    return word[:j] + GT + LT + word[j + 2 :]
-
-
-def build_words(s: int, u: int) -> list[WordEntry]:
-    """Ordered generations -1, 0, ..., s-1 of words of length u + 1.
-
-    Generation j rewrites positions j and j+1, so it exists only for
-    j + 1 <= u; requested generations beyond that are silently absent
-    (asking for them is legal, materialising them is not possible).
-    s > u + 1 is rejected outright.
+    A word is dead when it has > at a digit p - 1 or < at a digit 0.  Dead
+    positions are never rewritten except a trailing < by a bump, so a word
+    dead before its trailing < is never built, and one dead only there is
+    built for its bumps but not listed.  At most MAX_DIGITS digits.
     """
-    if s < 0 or u < 0:
-        raise ValueError("build_words() needs s, u >= 0")
-    if s > u + 1:
-        raise ValueError(f"s = {s} exceeds u + 1 = {u + 1}")
-    base = LT + LE * u
-    out = [WordEntry(base, -1)]
-    gens: list[list[str]] = []
-    top = min(s - 1, u - 1)
-    for j in range(top + 1):
-        if j == 0:
-            wj = [GE + LT + LE * (u - 1)]
-        else:
-            first_half = [_bump(w, j) for w in gens[j - 1]]
-            earlier = [base] + [w for g in gens[: j - 1] for w in g]
-            second_half = [_spike(w, j) for w in earlier]
-            wj = first_half + second_half
-        gens.append(wj)
-        out.extend(WordEntry(w, j) for w in wj)
-    return out
-
-
-def ell(k: int, word: str, p: int) -> int:
-    """Weight of a word: k minus 2*a_i*p^i per ≥ and 2*(a_i+1)*p^i per >.
-
-    The digits a_i are those of k + 1; the word length must match their
-    count.  The result may be negative.
-    """
+    if k < 0:
+        raise ValueError(f"build_words() needs k >= 0, got {k}")
     a = digits(k + 1, p)
-    if len(word) != len(a):
-        raise ValueError(f"word length {len(word)} != digit count {len(a)} for k={k}")
-    total = k
-    for i, sym in enumerate(word):
-        if sym == GE:
-            total -= 2 * a[i] * p**i
-        elif sym == GT:
-            total -= 2 * (a[i] + 1) * p**i
-    return total
+    if len(a) > MAX_DIGITS:
+        raise ValueError(
+            f"k = {k} needs {len(a)} base-{p} digits; words are built for at most {MAX_DIGITS}"
+        )
+    u = len(a) - 1
+    base = LT + LE * u
+    prev = [(base, k)]  # generation j - 1, all live before position j
+    out = [PrunedWord(base, -1, k)] if a[0] else []
+    earlier: list[tuple[str, int]] = []  # live words of generations -1, ..., j - 2
+    q = 1
+    for j in range(u):
+        gen = [(w[:j] + GE + LT + w[j + 2 :], e - 2 * a[j] * q) for w, e in prev]
+        if a[j] != p - 1:
+            drop = 2 * (a[j] + 1) * q
+            gen += [(w[:j] + GT + LT + w[j + 2 :], e - drop) for w, e in earlier]
+        if a[j]:
+            earlier += prev
+        if a[j + 1]:
+            out += [PrunedWord(w, j, e) for w, e in gen]
+        prev = gen
+        q *= p
+    return out
 
 
 def s_set(k: int, word: str, p: int) -> set[int]:
@@ -132,31 +113,16 @@ def kind(word: str, gen: int) -> str:
     raise AssertionError(f"word {word!r} starts with {word[0]!r}: constructor bug")
 
 
-def prune(entries: list[WordEntry], k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
-    """Remove dead words, deduplicate equal weights, optionally drop negatives.
-
-    A word dies if it has > at a position whose digit is p - 1, or < at a
-    position whose digit is 0 (both force an empty s_set).  When several
-    surviving words share a weight, the latest-listed one is kept.
-    """
-    a = digits(k + 1, p)
-    kept: dict[int, tuple[int, PrunedWord]] = {}
-    for idx, (word, gen) in enumerate(entries):
-        dead = any(
-            (sym == GT and a[i] == p - 1) or (sym == LT and a[i] == 0)
-            for i, sym in enumerate(word)
-        )
-        if dead:
-            continue
-        e = ell(k, word, p)
-        kept[e] = (idx, PrunedWord(word, gen, e))
-    out = [pw for _, pw in sorted(kept.values())]
-    if drop_negative:
-        out = [pw for pw in out if pw.ell >= 0]
-    return out
+def prune(entries: list[PrunedWord], drop_negative: bool = True) -> list[PrunedWord]:
+    """Deduplicate equal weights, keeping the latest-listed word of each, and
+    optionally drop negative weights; listing order is kept."""
+    latest = {pw.ell: i for i, pw in enumerate(entries)}
+    return [
+        pw for i, pw in enumerate(entries)
+        if latest[pw.ell] == i and (pw.ell >= 0 or not drop_negative)
+    ]
 
 
 def pruned_words(k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
     """All surviving words for weight k, at the full length its digits allow."""
-    u = max(len(digits(k + 1, p)) - 1, 0)
-    return prune(build_words(u + 1, u), k, p, drop_negative)
+    return prune(build_words(k, p), drop_negative)

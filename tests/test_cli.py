@@ -166,6 +166,25 @@ MALFORMED = {
                   "--r", "1", "--p", "3"]],
 }
 
+# Out-of-range values, by the option or the cap their one error line must
+# name: first those listed below already, then ones that are new to the list.
+RANGE_NAMED = {
+    "--window": [["blocks", "--p", "3", "--window", "5:0"],
+                 ["blocks-grt", "--p", "3", "--window", "5:0"]],
+    "--box": [["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
+               "--box", "5:0"],
+              ["linkage-graph", "--n", "1", "--m", "1", "--type", "odd", "--p", "3",
+               "--box", "0:2,3:1"]],
+}
+NAMED = {
+    "--box": [["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3",
+               "--box", "0:3"]],
+    "--weight": [["lambda-bracket", "--n", "1", "--m", "1", "--type", "odd", "--flag", "1,1bar",
+                  "--weight", "2", "--r", "1", "--p", "3"]],
+    "at most 20": [["decompose-sl2", "--p", "3", "--k", str(10**26)]],
+    "below 2^31": [["decompose-sl2", "--p", "1000000000000000003", "--k", "3"]],
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["blocks", "--p", "3", "--window=-2:3"],
@@ -189,12 +208,13 @@ MALFORMED = {
     ["linkage-graph", "--n", "1", "--m", "1", "--type", "odd", "--p", "3",
      "--box", "0:2,3:1"],
     *[argv for argvs in MALFORMED.values() for argv in argvs],
+    *[argv for argvs in NAMED.values() for argv in argvs],
 ])
 def test_ranges_rejected_before_any_output(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    for option, argvs in MALFORMED.items():
+    for option, argvs in [*MALFORMED.items(), *RANGE_NAMED.items(), *NAMED.items()]:
         if argv in argvs:
             assert option in captured.err

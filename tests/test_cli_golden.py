@@ -177,9 +177,18 @@ RANGES = [
 
 HELP = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS]
 
+# Weights near the 20-digit cap of the word builder: k + 1 = 3^20 - 1 has
+# twenty digits p - 1, so 20 of its 2^19 words live; the thickened head
+# normalises to a weight of 16 base-7 digits.
+LONG_WORDS = [
+    ["decompose-sl2", "--p", "3", "--k", "3486784399"],
+    ["decompose-grt", "--p", "7", "--r", "15", "--l=-4607563851886857"],
+]
+
 CASES = (
     [q + list(f) for q in QUERIES for f in FORMATS]
     + [["--seed-irrelevant", "decompose-sl2", "--p", "3", "--k", "8"]]
+    + LONG_WORDS
     + EXIT_2
     + RANGES
     + HELP

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from spolink.padic import (
+    MAX_PRIME,
     Prime,
     a_val,
     all_divisible,
@@ -21,6 +22,14 @@ def test_prime_validation():
     for bad in (2, 1, 0, -3, 9, 15, 4):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_cap_is_checked_before_primality():
+    assert MAX_PRIME == 2**31
+    assert Prime(2**31 - 1).p == 2**31 - 1  # the largest prime below the cap
+    for big in (2**31 + 11, 10**18 + 3, 2**127 - 1):  # primes at or above it
+        with pytest.raises(ValueError, match=r"below 2\^31"):
+            Prime(big)
 
 
 def test_digits_known():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_words as ref
 from spolink.padic import digits
 from spolink.words import (
     BASE,
@@ -8,9 +11,10 @@ from spolink.words import (
     GT,
     LE,
     LT,
+    MAX_DIGITS,
     SECOND,
+    PrunedWord,
     build_words,
-    ell,
     kind,
     prune,
     pruned_words,
@@ -21,34 +25,48 @@ PRIMES = (3, 5, 7)
 
 
 def test_build_words_first_generations():
-    got = build_words(1, 4)
+    got = ref.build_words(1, 4)
     assert [w for w, _ in got] == [LT + LE * 4, GE + LT + LE * 3]
     assert [g for _, g in got] == [-1, 0]
-    assert build_words(0, 0) == [(LT, -1)]
-    assert build_words(1, 0) == [(LT, -1)]  # no room for generation 0
+    assert ref.build_words(0, 0) == [(LT, -1)]
+    assert ref.build_words(1, 0) == [(LT, -1)]  # no room for generation 0
+    # digits(k + 1, 7) = [1, 2]: the base word and generation 0, both live
+    assert build_words(14, 7) == [(LT + LE, -1, 14), (GE + LT, 0, 12)]
+    assert build_words(0, 3) == [(LT, -1, 0)]
 
 
 def test_build_words_sizes():
     for s in range(0, 9):
-        got = build_words(s, 10)
+        got = ref.build_words(s, 10)
         assert len(got) == 2**s if s >= 1 else 1
         # generation j contributes 2^j words
         for j in range(s):
             assert sum(1 for _, g in got if g == j) == max(2**j, 1)
+    # no digit of k + 1 is 0 or p - 1: all 2^u words live
+    for u in range(0, 9):
+        assert len(build_words(2 * (101 ** (u + 1) - 1) // 100 - 1, 101)) == 2**u
 
 
 def test_build_words_rejects_overlong():
     with pytest.raises(ValueError):
-        build_words(6, 4)
+        ref.build_words(6, 4)
     with pytest.raises(ValueError):
-        build_words(-1, 4)
+        ref.build_words(-1, 4)
+    with pytest.raises(ValueError):
+        build_words(-1, 3)
+    assert len(build_words(3**MAX_DIGITS - 2, 3)) == MAX_DIGITS
+    with pytest.raises(ValueError, match=f"at most {MAX_DIGITS}"):
+        build_words(3**MAX_DIGITS - 1, 3)
+    with pytest.raises(ValueError, match=f"at most {MAX_DIGITS}"):
+        build_words(10**26, 3)
 
 
 def test_ell_known():
-    assert ell(3, LT + LE, 3) == 3
-    assert ell(3, GE + LT, 3) == 1  # digits(4, 3) = [1, 1]
+    assert ref.ell(3, LT + LE, 3) == 3
+    assert ref.ell(3, GE + LT, 3) == 1  # digits(4, 3) = [1, 1]
     with pytest.raises(ValueError):
-        ell(3, LT + LE + LE, 3)
+        ref.ell(3, LT + LE + LE, 3)
+    assert [pw.ell for pw in build_words(3, 3)] == [3, 1]
 
 
 def test_s_set_known():
@@ -76,22 +94,20 @@ def test_prune_known():
 
 
 def test_prune_drops_negatives_only_on_request():
-    entries = build_words(2, 1)
     for k in range(0, 60):
-        with_neg = prune(entries, k, 3, drop_negative=False) if len(digits(k + 1, 3)) == 2 else None
-        if with_neg is None:
-            continue
-        nonneg = prune(entries, k, 3)
+        entries = build_words(k, 3)
+        with_neg = prune(entries, drop_negative=False)
+        nonneg = prune(entries)
         assert nonneg == [pw for pw in with_neg if pw.ell >= 0]
+        assert with_neg == ref.pruned_words(k, 3, drop_negative=False)
 
 
 def test_dedup_keeps_latest():
-    # digits(3, 3) = [0, 1]: base word and the first-generation word tie at 2
-    entries = build_words(2, 1)
-    a = digits(2 + 1, 3)
-    assert a == [0, 1]
-    kept = prune(entries, 2, 3)
-    assert len(kept) == 1 and kept[0].gen == 0
+    # equal weights: the latest-listed word is kept, in its listing place
+    entries = [PrunedWord(LT, -1, 4), PrunedWord(GE, 0, 2), PrunedWord(GT, 1, 4)]
+    assert prune(entries) == entries[1:]
+    assert prune(entries[:2] + [PrunedWord(GT, 1, -2)]) == entries[:2]
+    assert len(prune(entries[:2] + [PrunedWord(GT, 1, -2)], drop_negative=False)) == 3
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -118,3 +134,35 @@ def test_min_element_matches_weight_drop(p):
             block = s_set(k, pw.word, p)
             if block:
                 assert min(block) == (k - pw.ell) // 2
+
+
+def _reference_live(k: int, p: int) -> list[PrunedWord]:
+    """The reference's full listing with the dead words dropped, weighed one
+    word at a time."""
+    a = digits(k + 1, p)
+    return [
+        PrunedWord(w, g, ref.ell(k, w, p))
+        for w, g in ref.build_words(len(a), len(a) - 1)
+        if not ref.is_dead(w, a, p)
+    ]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_pruned_words_match_reference_exhaustively(p):
+    for k in range(0, 2001):
+        for drop_negative in (True, False):
+            want = ref.pruned_words(k, p, drop_negative)
+            assert pruned_words(k, p, drop_negative) == want, (k, p, drop_negative)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((3, 5, 7, 11, 101)), n_digits=st.integers(1, 14), data=st.data())
+def test_live_words_match_reference_at_random_k(p, n_digits, data):
+    # k + 1 has exactly n_digits base-p digits
+    k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
+    live = build_words(k, p)
+    want = _reference_live(k, p)
+    assert live == want
+    for drop_negative in (True, False):
+        entries = [ref.WordEntry(w, g) for w, g, _ in want]
+        assert prune(live, drop_negative) == ref.prune(entries, k, p, drop_negative)
