@@ -15,7 +15,6 @@ import contextlib
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from . import frobenius, linkage, rootdata, sl2, spo21, verify
 from .characters import PolyN
@@ -61,7 +60,7 @@ def _monomials_out(monos, fmt: str) -> str:
 
 def _roots_out(roots) -> str:
     return json.dumps({"roots": [
-        {"root": list(rootdata.natural(r.vec)), "parity": r.parity, "isotropic": r.isotropic}
+        {"root": list(r.vec), "parity": r.parity, "isotropic": r.isotropic}
         for r in roots
     ]})
 
@@ -114,16 +113,12 @@ def _shape(args) -> GroupShape:
     return GroupShape(args.n, args.m, args.type)
 
 
-def _halves(vec) -> list[str]:
-    return [str(Fraction(c, 2)) for c in vec]
-
-
 def _step_json(step: rootdata.ChainStep | None, flag) -> dict:
     if step is None:
         return {"flag": [rootdata.label_str(lb) for lb in flag], "move": None,
                 "alpha": None, "levi": None}
     move = step.move.kind if step.move.pos is None else f"{step.move.kind}@{step.move.pos}"
-    alpha = list(rootdata.natural(step.alpha)) if step.alpha is not None else None
+    alpha = list(step.alpha) if step.alpha is not None else None
     return {"flag": [rootdata.label_str(lb) for lb in step.flag_to], "move": move,
             "alpha": alpha, "levi": step.levi}
 
@@ -203,23 +198,22 @@ def _chain(args, p):
 
 def _rho(args, p):
     shape = _shape(args)
-    rho0, rho1, rho = rootdata.rho_parts(_flag(args, shape), shape)
-    return json.dumps({
-        "rho0": _halves(rho0), "rho1": _halves(rho1), "rho": _halves(rho),
-        "doubled": {"rho0": list(rho0), "rho1": list(rho1), "rho": list(rho)},
-    })
+    parts = dict(zip(("rho0", "rho1", "rho"), rootdata.rho_parts(_flag(args, shape), shape)))
+    out = {name: [str(c) for c in vec] for name, vec in parts.items()}
+    out["doubled"] = {name: [int(2 * c) for c in vec] for name, vec in parts.items()}
+    return json.dumps(out)
 
 
 def _weight_at_flag(args) -> tuple:
-    """(doubled --weight, flag, shape), with the flag checked first."""
+    """(--weight, flag, shape), with the flag checked first."""
     shape = _shape(args)
     flag = _flag(args, shape)
-    return rootdata.doubled(_parse_weight(args.weight, shape)), flag, shape
+    return _parse_weight(args.weight, shape), flag, shape
 
 
 def _lambda_bracket(args, p):
     br = rootdata.lambda_bracket(*_weight_at_flag(args), args.r, p)
-    return json.dumps({"weight": list(rootdata.natural(br))})
+    return json.dumps({"weight": list(br)})
 
 
 def _char_z(args, p):

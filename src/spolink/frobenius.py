@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .characters import Poly1
 from .padic import binom_mod
 from .spo21 import MINUS, PLUS, MorphismTable, branch_parts, render, _sub_multiset
+from .words import MAX_DIGITS
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -129,17 +130,20 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
         rows[src] = {tgt: c} if c else {}
         if c:
             assert tgt.weight == src.weight, (src, tgt)
-    return MorphismTable(k, lt, None, rows)
+    return MorphismTable(rows)
 
 
 def comp_factors_r(l: int, r: int, p: int) -> Counter:
     """Composition factor multiset of the minus induced module of any integer
-    head l: normalise into [p^r, 2p^r), run the residue branches on the full
-    word stock for that window (negative word weights stay), shift back."""
+    head l: normalise into [p^r, 2p^r), run the residue branches there,
+    shift back.  The branches build words of r + 1 digits, so r < MAX_DIGITS."""
+    if r + 1 > MAX_DIGITS:
+        raise ValueError(f"r = {r} needs words of {r + 1} base-{p} digits; "
+                         f"they are built for at most {MAX_DIGITS}")
     q = p**r
     lt = (l - q) % q + q
     shift = l - lt
-    out = Counter({e + shift: 1 for e in branch_parts(lt, p, drop_negative=False)})
+    out = Counter({e + shift: 1 for e in branch_parts(lt, p)})
     assert all(v == 1 for v in out.values()), f"multiplicity > 1 at l={l}: {out}"
     return out
 

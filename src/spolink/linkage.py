@@ -14,20 +14,20 @@ from itertools import product
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
-from .rootdata import GroupShape, Vec, natural, phi_plus, rho_parts, standard_flag
+from .rootdata import GroupShape, Vec, phi_plus, rho_parts, standard_flag
 
 ISO_ODD = "iso_odd"
 NONISO_ODD = "noniso_odd"
 EVEN_MOVE = "even"
 
 Weight = tuple[int, ...]
-Box = list[tuple[int, int]]  # inclusive (lo, hi) per natural coordinate
+Box = list[tuple[int, int]]  # inclusive (lo, hi) per coordinate
 
 
 @dataclass(frozen=True, slots=True)
 class LinkageMove:
     kind: str
-    alpha: Weight  # natural coordinates
+    alpha: Weight
     source: Weight
     target: Weight
     r: int
@@ -38,26 +38,27 @@ class RootTable(NamedTuple):
     """The standard-flag data every move is anchored at."""
 
     n: int  # symplectic rank: the supersymmetric form is + on coordinates < n
-    rho: Vec  # doubled coordinates
-    iso: tuple[Weight, ...]  # odd isotropic positive roots, natural coordinates
+    rho2: Vec  # 2 rho, an integer vector
+    iso: tuple[Weight, ...]  # odd isotropic positive roots
     noniso: tuple[Weight, ...]  # odd non-isotropic ones (none in the even type)
     even: tuple[Weight, ...]
 
 
 def root_table(shape: GroupShape) -> RootTable:
-    """rho and the positive roots of the standard flag, each family sorted
-    by doubled vector; built once per graph."""
+    """2 rho and the positive roots of the standard flag, each family sorted;
+    built once per graph."""
     flag = standard_flag(shape)
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
     for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
-        families[root.parity, root.isotropic].append(natural(root.vec))
-    return RootTable(shape.n, rho_parts(flag, shape)[2], *map(tuple, families.values()))
+        families[root.parity, root.isotropic].append(root.vec)
+    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
+    return RootTable(shape.n, rho2, *map(tuple, families.values()))
 
 
 def _form2(lam: Weight, table: RootTable, alpha: Weight) -> int:
     """2 (lam + rho, alpha) in the supersymmetric form, an integer."""
     return sum((2 * x + y) * (a if t < table.n else -a)
-               for t, (x, y, a) in enumerate(zip(lam, table.rho, alpha)))
+               for t, (x, y, a) in enumerate(zip(lam, table.rho2, alpha)))
 
 
 def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
@@ -104,15 +105,15 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
     form; the rho shift is the supersymmetric one, which is what keeps rank-one
     components inside the block congruence classes.
 
-    In integers: with v = (2 lam + rho).alpha and d = alpha.alpha, the pairing
+    In integers: with v = 2 (lam + rho).alpha and d = alpha.alpha, the pairing
     is v / d; w ascends from the first wall whose target clears the box's near
     edges to the last with a positive step."""
     q = p**r
     out = []
     for alpha in table.even:
-        v = sum((2 * x + y) * a for x, y, a in zip(lam, table.rho, alpha))
+        v = sum((2 * x + y) * a for x, y, a in zip(lam, table.rho2, alpha))
         d = sum(a * a for a in alpha)
-        # integral at every wall or none; rho's parities are equal within a block
+        # integral at every wall or none; 2 rho's parities are equal within a block
         assert not any(v * a % d for a in alpha), (lam, alpha)
         w_lo = max(
             -((d * (c - (lo if a > 0 else hi)) - v * a) // (q * d * a))

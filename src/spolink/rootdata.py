@@ -3,9 +3,9 @@ shapes, positive systems attached to flags, elementary Borel moves and the
 full chain from the standard flag to its negative, rho vectors, the bilinear
 form, flag-normalised weights, and product characters.
 
-Weight vectors are tuples of *doubled* integer coordinates in the basis
-(delta_1..delta_n, eps_1..eps_m), so half-integers never leave the pairing.
-Roots always have even doubled entries; ``natural(v)`` halves them.
+Roots and weights are integer tuples in the basis (delta_1..delta_n,
+eps_1..eps_m).  Only the rho vectors can be half-integral; rho_parts returns
+them as exact Fractions.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ OR = "o"  # orthogonal label kind (epsilon block)
 
 Label = tuple[str, int]
 Vec = tuple[int, ...]
+RhoVec = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +46,7 @@ class GroupShape:
 
 @dataclass(frozen=True, slots=True)
 class Root:
-    vec: Vec  # doubled coordinates
+    vec: Vec
     parity: str  # "even" / "odd"
     isotropic: bool | None  # set for odd roots only
 
@@ -62,23 +63,14 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def natural(v: Vec) -> tuple[int, ...]:
-    assert all(c % 2 == 0 for c in v), f"{v} is not an integral weight"
-    return tuple(c // 2 for c in v)
-
-
-def doubled(v: tuple[int, ...]) -> Vec:
-    return tuple(2 * c for c in v)
-
-
 def delta(i: int, shape: GroupShape) -> Vec:
-    """Doubled delta_i, 1-based."""
-    return tuple(2 if t == i - 1 else 0 for t in range(shape.rank))
+    """The unit vector delta_i, 1-based."""
+    return tuple(1 if t == i - 1 else 0 for t in range(shape.rank))
 
 
 def eps(j: int, shape: GroupShape) -> Vec:
-    """Doubled eps_j, 1-based."""
-    return tuple(2 if t == shape.n + j - 1 else 0 for t in range(shape.rank))
+    """The unit vector eps_j, 1-based."""
+    return tuple(1 if t == shape.n + j - 1 else 0 for t in range(shape.rank))
 
 
 def label_vec(label: Label, shape: GroupShape) -> Vec:
@@ -296,9 +288,8 @@ def chain_of_borels(shape: GroupShape) -> list[ChainStep]:
     return steps
 
 
-def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[Vec, Vec, Vec]:
-    """Half-sums of the even and odd positive roots, and their difference,
-    all in doubled coordinates."""
+def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[RhoVec, RhoVec, RhoVec]:
+    """Half-sums of the even and odd positive roots, and their difference."""
     rk = shape.rank
     s0 = [0] * rk
     s1 = [0] * rk
@@ -306,25 +297,25 @@ def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[Vec, Vec, Vec
         tgt = s0 if root.parity == "even" else s1
         for t, c in enumerate(root.vec):
             tgt[t] += c
-    rho0 = tuple(c // 2 for c in s0)
-    rho1 = tuple(c // 2 for c in s1)
+    rho0 = tuple(Fraction(c, 2) for c in s0)
+    rho1 = tuple(Fraction(c, 2) for c in s1)
     rho = vsub(rho0, rho1)
     return rho0, rho1, rho
 
 
-def pairing(x: Vec, y: Vec, shape: GroupShape) -> Fraction:
-    """The supersymmetric form in doubled coordinates: +1 on the delta block,
-    -1 on the epsilon block, exact half-integer values."""
+def pairing(x: Vec | RhoVec, y: Vec | RhoVec, shape: GroupShape) -> Fraction:
+    """The supersymmetric form, exactly: +1 on the delta block, -1 on the
+    epsilon block."""
     n = shape.n
     tot = 0
     for t, (a, b) in enumerate(zip(x, y)):
         tot += a * b if t < n else -a * b
-    return Fraction(tot, 4)
+    return Fraction(tot)
 
 
 def lambda_bracket(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: int) -> Vec:
-    """Flag-normalised weight lam + (p^r - 1)(rho0(F) - rho0) + (rho1(F) - rho1),
-    doubled in and out; the result is always integral (asserted)."""
+    """Flag-normalised weight lam + (p^r - 1)(rho0(F) - rho0) + (rho1(F) - rho1);
+    the result is always integral (asserted)."""
     rho0f, rho1f, _ = rho_parts(flag, shape)
     rho0s, rho1s, _ = rho_parts(standard_flag(shape), shape)
     q = p**r
@@ -332,15 +323,15 @@ def lambda_bracket(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int,
         lam[t] + (q - 1) * (rho0f[t] - rho0s[t]) + (rho1f[t] - rho1s[t])
         for t in range(shape.rank)
     )
-    assert all(c % 2 == 0 for c in out), f"non-integral bracket weight {out}"
-    return out
+    assert all(c.denominator == 1 for c in out), f"non-integral bracket weight {out}"
+    return tuple(map(int, out))
 
 
 def ch_z_flag(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: int) -> PolyN:
     """Product character of the thickened induced module at the given flag:
     e^lam times the truncated geometric factor per even positive root and
-    (1 + e^-alpha) per odd positive root.  Keys are natural coordinates."""
+    (1 + e^-alpha) per odd positive root."""
     ev, od = [], []
     for root in phi_plus(flag, shape):
-        (ev if root.parity == "even" else od).append(natural(root.vec))
-    return ch_product_Zr(natural(lam), sorted(ev), sorted(od), r, p)
+        (ev if root.parity == "even" else od).append(root.vec)
+    return ch_product_Zr(lam, sorted(ev), sorted(od), r, p)

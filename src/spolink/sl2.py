@@ -6,20 +6,19 @@ from __future__ import annotations
 from collections import Counter
 
 from .padic import defect
-from .words import pruned_words
+from .words import build_words
 
 
 def decompose_sl2(k: int, p: int) -> Counter:
     """Simple constituents of the induced module of highest weight k >= 0.
 
-    One factor per surviving word; weights are pairwise distinct, so every
+    One factor per live word; weights are pairwise distinct, so every
     multiplicity is 1.
     """
     if k < 0:
         raise ValueError("decompose_sl2() needs k >= 0")
-    out: Counter = Counter()
-    for pw in pruned_words(k, p):
-        out[pw.ell] = 1
+    out = Counter(pw.ell for pw in build_words(k, p))
+    assert all(v == 1 for v in out.values()), f"multiplicity > 1 at k={k}: {out}"
     assert out[k] == 1, f"head weight {k} missing from its own decomposition"
     return out
 

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .padic import all_divisible, binom_mod, digits
-from .words import FIRST, SECOND, kind, pruned_words
+from .words import FIRST, SECOND, build_words, kind
 
 MINUS = "minus"
 PLUS = "plus"
@@ -191,13 +191,6 @@ def hom_dim(k: int, l: int, p: int) -> tuple[int, str | None]:
     return (1, "odd") if ok else (0, None)
 
 
-def iso_k(mono: Monomial, k: int) -> Monomial:
-    """The basis bijection between the plus and minus modules of equal head k."""
-    if mono.side != PLUS or mono.head != k:
-        raise ValueError("iso_k() expects a plus monomial of the given head")
-    return Monomial(MINUS, k, mono.i, mono.eps)
-
-
 def is_admissible_psi(k: int, j: int, p: int) -> bool:
     """Whether the weight-lowering morphism at (k, j) exists: head k - 1 - 2j
     stays nonnegative and hom_dim is one."""
@@ -222,9 +215,6 @@ class MorphismTable:
     has at most one term.
     """
 
-    source_head: int
-    target_head: int
-    j: int | None
     rows: dict
 
     def nonzero_rows(self) -> dict:
@@ -275,7 +265,7 @@ def psi_table(k: int, j: int, p: int) -> MorphismTable:
     for src, expr in rows.items():
         for tgt in expr:
             assert tgt.weight == src.weight, (src, tgt)
-    return MorphismTable(k, l, j, rows)
+    return MorphismTable(rows)
 
 
 def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
@@ -293,10 +283,10 @@ def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
     return out
 
 
-def _branch(m: int, p: int, want: str, drop_negative: bool = True) -> list[int]:
-    """Weights of the non-head surviving words of the given kind for weight m."""
+def _branch(m: int, p: int, want: str) -> list[int]:
+    """Weights of the non-head live words of the given kind for weight m."""
     out = []
-    for pw in pruned_words(m, p, drop_negative):
+    for pw in build_words(m, p):
         if pw.ell == m:
             continue
         kd = kind(pw.word, pw.gen)
@@ -306,7 +296,7 @@ def _branch(m: int, p: int, want: str, drop_negative: bool = True) -> list[int]:
     return out
 
 
-def branch_parts(l: int, p: int, drop_negative: bool = True) -> list[int]:
+def branch_parts(l: int, p: int) -> list[int]:
     """Constituent weights of the induced module of head l >= 1 by the residue
     of l mod p: the head, then first/second-kind word weights at l-1 and l
     (plus l-1 itself in the divisible case)."""
@@ -314,14 +304,14 @@ def branch_parts(l: int, p: int, drop_negative: bool = True) -> list[int]:
     parts = [l]
     if r == 0:
         parts.append(l - 1)
-        parts += _branch(l - 1, p, FIRST, drop_negative)
-        parts += _branch(l, p, SECOND, drop_negative)
+        parts += _branch(l - 1, p, FIRST)
+        parts += _branch(l, p, SECOND)
     elif r == p - 1:
-        parts += _branch(l - 1, p, FIRST, drop_negative)
-        parts += _branch(l, p, FIRST, drop_negative)
+        parts += _branch(l - 1, p, FIRST)
+        parts += _branch(l, p, FIRST)
     else:
-        parts += _branch(l - 1, p, FIRST, drop_negative)
-        parts += _branch(l, p, SECOND, drop_negative)
+        parts += _branch(l - 1, p, FIRST)
+        parts += _branch(l, p, SECOND)
     return parts
 
 
@@ -375,7 +365,7 @@ def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Coun
     t = len(digits(j, p))
     ge_prefix = "≥" * t
     im = Counter(
-        pw.ell for pw in pruned_words(k - 1, p) if pw.word[:t] == ge_prefix
+        pw.ell for pw in build_words(k - 1, p) if pw.word[:t] == ge_prefix
     )
     ker = _sub_multiset(comp_factors_h0(k, p), im)
     coker = _sub_multiset(comp_factors_h0(k - 1 - 2 * j, p), im)

@@ -322,7 +322,7 @@ def check_flag_independence(p: int = 3, r: int = 1) -> Check:
         flags = [rootdata.standard_flag(shape)] + [s.flag_to for s in steps]
         for a in range(3):
             for b in range(3):
-                lam = rootdata.doubled((a, b))
+                lam = (a, b)
                 reference = None
                 for fl in flags:
                     ch = rootdata.ch_z_flag(

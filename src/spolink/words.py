@@ -2,9 +2,11 @@
 
 A weight k determines base-p digits a_0, ..., a_u of k + 1.  Words of length
 u + 1 are grown generation by generation, each with its weight ell; each
-surviving word names the simple constituent of highest weight ell of the
-induced rank-one module of highest weight k.  The subset map s_set(k, w)
-carves {0, ..., k} into the blocks of weights each constituent covers.
+live word names the simple constituent of highest weight ell of the induced
+rank-one module of highest weight k, so the live words are its constituent
+list as built: no weight repeats and none is negative.  The subset map
+s_set(k, w) carves {0, ..., k} into the blocks of weights each constituent
+covers.
 """
 
 from __future__ import annotations
@@ -111,18 +113,3 @@ def kind(word: str, gen: int) -> str:
     if word[0] == LT:
         return SECOND
     raise AssertionError(f"word {word!r} starts with {word[0]!r}: constructor bug")
-
-
-def prune(entries: list[PrunedWord], drop_negative: bool = True) -> list[PrunedWord]:
-    """Deduplicate equal weights, keeping the latest-listed word of each, and
-    optionally drop negative weights; listing order is kept."""
-    latest = {pw.ell: i for i, pw in enumerate(entries)}
-    return [
-        pw for i, pw in enumerate(entries)
-        if latest[pw.ell] == i and (pw.ell >= 0 or not drop_negative)
-    ]
-
-
-def pruned_words(k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
-    """All surviving words for weight k, at the full length its digits allow."""
-    return prune(build_words(k, p), drop_negative)

@@ -183,6 +183,9 @@ NAMED = {
                   "--weight", "2", "--r", "1", "--p", "3"]],
     "at most 20": [["decompose-sl2", "--p", "3", "--k", str(10**26)]],
     "below 2^31": [["decompose-sl2", "--p", "1000000000000000003", "--k", "3"]],
+    "r = 20": [["decompose-grt", "--p", "3", "--r", "20", "--l", "5"],
+               ["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
+                "--rset", "20", "--box", "0:3"]],
 }
 
 

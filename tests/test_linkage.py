@@ -12,7 +12,7 @@ from spolink.linkage import (
     moves_noniso_odd,
     root_table,
 )
-from spolink.rootdata import EVEN, ODD, GroupShape, doubled, pairing, phi_plus, rho_parts, standard_flag
+from spolink.rootdata import EVEN, ODD, GroupShape, pairing, phi_plus, rho_parts, standard_flag
 from spolink.spo21 import block_of
 
 
@@ -37,7 +37,7 @@ def test_iso_odd_pairings_are_integral():
             if root.parity == "odd" and root.isotropic:
                 for lam in [(0, 0, 0), (1, 2, 3), (-2, 5, 1)]:
                     val = pairing(
-                        tuple(a + b for a, b in zip(doubled(lam), rho)), root.vec, shape
+                        tuple(a + b for a, b in zip(lam, rho)), root.vec, shape
                     )
                     assert val.denominator == 1
 

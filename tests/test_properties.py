@@ -1,14 +1,15 @@
-"""Hypothesis properties of the shared block, union-find, Hom and linkage-move
-code, past the fixed sweep bounds."""
+"""Hypothesis properties of the shared block, union-find, Hom, thickened
+constituent and linkage-move code, past the fixed sweep bounds."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spolink.frobenius import comp_factors_r, hom_r
+from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
     LinkageMove,
@@ -22,8 +23,6 @@ from spolink.rootdata import (
     EVEN,
     ODD,
     GroupShape,
-    doubled,
-    natural,
     pairing,
     phi_plus,
     rho_parts,
@@ -71,6 +70,18 @@ def test_block_of_constant_on_thickened_factors(l, r, p):
     assert all(block_of(f, p) == b for f in comp_factors_r(l, r, p))
 
 
+@settings(max_examples=100, deadline=None)
+@given(weights, st.integers(-50, 50), st.integers(min_value=1, max_value=4),
+       st.sampled_from((3, 5, 7)))
+def test_thickened_factors_shift_and_fill_the_module(l, t, r, p):
+    # shifting the head by t p^r shifts every factor by t p^r, and the
+    # factors' simple characters add up to the 2 p^r-dimensional module
+    q = p**r
+    factors = comp_factors_r(l, r, p)
+    assert comp_factors_r(l + t * q, r, p) == Counter({hw + t * q: m for hw, m in factors.items()})
+    assert sum(m * len(ch_l_r(hw, r, p)) for hw, m in factors.items()) == 2 * q
+
+
 @given(weights, weights, st.integers(min_value=1, max_value=4), primes)
 def test_hom_r_is_one_dimensional_and_odd_or_zero(k, l, r, p):
     assert hom_r(k, l, r, p) in ((1, "odd"), (0, None))
@@ -92,8 +103,8 @@ def move_inputs(draw):
 
 
 def _standard_roots(shape):
-    """rho (doubled) and the positive roots, sorted by doubled vector, of the
-    standard flag, straight from rootdata."""
+    """rho and the positive roots, sorted, of the standard flag, straight
+    from rootdata."""
     flag = standard_flag(shape)
     return rho_parts(flag, shape)[2], sorted(phi_plus(flag, shape), key=lambda root: root.vec)
 
@@ -104,13 +115,13 @@ def test_moves_even_match_wall_enumeration(inputs):
     shape, lam, box, p, r = inputs
     rho, roots = _standard_roots(shape)
     q = p**r
-    shifted = [Fraction(c) + Fraction(h, 2) for c, h in zip(lam, rho)]  # lam + rho
+    shifted = [c + h for c, h in zip(lam, rho)]  # lam + rho
     reach = max(map(abs, lam)) + max(abs(b) for lo_hi in box for b in lo_hi) + 1
     want = []
     for root in roots:
         if root.parity != "even":
             continue
-        alpha = natural(root.vec)
+        alpha = root.vec
         # <lam + rho, alpha^vee> with the positive-definite form
         coroot = 2 * sum(x * a for x, a in zip(shifted, alpha)) / sum(a * a for a in alpha)
         # every kept step c satisfies 0 < c <= reach, so these walls cover the box
@@ -128,11 +139,11 @@ def test_moves_even_match_wall_enumeration(inputs):
 def test_odd_moves_match_the_pairing(inputs):
     shape, lam, _, p, r = inputs
     rho, roots = _standard_roots(shape)
-    shifted = tuple(a + b for a, b in zip(doubled(lam), rho))  # 2 (lam + rho)
+    shifted = tuple(a + b for a, b in zip(lam, rho))  # lam + rho
     table = root_table(shape)
     iso = [root for root in roots if root.parity == "odd" and root.isotropic]
     want_iso = [
-        tuple(x - a for x, a in zip(lam, natural(root.vec)))
+        tuple(x - a for x, a in zip(lam, root.vec))
         for root in iso
         if pairing(shifted, root.vec, shape) % p == 0
     ]
@@ -142,7 +153,7 @@ def test_odd_moves_match_the_pairing(inputs):
         if root.parity == "odd" and not root.isotropic:
             l = int(pairing(shifted, root.vec, shape) - Fraction(1, 2)) % p**r
             want_noniso += [
-                tuple(x - (l - lp) * a for x, a in zip(lam, natural(root.vec)))
+                tuple(x - (l - lp) * a for x, a in zip(lam, root.vec))
                 for lp in sorted(comp_factors_r(l, r, p))
                 if lp != l
             ]

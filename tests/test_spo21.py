@@ -12,7 +12,6 @@ from spolink.spo21 import (
     block_of,
     comp_factors_h0,
     hom_dim,
-    iso_k,
     ker_im_coker_factors,
     kernel_basis,
     psi_table,
@@ -104,16 +103,6 @@ def test_hom_dim_known():
     for p in PRIMES:
         assert hom_dim(0, 0, p) == (1, "even")
         assert hom_dim(0, 2, p) == (0, None)
-
-
-def test_iso_k():
-    k = 5
-    for mono in basis_h0(k, PLUS):
-        img = iso_k(mono, k)
-        assert img.side == MINUS and img.weight == mono.weight
-    assert len({iso_k(m, k) for m in basis_h0(k, PLUS)}) == 2 * k + 1
-    with pytest.raises(ValueError):
-        iso_k(Monomial(MINUS, 5, 0, 0), 5)
 
 
 def test_psi_table_known():
@@ -253,7 +242,7 @@ def test_image_reindexing_claim():
     # p in k - j; the re-read word can be longer than the smaller weight's
     # digit string, so evaluate with zero-padded digits.
     from spolink.padic import a_val, digits
-    from spolink.words import GE, GT, LE, LT, pruned_words
+    from spolink.words import GE, GT, LE, LT, build_words
 
     def ell_padded(m, word, p):
         a = digits(m + 1, p)
@@ -275,7 +264,7 @@ def test_image_reindexing_claim():
                 t = int(a_val(k - j, p))
                 head = k - 1 - 2 * j
                 reread = set()
-                for pw in pruned_words(k - 1, p):
+                for pw in build_words(k - 1, p):
                     if pw.word[:t] != GE * t:
                         continue
                     z = LT + LE * (t - 1)

@@ -16,8 +16,6 @@ from spolink.words import (
     PrunedWord,
     build_words,
     kind,
-    prune,
-    pruned_words,
     s_set,
 )
 
@@ -87,27 +85,10 @@ def test_kind():
 
 
 def test_prune_known():
-    surv = pruned_words(3, 3)
+    surv = build_words(3, 3)
     assert [(pw.word, pw.ell) for pw in surv] == [(LT + LE, 3), (GE + LT, 1)]
-    surv = pruned_words(2, 3)  # digits(3,3) = [0,1] removes the base word
+    surv = build_words(2, 3)  # digits(3,3) = [0,1]: the base word is dead
     assert [(pw.word, pw.ell) for pw in surv] == [(GE + LT, 2)]
-
-
-def test_prune_drops_negatives_only_on_request():
-    for k in range(0, 60):
-        entries = build_words(k, 3)
-        with_neg = prune(entries, drop_negative=False)
-        nonneg = prune(entries)
-        assert nonneg == [pw for pw in with_neg if pw.ell >= 0]
-        assert with_neg == ref.pruned_words(k, 3, drop_negative=False)
-
-
-def test_dedup_keeps_latest():
-    # equal weights: the latest-listed word is kept, in its listing place
-    entries = [PrunedWord(LT, -1, 4), PrunedWord(GE, 0, 2), PrunedWord(GT, 1, 4)]
-    assert prune(entries) == entries[1:]
-    assert prune(entries[:2] + [PrunedWord(GT, 1, -2)]) == entries[:2]
-    assert len(prune(entries[:2] + [PrunedWord(GT, 1, -2)], drop_negative=False)) == 3
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -119,7 +100,7 @@ def test_covering_partition(p):
         if any(d in (0, p - 1) for d in dg):
             continue
         seen = []
-        for pw in pruned_words(k, p):
+        for pw in build_words(k, p):
             block = s_set(k, pw.word, p)
             assert block, pw
             assert min(block) == (k - pw.ell) // 2
@@ -130,7 +111,7 @@ def test_covering_partition(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_min_element_matches_weight_drop(p):
     for k in range(0, 301):
-        for pw in pruned_words(k, p):
+        for pw in build_words(k, p):
             block = s_set(k, pw.word, p)
             if block:
                 assert min(block) == (k - pw.ell) // 2
@@ -149,10 +130,12 @@ def _reference_live(k: int, p: int) -> list[PrunedWord]:
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_pruned_words_match_reference_exhaustively(p):
+    # the live words need neither the reference's deduplication nor its
+    # dropping of negative weights
     for k in range(0, 2001):
+        live = build_words(k, p)
         for drop_negative in (True, False):
-            want = ref.pruned_words(k, p, drop_negative)
-            assert pruned_words(k, p, drop_negative) == want, (k, p, drop_negative)
+            assert live == ref.pruned_words(k, p, drop_negative), (k, p, drop_negative)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,6 +146,15 @@ def test_live_words_match_reference_at_random_k(p, n_digits, data):
     live = build_words(k, p)
     want = _reference_live(k, p)
     assert live == want
+    entries = [ref.WordEntry(w, g) for w, g, _ in want]
     for drop_negative in (True, False):
-        entries = [ref.WordEntry(w, g) for w, g, _ in want]
-        assert prune(live, drop_negative) == ref.prune(entries, k, p, drop_negative)
+        assert live == ref.prune(entries, k, p, drop_negative)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((3, 5, 7, 11, 101)), n_digits=st.integers(1, 16), data=st.data())
+def test_live_weights_are_distinct_and_nonnegative(p, n_digits, data):
+    k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
+    ells = [pw.ell for pw in build_words(k, p)]
+    assert len(set(ells)) == len(ells)
+    assert min(ells) >= 0
