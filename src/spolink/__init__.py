@@ -1,7 +1,7 @@
 """Exact-arithmetic combinatorics of rank-one super modules, their Frobenius
 thickenings, orthosymplectic root and flag data, and linkage graphs."""
 
-from .padic import Prime, a_val, all_divisible, binom_mod, carries, defect, digits
+from .padic import Prime, a_val, all_divisible, binom_mod, defect, digits
 from .sl2 import decompose_sl2, linked_sl2
 from .spo21 import block_of, comp_factors_h0, hom_dim, ker_im_coker_factors
 from .frobenius import comp_factors_r, psi_r_ker_im_coker
@@ -12,7 +12,6 @@ __all__ = [
     "a_val",
     "all_divisible",
     "binom_mod",
-    "carries",
     "defect",
     "digits",
     "decompose_sl2",

@@ -226,7 +226,10 @@ def _graph(args, p) -> linkage.LinkageGraph:
     r_set = _parse_rset(args.rset)
     if len(box) != shape.rank:
         raise ValueError(f"--box needs {shape.rank} ranges (the shape rank), got {len(box)}")
-    return linkage.build_graph(box, shape, r_set, p)
+    try:
+        return linkage.build_graph(box, shape, r_set, p)
+    except linkage.TooManyEdges as exc:
+        raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
 
 
 def _linkage_graph(args, p):
@@ -305,8 +308,18 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+class _Unparsed(Exception):
+    """A lean parser met help or a usage error; the full parser answers."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed
+
+
+def build_parser(names=COMMANDS, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser holding the named subcommands' parsers, all by default."""
+    top = parser_class(
         prog="spolink",
         description="Exact decompositions, morphism tables, blocks, root data "
         "and linkage graphs for rank-one super modules and their thickenings.",
@@ -314,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed-irrelevant", action="store_true",
                      help="accepted for interface compatibility; nothing here is random")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_, arguments, _) in COMMANDS.items():
+    for name in names:
+        help_, arguments, _ = COMMANDS[name]
         # a subcommand without help stays out of the top-level listing
         sp = sub.add_parser(name, **({"help": help_} if help_ else {}))
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="json")
@@ -323,8 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the named subcommand's parser built.  Help, a missing
+    or unknown subcommand and every usage error go to the full parser, so all
+    help pages and usage lines are its own.  No top-level option takes a
+    value, so the first token without a dash names the subcommand; a token
+    from -h or --h on may be help or an abbreviation of it."""
+    name = next((a for a in argv if not a.startswith("-")), None)
+    if name in COMMANDS and not any(a.startswith(("-h", "--h")) for a in argv):
+        with contextlib.suppress(_Unparsed):
+            return build_parser([name], _LeanParser).parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     p = Prime(args.p).p if hasattr(args, "p") else None
     if getattr(args, "r", 1) < 1:
         raise ValueError(f"--r must be >= 1, got {args.r}")

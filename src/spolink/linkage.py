@@ -23,6 +23,12 @@ EVEN_MOVE = "even"
 Weight = tuple[int, ...]
 Box = list[tuple[int, int]]  # inclusive (lo, hi) per coordinate
 
+MAX_EDGES = 1_000_000  # edges grow quadratically in the box width
+
+
+class TooManyEdges(ValueError):
+    """A box whose graph would pass MAX_EDGES edges."""
+
 
 @dataclass(frozen=True, slots=True)
 class LinkageMove:
@@ -139,7 +145,7 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     """All moves from every integral weight in the box, kept when the target
     also lies in the box.  The relation is used symmetrically: enumerating
     from every node covers the reversed residue convention for the odd
-    non-isotropic moves as well."""
+    non-isotropic moves as well.  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
@@ -151,6 +157,8 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
                 if _in_box(mv.target, box):
                     edges.append(mv)
             edges.extend(moves_even(lam, table, r, p, box))
+        if len(edges) > MAX_EDGES:
+            raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
     return LinkageGraph(nodes, tuple(edges))
 
 

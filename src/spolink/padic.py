@@ -1,4 +1,4 @@
-"""Exact base-p digit arithmetic: expansions, carries, binomial residues, valuations.
+"""Exact base-p digit arithmetic: expansions, binomial residues, valuations.
 
 Everything here is integer-exact at a fixed odd prime p >= 3.  Characteristic 2
 is rejected up front: the rank-one formulas downstream divide by 2.
@@ -48,23 +48,6 @@ def digits(n: int, p: int) -> list[int]:
         n, d = divmod(n, p)
         out.append(d)
     return out
-
-
-def carries(a: int, b: int, p: int) -> int:
-    """Number of carries when a is added to b in base p.
-
-    By Kummer's theorem this equals the p-adic valuation of C(a+b, a).
-    """
-    if a < 0 or b < 0:
-        raise ValueError("carries() needs a, b >= 0")
-    count = 0
-    carry = 0
-    while a or b or carry:
-        carry = 1 if a % p + b % p + carry >= p else 0
-        count += carry
-        a //= p
-        b //= p
-    return count
 
 
 def binom_mod(n: int, k: int, p: int) -> int:

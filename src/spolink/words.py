@@ -4,14 +4,11 @@ A weight k determines base-p digits a_0, ..., a_u of k + 1.  Words of length
 u + 1 are grown generation by generation, each with its weight ell; each
 live word names the simple constituent of highest weight ell of the induced
 rank-one module of highest weight k, so the live words are its constituent
-list as built: no weight repeats and none is negative.  The subset map
-s_set(k, w) carves {0, ..., k} into the blocks of weights each constituent
-covers.
+list as built: no weight repeats and none is negative.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from .padic import digits
@@ -75,33 +72,6 @@ def build_words(k: int, p: int) -> list[PrunedWord]:
         prev = gen
         q *= p
     return out
-
-
-def s_set(k: int, word: str, p: int) -> set[int]:
-    """All s = sum s_i p^i whose digits obey the word's per-position constraint.
-
-    <  : 0 <= s_i <= a_i - 1      ≤ : 0 <= s_i <= a_i
-    ≥  : a_i <= s_i <= p - 1      > : a_i + 1 <= s_i <= p - 1
-
-    An empty constraint at any position empties the whole set.
-    """
-    a = digits(k + 1, p)
-    if len(word) != len(a):
-        raise ValueError(f"word length {len(word)} != digit count {len(a)} for k={k}")
-    ranges = []
-    for i, sym in enumerate(word):
-        if sym == LT:
-            r = range(0, a[i])
-        elif sym == LE:
-            r = range(0, a[i] + 1)
-        elif sym == GE:
-            r = range(a[i], p)
-        else:
-            r = range(a[i] + 1, p)
-        if len(r) == 0:
-            return set()
-        ranges.append(r)
-    return {sum(s_i * p**i for i, s_i in enumerate(combo)) for combo in product(*ranges)}
 
 
 def kind(word: str, gen: int) -> str:

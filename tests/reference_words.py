@@ -2,11 +2,13 @@
 a pruning pass that finds the dead ones and the weights afterwards.
 
 This is the builder spolink.words replaced with one that grows only live
-words; the tests replay the library against it.
+words; the tests replay the library against it.  The subset map s_set(k, w)
+carves {0, ..., k} into the blocks of weights each constituent covers.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from spolink.padic import digits
@@ -108,3 +110,30 @@ def pruned_words(k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]
     """All surviving words for weight k, from the full 2^u listing."""
     u = max(len(digits(k + 1, p)) - 1, 0)
     return prune(build_words(u + 1, u), k, p, drop_negative)
+
+
+def s_set(k: int, word: str, p: int) -> set[int]:
+    """All s = sum s_i p^i whose digits obey the word's per-position constraint.
+
+    <  : 0 <= s_i <= a_i - 1      ≤ : 0 <= s_i <= a_i
+    ≥  : a_i <= s_i <= p - 1      > : a_i + 1 <= s_i <= p - 1
+
+    An empty constraint at any position empties the whole set.
+    """
+    a = digits(k + 1, p)
+    if len(word) != len(a):
+        raise ValueError(f"word length {len(word)} != digit count {len(a)} for k={k}")
+    ranges = []
+    for i, sym in enumerate(word):
+        if sym == LT:
+            r = range(0, a[i])
+        elif sym == LE:
+            r = range(0, a[i] + 1)
+        elif sym == GE:
+            r = range(a[i], p)
+        else:
+            r = range(a[i] + 1, p)
+        if len(r) == 0:
+            return set()
+        ranges.append(r)
+    return {sum(s_i * p**i for i, s_i in enumerate(combo)) for combo in product(*ranges)}

@@ -1,8 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spolink.cli import main
+from spolink import cli
+from spolink.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +193,11 @@ NAMED = {
                ["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
                 "--rset", "20", "--box", "0:3"]],
 }
+# Boxes whose graph passes linkage.MAX_EDGES: the error names the option.
+CAPPED = {
+    "--box": [["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
+               "--box", "0:20000"]],
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,12 +223,70 @@ NAMED = {
      "--box", "0:2,3:1"],
     *[argv for argvs in MALFORMED.values() for argv in argvs],
     *[argv for argvs in NAMED.values() for argv in argvs],
+    *[argv for argvs in CAPPED.values() for argv in argvs],
 ])
 def test_ranges_rejected_before_any_output(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    for option, argvs in [*MALFORMED.items(), *RANGE_NAMED.items(), *NAMED.items()]:
+    for option, argvs in [*MALFORMED.items(), *RANGE_NAMED.items(), *NAMED.items(),
+                          *CAPPED.items()]:
         if argv in argvs:
             assert option in captured.err
+
+
+# Parser tokens: every subcommand and option, a few abbreviations and near
+# misses, help, "--", an unknown option and some values.
+OPTIONS = sorted({flag for _, arguments, _ in COMMANDS.values() for flag, _ in arguments})
+TOKENS = [*COMMANDS, *OPTIONS, "--format", "--seed-irrelevant", "--seed", "--form", "--gr",
+          "--wei", "decomp", "-h", "--help", "--he", "--", "--bogus", "3", "-1", "0:3", "x",
+          "odd", "tsv"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required options and some others, each with a
+    valid value, half the time between random tokens, sometimes shuffled."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    options = []
+    for flag, kw in [("--format", {"choices": ("tsv",)}), *COMMANDS[name][1]]:
+        if kw.get("required") or draw(st.booleans()):
+            valued = kw.get("action") != "store_true"
+            options += [flag, kw.get("choices", ("3",))[0]] if valued else [flag]
+    noise = st.lists(st.sampled_from(TOKENS), max_size=2) if draw(st.booleans()) else st.just([])
+    argv = draw(noise) + [name, *options] + draw(noise)
+    return draw(st.permutations(argv)) if draw(st.integers(0, 3)) == 0 else argv
+
+
+def _outcome(parse, argv):
+    """The Namespace, or the exit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_lean_parse_matches_the_full_parser(argv):
+    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, argv)
+
+
+def test_only_the_named_subparser_is_built(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kw):
+        built.append(name)
+        return add_parser(self, name, **kw)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["decompose-sl2", "--p", "3", "--k", "3"]) == 0
+    assert built == ["decompose-sl2"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == list(COMMANDS) and len(built) == 19

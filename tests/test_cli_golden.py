@@ -177,6 +177,24 @@ RANGES = [
 
 HELP = [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS]
 
+# Where argparse's handling reaches past the subcommand's own parser: options
+# before the subcommand, abbreviations, help anywhere, stray or repeated
+# positionals, "--", command prefixes and unknown options after a valid
+# subcommand, whose usage line is the top level's.
+PARSER_EDGES = [
+    ["--seed-irrelevant", "--bogus", "decompose-sl2", "--p", "3", "--k", "3"],
+    ["--seed", "decompose-sl2", "--p", "3", "--k", "3"],
+    ["decompose-sl2", "--p", "3", "--k", "3", "--form", "tsv"],
+    ["decompose-sl2", "--p", "3", "--k", "3", "-h"],
+    ["decompose-sl2", "--help"],
+    ["--help"],
+    ["decompose-sl2", "--p", "3", "--k", "3", "roots"],
+    ["decompose-sl2", "decompose-sl2", "--p", "3", "--k", "3"],
+    ["--", "decompose-sl2", "--p", "3", "--k", "3"],
+    ["decomp", "--p", "3", "--k", "3"],
+    ["hom", "--p", "3", "--k", "5", "--l", "1", "--grt", "--r", "1", "--bogus"],
+]
+
 # Weights near the 20-digit cap of the word builder: k + 1 = 3^20 - 1 has
 # twenty digits p - 1, so 20 of its 2^19 words live; the thickened head
 # normalises to a weight of 16 base-7 digits.
@@ -192,6 +210,7 @@ CASES = (
     + EXIT_2
     + RANGES
     + HELP
+    + PARSER_EDGES
 )
 
 
@@ -210,7 +229,7 @@ def _python() -> str:
 
 
 def _from_argparse(entry: dict) -> bool:
-    return "-h" in entry["argv"] or entry["stderr"].startswith("usage:")
+    return bool({"-h", "--help"} & set(entry["argv"])) or entry["stderr"].startswith("usage:")
 
 
 def _load() -> dict:

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+from spolink import linkage
+
 from spolink.frobenius import comp_factors_r
 from spolink.linkage import (
     EVEN_MOVE,
     ISO_ODD,
     NONISO_ODD,
+    TooManyEdges,
     build_graph,
     components,
     moves_even,
@@ -130,3 +135,13 @@ def test_rank2_graph_stays_inside_iso_blocks():
     assert graph.edges  # the box is large enough to produce moves
     comps = components(graph)
     assert sum(len(c) for c in comps) == len(graph.nodes)
+
+
+def test_edge_cap_stops_the_build(monkeypatch):
+    box, shape = [(0, 36)], GroupShape(1, 0, ODD)
+    n_edges = len(build_graph(box, shape, {1, 2}, 3).edges)
+    monkeypatch.setattr(linkage, "MAX_EDGES", n_edges)
+    assert len(build_graph(box, shape, {1, 2}, 3).edges) == n_edges
+    monkeypatch.setattr(linkage, "MAX_EDGES", n_edges - 1)
+    with pytest.raises(TooManyEdges, match=f"MAX_EDGES = {n_edges - 1:,}"):
+        build_graph(box, shape, {1, 2}, 3)

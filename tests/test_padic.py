@@ -8,7 +8,6 @@ from spolink.padic import (
     a_val,
     all_divisible,
     binom_mod,
-    carries,
     defect,
     digits,
 )
@@ -47,6 +46,18 @@ def test_digits_roundtrip():
             assert sum(c * p**i for i, c in enumerate(d)) == n
             assert all(0 <= c < p for c in d)
             assert not d or d[-1] != 0
+
+
+def carries(a: int, b: int, p: int) -> int:
+    """Number of carries when a is added to b in base p: by Kummer's theorem,
+    the p-adic valuation of C(a+b, a), the oracle for binom_mod and a_val."""
+    count = carry = 0
+    while a or b or carry:
+        carry = 1 if a % p + b % p + carry >= p else 0
+        count += carry
+        a //= p
+        b //= p
+    return count
 
 
 def test_carries_known():
@@ -110,6 +121,15 @@ def test_binom_mod_against_comb():
         for n in range(0, 120):
             for k in range(0, n + 1):
                 assert binom_mod(n, k, p) == math.comb(n, k) % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_binom_mod_and_a_val_against_kummer(p):
+    for n in range(0, 300):
+        for k in range(0, n + 1):
+            c = carries(k, n - k, p)
+            assert (binom_mod(n, k, p) == 0) == (c > 0), (n, k)
+            assert a_val(math.comb(n, k), p) == c, (n, k)
 
 
 def test_a_val_known():
