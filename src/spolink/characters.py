@@ -8,7 +8,6 @@ coordinate tuples.  Zero coefficients are never stored.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from typing import Callable
 
 from .padic import digits
@@ -34,12 +33,10 @@ def ch_L_sl2(k: int, p: int) -> Poly1:
     dividing C(k, i), i.e. i digit-dominated by k in base p."""
     if k < 0:
         raise ValueError("ch_L_sl2() needs k >= 0")
-    ranges = [range(d + 1) for d in digits(k, p)]
-    out: Poly1 = {}
-    for combo in product(*ranges):
-        i = sum(c * p**t for t, c in enumerate(combo))
-        out[k - 2 * i] = 1
-    return out
+    offs = [0]  # the digit-dominated i, digit 0 varying slowest
+    for t, d in enumerate(digits(k, p)):
+        offs = [o + c * p**t for o in offs for c in range(d + 1)]
+    return {k - 2 * i: 1 for i in offs}
 
 
 def ch_H0_spo(l: int) -> Poly1:

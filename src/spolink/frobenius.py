@@ -14,8 +14,7 @@ with torus weights l - 2 idx - eps and 2 idx + eps - k respectively.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .characters import Poly1
 from .padic import binom_mod
@@ -23,20 +22,20 @@ from .spo21 import MINUS, PLUS, MorphismTable, branch_parts, render, _sub_multis
 from .words import MAX_DIGITS
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class GrtMonomial:
-    side: str
-    head: int
-    idx: int
-    eps: int
+class GrtMonomial(namedtuple("GrtMonomialFields", "side head idx eps")):
+    """The tuple (side, head, idx, eps), typed and checked like spo21.Monomial."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.side not in (MINUS, PLUS):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        if self.idx < 0:
-            raise ValueError(f"idx must be >= 0, got {self.idx}")
+    def __new__(cls, side: str, head: int, idx: int, eps: int) -> GrtMonomial:
+        if side not in (MINUS, PLUS):
+            raise ValueError(f"bad side {side!r}")
+        if eps not in (0, 1):
+            raise ValueError(f"eps must be 0 or 1, got {eps}")
+        if idx < 0:
+            raise ValueError(f"idx must be >= 0, got {idx}")
+        return tuple.__new__(cls, (side, head, idx, eps))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def weight(self) -> int:

@@ -14,7 +14,7 @@ images are plain monomial sets.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .padic import all_divisible, binom_mod, digits
@@ -41,22 +41,22 @@ def render(side: str, first: int, second: int, eps: int) -> str:
     return " ".join(shown) if shown else "1"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Monomial:
-    side: str
-    head: int
-    i: int
-    eps: int
+class Monomial(namedtuple("MonomialFields", "side head i eps")):
+    """The tuple (side, head, i, eps), so it sorts, hashes and compares as one:
+    it also equals a plain tuple or a frobenius.GrtMonomial of the same fields
+    (no table mixes the two).  Every construction, _make and _replace too, checks."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.side not in (MINUS, PLUS):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        if not 0 <= self.i <= self.head - self.eps:
-            raise ValueError(
-                f"exponent i={self.i} out of range for head={self.head}, eps={self.eps}"
-            )
+    def __new__(cls, side: str, head: int, i: int, eps: int) -> Monomial:
+        if side not in (MINUS, PLUS):
+            raise ValueError(f"bad side {side!r}")
+        if eps not in (0, 1):
+            raise ValueError(f"eps must be 0 or 1, got {eps}")
+        if not 0 <= i <= head - eps:
+            raise ValueError(f"exponent i={i} out of range for head={head}, eps={eps}")
+        return tuple.__new__(cls, (side, head, i, eps))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def weight(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import Callable
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
 from .characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
@@ -55,13 +56,23 @@ def check_word_table() -> Check:
     return True, "16 words and all symbolic offsets reproduced"
 
 
+def _memo(simple: Callable[..., dict], *args) -> Callable[[int], dict]:
+    """w -> simple(w, *args), each built once.  The memo is the default of a
+    function made anew per call, so each sweep owns one and no closed form sees
+    it; a default, unlike a closure cell, leaves bench/tracer.py a hashable closure."""
+    def cached(w: int, memo: dict[int, dict] = {}) -> dict:
+        return memo[w] if w in memo else memo.setdefault(w, simple(w, *args))
+    return cached
+
+
 def check_sl2_oracle(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
     """Criterion 2: closed-form rank-one decompositions equal greedy peels;
     the peel consuming the character exactly is the conservation statement."""
     for p in primes:
+        simple = _memo(ch_L_sl2, p)
         for k in range(kmax + 1):
             got = sl2.decompose_sl2(k, p)
-            want = peel(ch_H0_sl2(k), lambda w: ch_L_sl2(w, p))
+            want = peel(ch_H0_sl2(k), simple)
             if got != want:
                 return False, f"mismatch at k={k}, p={p}: {got} != {want}"
     return True, f"all k <= {kmax}, p in {tuple(primes)}"
@@ -81,9 +92,10 @@ def check_spo_oracle(lmax: int = 1500, primes=(3, 5, 7)) -> Check:
     """Criterion 4: rank-one super decompositions equal greedy peels and are
     multiplicity-free."""
     for p in primes:
+        simple = _memo(ch_L_spo, p)
         for l in range(lmax + 1):
             got = spo21.comp_factors_h0(l, p)
-            want = peel(ch_H0_spo(l), lambda w: ch_L_spo(w, p))
+            want = peel(ch_H0_spo(l), simple)
             if got != want:
                 return False, f"mismatch at l={l}, p={p}: {got} != {want}"
             if any(v != 1 for v in got.values()):
@@ -140,10 +152,10 @@ def check_hom_oracle(kmax: int = 300, primes=(3, 5, 7)) -> Check:
     return True, f"all k <= {kmax}, p in {tuple(primes)}"
 
 
-def _char_of_factors(factors: Counter, p: int) -> dict:
+def _char_of_factors(factors: Counter, simple: Callable[[int], dict]) -> dict:
     out: dict[int, int] = {}
     for hw, mult in factors.items():
-        for w, c in ch_L_spo(hw, p).items():
+        for w, c in simple(hw).items():
             out[w] = out.get(w, 0) + mult * c
     return {w: c for w, c in out.items() if c}
 
@@ -157,6 +169,7 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
     weight spaces satisfy rank-nullity, and the image/kernel/cokernel factor
     multisets agree with independent character peels and subtractions."""
     for p in primes:
+        simple = _memo(ch_L_spo, p)
         for k in range(1, kmax + 1):
             for j in spo21.admissible_js(k, p):
                 tab = spo21.psi_table(k, j, p)
@@ -170,13 +183,13 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
                 if len(im_char) != len(nz):
                     return False, f"image weights collide at (k={k}, j={j}, p={p})"
                 ker, im, coker = spo21.ker_im_coker_factors(k, j, p)
-                if peel(im_char, lambda w: ch_L_spo(w, p)) != im:
+                if peel(im_char, simple) != im:
                     return False, f"image factors mismatch at (k={k}, j={j}, p={p})"
                 ker_char = _char_minus(ch_H0_spo(k), im_char)
-                if _char_of_factors(ker, p) != ker_char:
+                if _char_of_factors(ker, simple) != ker_char:
                     return False, f"kernel characters mismatch at (k={k}, j={j}, p={p})"
                 coker_char = _char_minus(ch_H0_spo(k - 1 - 2 * j), im_char)
-                if _char_of_factors(coker, p) != coker_char:
+                if _char_of_factors(coker, simple) != coker_char:
                     return False, f"cokernel characters mismatch at (k={k}, j={j}, p={p})"
     return True, f"all admissible (k, j), k <= {kmax}, p in {tuple(primes)}"
 
@@ -197,9 +210,10 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
     for p in primes:
         for r in rs:
             q = p**r
+            simple = _memo(oracle_simple_r, r, p)
             for l in range(-2 * q, 4 * q + 1):
                 got = frobenius.comp_factors_r(l, r, p)
-                want = peel(frobenius.ch_h0_r(l, r, p), lambda w: oracle_simple_r(w, r, p))
+                want = peel(frobenius.ch_h0_r(l, r, p), simple)
                 if got != want:
                     return False, f"mismatch at l={l}, r={r}, p={p}: {got} != {want}"
                 total = sum(len(frobenius.ch_l_r(hw, r, p)) for hw in got)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from spolink.characters import (
@@ -11,7 +13,7 @@ from spolink.characters import (
     peel,
     poly_shift,
 )
-from spolink.padic import binom_mod
+from spolink.padic import binom_mod, digits
 
 PRIMES = (3, 5, 7)
 
@@ -34,6 +36,23 @@ def test_ch_l_sl2_against_binomials(p):
     for k in range(0, 400):
         want = {k - 2 * i: 1 for i in range(k + 1) if binom_mod(k, i, p)}
         assert ch_L_sl2(k, p) == want
+
+
+def reference_ch_L_sl2(k, p):
+    """The simple character by a product over all digit choices, one sum per
+    term: the reference for the digit-by-digit build."""
+    ranges = [range(d + 1) for d in digits(k, p)]
+    out = {}
+    for combo in product(*ranges):
+        i = sum(c * p**t for t, c in enumerate(combo))
+        out[k - 2 * i] = 1
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_ch_l_sl2_matches_reference_in_key_order(p):
+    for k in range(3001):
+        assert list(ch_L_sl2(k, p).items()) == list(reference_ch_L_sl2(k, p).items())
 
 
 def test_ch_h0_spo_known():

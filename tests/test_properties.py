@@ -1,5 +1,6 @@
 """Hypothesis properties of the shared block, union-find, Hom, thickened
-constituent and linkage-move code, past the fixed sweep bounds."""
+constituent, rank-one decomposition and linkage-move code, past the fixed
+sweep bounds."""
 
 import math
 from collections import Counter
@@ -9,6 +10,8 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spolink import verify
+from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
 from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
@@ -28,7 +31,8 @@ from spolink.rootdata import (
     rho_parts,
     standard_flag,
 )
-from spolink.spo21 import block_of
+from spolink.sl2 import decompose_sl2
+from spolink.spo21 import block_of, comp_factors_h0
 
 primes = st.sampled_from((3, 5, 7, 11))
 weights = st.integers(min_value=-10**6, max_value=10**6)
@@ -80,6 +84,14 @@ def test_thickened_factors_shift_and_fill_the_module(l, t, r, p):
     factors = comp_factors_r(l, r, p)
     assert comp_factors_r(l + t * q, r, p) == Counter({hw + t * q: m for hw, m in factors.items()})
     assert sum(m * len(ch_l_r(hw, r, p)) for hw, m in factors.items()) == 2 * q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1501, max_value=20000), st.sampled_from((3, 5, 7, 11, 101)))
+def test_peels_equal_the_closed_forms_past_the_sweep_bounds(l, p):
+    # the oracle sweeps stop at 1500; each example brings its own memo
+    assert peel(ch_H0_spo(l), verify._memo(ch_L_spo, p)) == comp_factors_h0(l, p)
+    assert peel(ch_H0_sl2(l), verify._memo(ch_L_sl2, p)) == decompose_sl2(l, p)
 
 
 @given(weights, weights, st.integers(min_value=1, max_value=4), primes)

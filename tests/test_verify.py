@@ -1,0 +1,76 @@
+"""The memoised oracle sweeps still catch a wrong closed form: drop one factor
+at one weight and the matching check fails, naming that weight.  Each check
+keeps its own memo of simple characters, so no fault can hide behind an
+answer cached by another check or another prime."""
+
+from collections import Counter
+
+import pytest
+
+from spolink import sl2, spo21, verify
+from spolink.characters import ch_L_spo
+
+PRIMES = (3, 5, 7)
+
+
+def _drop_smallest(factors: Counter) -> Counter:
+    out = Counter(factors)
+    del out[min(out)]
+    return out
+
+
+def _dropping(fn, at):
+    """fn with its smallest factor dropped at the arguments ``at`` only."""
+    return lambda *args: _drop_smallest(fn(*args)) if args == at else fn(*args)
+
+
+def _first_with_two_factors(fn, p):
+    return next(l for l in range(4 * p, 10**4) if len(fn(l, p)) >= 2)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_spo_oracle_catches_a_dropped_factor(monkeypatch, p):
+    l = _first_with_two_factors(spo21.comp_factors_h0, p)
+    monkeypatch.setattr(spo21, "comp_factors_h0", _dropping(spo21.comp_factors_h0, (l, p)))
+    ok, detail = verify.check_spo_oracle(lmax=l + 10, primes=tuple(sorted({3, p})))
+    assert not ok and f"at l={l}, p={p}:" in detail
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sl2_oracle_catches_a_dropped_factor(monkeypatch, p):
+    k = _first_with_two_factors(sl2.decompose_sl2, p)
+    monkeypatch.setattr(sl2, "decompose_sl2", _dropping(sl2.decompose_sl2, (k, p)))
+    ok, detail = verify.check_sl2_oracle(kmax=k + 10, primes=tuple(sorted({3, p})))
+    assert not ok and f"at k={k}, p={p}:" in detail
+
+
+@pytest.mark.parametrize("part,message", [
+    (0, "kernel characters mismatch"), (1, "image factors mismatch"),
+    (2, "cokernel characters mismatch"),
+])
+def test_psi_tables_catch_a_dropped_factor(monkeypatch, part, message):
+    k, j, p = 39, 3, 3  # kernel, image and cokernel each have two factors or more
+    true = spo21.ker_im_coker_factors
+
+    def mutant(*args):
+        out = list(true(*args))
+        if args == (k, j, p):
+            out[part] = _drop_smallest(out[part])
+        return tuple(out)
+
+    monkeypatch.setattr(spo21, "ker_im_coker_factors", mutant)
+    ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
+    assert not ok and detail == f"{message} at (k={k}, j={j}, p={p})"
+
+
+def test_each_memo_is_its_own():
+    calls = Counter()
+
+    def simple(w, p):
+        calls[w, p] += 1
+        return ch_L_spo(w, p)
+
+    a, b = verify._memo(simple, 3), verify._memo(simple, 3)
+    assert a(10) == b(10) == a(10) == ch_L_spo(10, 3)
+    assert a(10) is a(10) and a(10) is not b(10)
+    assert calls == Counter({(10, 3): 2})  # built once per memo, not once in all
