@@ -60,15 +60,9 @@ def ch_L_spo(l: int, p: int) -> Poly1:
     return out
 
 
-def ch_truncate(ch: Poly1, l: int, r: int, p: int, side: str = "minus") -> Poly1:
-    """Keep the window of 2 p^r weights starting at l: descending l, l-1, ...
-    for the minus side, ascending l, l+1, ... for the plus side."""
-    span = 2 * p**r
-    if side == "minus":
-        return {w: c for w, c in ch.items() if 0 <= l - w < span}
-    if side == "plus":
-        return {w: c for w, c in ch.items() if 0 <= w - l < span}
-    raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+def ch_truncate(ch: Poly1, l: int, r: int, p: int) -> Poly1:
+    """Keep the descending window of 2 p^r weights l, l-1, ... starting at l."""
+    return {w: c for w, c in ch.items() if 0 <= l - w < 2 * p**r}
 
 
 def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:

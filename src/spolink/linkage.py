@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import inf
+from operator import add, mul
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
@@ -30,8 +32,9 @@ class TooManyEdges(ValueError):
     """A box whose graph would pass MAX_EDGES edges."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinkageMove:
+class LinkageMove(NamedTuple):
+    """One move.  Being a tuple, a move equals the plain tuple of its fields."""
+
     kind: str
     alpha: Weight
     source: Weight
@@ -48,23 +51,26 @@ class RootTable(NamedTuple):
     iso: tuple[Weight, ...]  # odd isotropic positive roots
     noniso: tuple[Weight, ...]  # odd non-isotropic ones (none in the even type)
     even: tuple[Weight, ...]
+    odd_form: dict[Weight, tuple[Weight, int]]  # alpha -> (sign-folded alpha, (2 rho, alpha))
+    even_form: dict[Weight, tuple[int, int]]  # alpha -> (alpha.alpha, 2 rho.alpha)
+    steps: dict[tuple[int, int, int], list[int]]  # (l, r, p) -> l' != l; filled by moves
 
 
 def root_table(shape: GroupShape) -> RootTable:
-    """2 rho and the positive roots of the standard flag, each family sorted;
-    built once per graph."""
+    """2 rho, the positive roots of the standard flag, each family sorted, and
+    each root's constants; built once per graph."""
     flag = standard_flag(shape)
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
     for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
         families[root.parity, root.isotropic].append(root.vec)
     rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
-    return RootTable(shape.n, rho2, *map(tuple, families.values()))
-
-
-def _form2(lam: Weight, table: RootTable, alpha: Weight) -> int:
-    """2 (lam + rho, alpha) in the supersymmetric form, an integer."""
-    return sum((2 * x + y) * (a if t < table.n else -a)
-               for t, (x, y, a) in enumerate(zip(lam, table.rho2, alpha)))
+    iso, noniso, even = map(tuple, families.values())
+    odd_form = {}
+    for alpha in iso + noniso:
+        folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
+        odd_form[alpha] = folded, sum(map(mul, rho2, folded))
+    even_form = {alpha: (sum(a * a for a in alpha), sum(map(mul, rho2, alpha))) for alpha in even}
+    return RootTable(shape.n, rho2, iso, noniso, even, odd_form, even_form, {})
 
 
 def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
@@ -72,7 +78,8 @@ def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[Linkage
     p dividing (lam + rho, alpha); the pairing is always an integer there."""
     out = []
     for alpha in table.iso:
-        val = _form2(lam, table, alpha)
+        folded, c = table.odd_form[alpha]
+        val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
         if val // 2 % p == 0:
             target = tuple(a - b for a, b in zip(lam, alpha))
@@ -85,16 +92,19 @@ def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[Link
 
     For alpha the i-th such root, take l = (lam + rho, alpha) - 1/2 reduced
     mod p^r, list the thickened constituents of the head-l module, and step
-    down by l - l' for every constituent weight l' other than l.
+    down by l - l' for every constituent weight l' other than l.  The sorted
+    l' of each (l, r, p) are kept in table.steps.
     """
     out = []
     for alpha in table.noniso:
-        val = _form2(lam, table, alpha) - 1
+        folded, c = table.odd_form[alpha]
+        val = 2 * sum(map(mul, lam, folded)) + c - 1
         assert val % 2 == 0, (lam, alpha)
         l = val // 2 % p**r
-        for lp in sorted(comp_factors_r(l, r, p)):
-            if lp == l:
-                continue
+        steps = table.steps.get((l, r, p))
+        if steps is None:
+            steps = table.steps[l, r, p] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+        for lp in steps:
             target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
             out.append(LinkageMove(NONISO_ODD, alpha, lam, target, r, (l, lp)))
     return out
@@ -112,26 +122,30 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
     components inside the block congruence classes.
 
     In integers: with v = 2 (lam + rho).alpha and d = alpha.alpha, the pairing
-    is v / d; w ascends from the first wall whose target clears the box's near
-    edges to the last with a positive step."""
+    is v / d and the target at wall w is base + w p^r alpha.  Each coordinate's
+    box edges bound w linearly, so the kept walls form one range, ascending up
+    to the last with a positive step."""
     q = p**r
     out = []
     for alpha in table.even:
-        v = sum((2 * x + y) * a for x, y, a in zip(lam, table.rho2, alpha))
-        d = sum(a * a for a in alpha)
+        d, c = table.even_form[alpha]
+        v = 2 * sum(map(mul, lam, alpha)) + c
         # integral at every wall or none; 2 rho's parities are equal within a block
         assert not any(v * a % d for a in alpha), (lam, alpha)
-        w_lo = max(
-            -((d * (c - (lo if a > 0 else hi)) - v * a) // (q * d * a))
-            for c, a, (lo, hi) in zip(lam, alpha, box)
-            if a != 0
-        )
-        w_hi = (v - 1) // (q * d)
-        base = tuple(c - v * a // d for c, a in zip(lam, alpha))
-        for w in range(w_lo, w_hi + 1):
-            target = tuple(b + w * q * a for b, a in zip(base, alpha))
-            if _in_box(target, box):
+        base = tuple(x - v * a // d for x, a in zip(lam, alpha))
+        w_lo, w_hi = -inf, (v - 1) // (q * d)
+        for b, a, (lo, hi) in zip(base, alpha, box):
+            if a:
+                near, far = (lo, hi) if a > 0 else (hi, lo)
+                w_lo, w_hi = max(w_lo, -((b - near) // (q * a))), min(w_hi, (far - b) // (q * a))
+            elif not lo <= b <= hi:
+                break  # a coordinate no wall moves lies outside the box
+        else:  # alpha has a nonzero coordinate, so w_lo is an integer here
+            step = tuple(q * a for a in alpha)
+            target = tuple(b + w_lo * s for b, s in zip(base, step))
+            for w in range(w_lo, w_hi + 1):
                 out.append(LinkageMove(EVEN_MOVE, alpha, lam, target, r, (w,)))
+                target = tuple(map(add, target, step))
     return out
 
 
@@ -150,9 +164,9 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     table = root_table(shape)
-    edges = []
+    edges, rs = [], sorted(r_set)
     for lam in nodes:
-        for r in sorted(r_set):
+        for r in rs:
             for mv in moves_iso_odd(lam, table, r, p) + moves_noniso_odd(lam, table, r, p):
                 if _in_box(mv.target, box):
                     edges.append(mv)

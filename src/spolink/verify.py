@@ -199,7 +199,7 @@ def oracle_simple_r(hw: int, r: int, p: int) -> dict:
     simple character of the shifted representative, then shift back."""
     q = p**r
     m = (hw - q) % q + q
-    base = characters.ch_truncate(ch_L_spo(m, p), m, r, p, "minus")
+    base = characters.ch_truncate(ch_L_spo(m, p), m, r, p)
     return characters.poly_shift(base, hw - m)
 
 

@@ -76,10 +76,6 @@ def test_ch_truncate():
     # the thickened induced window at head 5, r = 1, p = 3
     assert ch_truncate(ch_H0_spo(5), 5, 1, 3) == {w: 1 for w in range(0, 6)}
     assert ch_truncate(ch_L_spo(3, 3), 3, 1, 3) == {3: 1}
-    asc = ch_truncate({w: 1 for w in range(-9, 10)}, -3, 1, 3, side="plus")
-    assert asc == {w: 1 for w in range(-3, 3)}
-    with pytest.raises(ValueError):
-        ch_truncate({}, 0, 1, 3, side="sideways")
 
 
 def test_peel_known():

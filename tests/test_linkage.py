@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import reference_linkage as ref
 
 from spolink import linkage
 
@@ -70,6 +71,27 @@ def test_noniso_targets_match_constituents():
                 l = c % q
                 want = {c - (l - lp) for lp in comp_factors_r(l, r, p) if lp != l}
                 assert {m.target[0] for m in moves} == want
+
+
+def test_residue_steps_live_on_each_table():
+    shape = GroupShape(1, 0, ODD)
+    first, second = root_table(shape), root_table(shape)
+    assert first.steps is not second.steps
+    moves_noniso_odd((3,), first, 1, 3)
+    assert first.steps == {(0, 1, 3): [-1]}
+    assert second.steps == {}
+
+
+def test_one_table_serves_every_prime():
+    # criterion 11 (an acceptance test) reuses one table across primes, so the
+    # steps are keyed by p too
+    table = root_table(GroupShape(1, 0, ODD))
+    for p in (3, 5, 7):
+        for r in (1, 2):
+            for c in range(0, 3 * p * p + 1):
+                lam = (c,)
+                assert moves_noniso_odd(lam, table, r, p) == ref.moves_noniso_odd(lam, table, r, p)
+    assert {key[2] for key in table.steps} == {3, 5, 7}
 
 
 def test_moves_even_rank1_known():

@@ -1,12 +1,14 @@
 """Hypothesis properties of the shared block, union-find, Hom, thickened
-constituent, rank-one decomposition and linkage-move code, past the fixed
-sweep bounds."""
+constituent, rank-one decomposition, linkage-move and linkage-graph code, past
+the fixed sweep bounds."""
 
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import networkx as nx
+import reference_linkage as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,8 @@ from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
     LinkageMove,
+    build_graph,
+    components,
     connected_components,
     moves_even,
     moves_iso_odd,
@@ -170,3 +174,77 @@ def test_odd_moves_match_the_pairing(inputs):
                 if lp != l
             ]
     assert [mv.target for mv in moves_noniso_odd(lam, table, r, p)] == want_noniso
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_inputs())
+def test_moves_equal_the_reference_in_order(inputs):
+    shape, lam, box, p, r = inputs
+    table = root_table(shape)
+    assert moves_iso_odd(lam, table, r, p) == ref.moves_iso_odd(lam, table, r, p)
+    assert moves_noniso_odd(lam, table, r, p) == ref.moves_noniso_odd(lam, table, r, p)
+    # by repr, so the wall indices and targets stay ints
+    assert repr(moves_even(lam, table, r, p, box)) == repr(ref.moves_even(lam, table, r, p, box))
+
+
+@st.composite
+def graph_inputs(draw):
+    """A shape of rank <= 3, a small box, a prime and an r-set inside {1, 2}."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1 if n == 0 else 0, 3 - n))
+    shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
+    width = {1: 30, 2: 8, 3: 4}[shape.rank]
+    box = []
+    for _ in range(shape.rank):
+        lo = draw(st.integers(-20, 20))
+        box.append((lo, lo + draw(st.integers(0, width - 1))))
+    r_set = draw(st.sets(st.sampled_from((1, 2))))
+    return shape, box, draw(st.sampled_from((3, 5, 7))), r_set
+
+
+def _edge_set(graph):
+    return {(mv.source, mv.target, mv.kind, mv.r) for mv in graph.edges}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_build_graph_equals_the_reference_in_order(inputs):
+    shape, box, p, r_set = inputs
+    got, want = build_graph(box, shape, r_set, p), ref.build_graph(box, shape, r_set, p)
+    assert got.nodes == want.nodes
+    assert repr(got.edges) == repr(want.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_graph_components_match_networkx(inputs):
+    shape, box, p, r_set = inputs
+    graph = build_graph(box, shape, r_set, p)
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes)
+    g.add_edges_from((mv.source, mv.target) for mv in graph.edges)
+    want = sorted((sorted(c) for c in nx.connected_components(g)), key=lambda c: c[0])
+    assert components(graph) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_components_only_merge_as_the_r_set_grows(inputs):
+    shape, box, p, _ = inputs
+    coarse = {w: i for i, comp in enumerate(components(build_graph(box, shape, {1, 2}, p)))
+              for w in comp}
+    for comp in components(build_graph(box, shape, {1}, p)):
+        assert len({coarse[w] for w in comp}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs(), st.data())
+def test_translating_the_box_by_p_to_the_r_translates_the_edges(inputs, data):
+    # every move commutes with the translation by p^r u for each r in the set
+    shape, box, p, r_set = inputs
+    u = data.draw(st.lists(st.integers(-2, 2), min_size=shape.rank, max_size=shape.rank))
+    shift = [p ** max(r_set, default=1) * c for c in u]
+    moved = [(lo + s, hi + s) for (lo, hi), s in zip(box, shift)]
+    translated = {(tuple(map(add, a, shift)), tuple(map(add, b, shift)), kind, r)
+                  for a, b, kind, r in _edge_set(build_graph(box, shape, r_set, p))}
+    assert translated == _edge_set(build_graph(moved, shape, r_set, p))
