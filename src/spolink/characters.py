@@ -8,12 +8,25 @@ coordinate tuples.  Zero coefficients are never stored.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 from typing import Callable
 
 from .padic import digits
 
 Poly1 = dict[int, int]
 PolyN = dict[tuple[int, ...], int]
+
+MAX_TERMS = 1_000_000  # rows or terms a listing may hold; thickened ones grow like p^r
+
+
+class TooManyTerms(ValueError):
+    """A listing that could pass MAX_TERMS, refused before any of the work."""
+
+
+def check_terms(bound: int) -> None:
+    """Raise TooManyTerms when a listing of up to bound rows or terms passes MAX_TERMS."""
+    if bound > MAX_TERMS:
+        raise TooManyTerms(f"up to {bound:,} rows or terms, more than MAX_TERMS = {MAX_TERMS:,}")
 
 
 class NegativeResidualError(ValueError):
@@ -109,8 +122,10 @@ def ch_product_Zr(
     p: int,
 ) -> PolyN:
     """Product character e^lam * prod_even (1 + e^-a + ... + e^-(p^r-1)a)
-    * prod_odd (1 + e^-a), all in integer coordinate tuples."""
+    * prod_odd (1 + e^-a), all in integer coordinate tuples.  Coordinate i of
+    a term takes at most 1 + sum of max(t) |a_i| values, which bounds the terms."""
     steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
+    check_terms(prod(1 + sum(ts[-1] * abs(a[i]) for a, ts in steps) for i in range(len(lam))))
     acc: PolyN = {tuple(lam): 1}
     for alpha, ts in steps:
         nxt: PolyN = {}

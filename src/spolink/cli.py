@@ -17,23 +17,16 @@ import sys
 from collections import Counter
 
 from . import frobenius, linkage, rootdata, sl2, spo21, verify
-from .characters import PolyN
+from .characters import TooManyTerms
 from .padic import Prime
 from .rootdata import GroupShape
+from .words import MAX_DIGITS
 
 
 def factors_to_json(factors: Counter) -> dict:
     return {
         "factors": [
             {"hw": hw, "mult": m} for hw, m in sorted(factors.items(), reverse=True)
-        ]
-    }
-
-
-def polyn_to_json(ch: PolyN) -> dict:
-    return {
-        "terms": [
-            {"weight": list(w), "coeff": ch[w]} for w in sorted(ch, reverse=True)
         ]
     }
 
@@ -104,9 +97,18 @@ def _parse_window(s: str, option: str) -> tuple[int, int]:
 def _parse_rset(s: str) -> set[int]:
     with _malformed("--rset", s, "comma-separated integers"):
         r_set = {int(tok) for tok in s.split(",")}
-    if min(r_set) < 1:
-        raise ValueError(f"--rset entries must be >= 1, got {s}")
+    for r in (min(r_set), max(r_set)):
+        _check_r("--rset entries", r, s)
     return r_set
+
+
+def _check_r(option: str, r: int, given) -> None:
+    """1 <= r < MAX_DIGITS: thickened words have r + 1 digits, and p^r comes first."""
+    if r < 1:
+        raise ValueError(f"{option} must be >= 1, got {given}")
+    if r >= MAX_DIGITS:
+        raise ValueError(f"{option} must be <= {MAX_DIGITS - 1}: r = {r} needs words of "
+                         f"{r + 1} digits, built for at most {MAX_DIGITS}")
 
 
 def _shape(args) -> GroupShape:
@@ -217,7 +219,9 @@ def _lambda_bracket(args, p):
 
 
 def _char_z(args, p):
-    return json.dumps(polyn_to_json(rootdata.ch_z_flag(*_weight_at_flag(args), args.r, p)))
+    ch = rootdata.ch_z_flag(*_weight_at_flag(args), args.r, p)
+    terms = [{"weight": list(w), "coeff": ch[w]} for w in sorted(ch, reverse=True)]
+    return json.dumps({"terms": terms})
 
 
 def _graph(args, p) -> linkage.LinkageGraph:
@@ -226,10 +230,7 @@ def _graph(args, p) -> linkage.LinkageGraph:
     r_set = _parse_rset(args.rset)
     if len(box) != shape.rank:
         raise ValueError(f"--box needs {shape.rank} ranges (the shape rank), got {len(box)}")
-    try:
-        return linkage.build_graph(box, shape, r_set, p)
-    except linkage.TooManyEdges as exc:
-        raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
+    return linkage.build_graph(box, shape, r_set, p)
 
 
 def _linkage_graph(args, p):
@@ -353,9 +354,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def run(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     p = Prime(args.p).p if hasattr(args, "p") else None
-    if getattr(args, "r", 1) < 1:
-        raise ValueError(f"--r must be >= 1, got {args.r}")
-    out = COMMANDS[args.command][2](args, p)
+    if hasattr(args, "r"):
+        _check_r("--r", args.r, args.r)
+    try:
+        out = COMMANDS[args.command][2](args, p)
+    except linkage.TooManyEdges as exc:
+        raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
+    except TooManyTerms as exc:
+        raise ValueError(f"--r {args.r} lists {exc}; lower it") from None
     if isinstance(out, bool):
         return 0 if out else 1
     print(out)

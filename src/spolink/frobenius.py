@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .characters import Poly1
+from .characters import Poly1, check_terms
 from .padic import binom_mod
 from .spo21 import MINUS, PLUS, MorphismTable, branch_parts, render, _sub_multiset
 from .words import MAX_DIGITS
@@ -50,6 +50,7 @@ class GrtMonomial(namedtuple("GrtMonomialFields", "side head idx eps")):
 def basis_h0_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
     """The 2 p^r monomials with idx < p^r and eps in {0, 1}; any integer head."""
     q = p**r
+    check_terms(2 * q)
     out = [GrtMonomial(side, l, idx, 0) for idx in range(q)]
     out += [GrtMonomial(side, l, idx, 1) for idx in range(q)]
     return out
@@ -69,6 +70,7 @@ def socle_basis_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
     makes the p^r-shift isomorphisms work.
     """
     q = p**r
+    check_terms(2 * q)
     out = [
         GrtMonomial(side, l, idx, 0)
         for idx in range(q)

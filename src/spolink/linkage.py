@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
-from .rootdata import GroupShape, Vec, phi_plus, rho_parts, standard_flag
+from .rootdata import GroupShape, phi_plus, rho_parts, standard_flag
 
 ISO_ODD = "iso_odd"
 NONISO_ODD = "noniso_odd"
@@ -44,41 +44,36 @@ class LinkageMove(NamedTuple):
 
 
 class RootTable(NamedTuple):
-    """The standard-flag data every move is anchored at."""
+    """The standard flag's positive roots, each family sorted, as records of
+    the constants the moves read; lam.folded is the pairing (lam, alpha)."""
 
-    n: int  # symplectic rank: the supersymmetric form is + on coordinates < n
-    rho2: Vec  # 2 rho, an integer vector
-    iso: tuple[Weight, ...]  # odd isotropic positive roots
-    noniso: tuple[Weight, ...]  # odd non-isotropic ones (none in the even type)
-    even: tuple[Weight, ...]
-    odd_form: dict[Weight, tuple[Weight, int]]  # alpha -> (sign-folded alpha, (2 rho, alpha))
-    even_form: dict[Weight, tuple[int, int]]  # alpha -> (alpha.alpha, 2 rho.alpha)
+    iso: tuple[tuple[Weight, Weight, int], ...]  # odd isotropic: (alpha, folded, 2 rho.folded)
+    noniso: tuple[tuple[Weight, Weight, int], ...]  # the same, odd non-isotropic (odd type only)
+    even: tuple[tuple[Weight, int, int], ...]  # (alpha, alpha.alpha, 2 rho.alpha)
     steps: dict[tuple[int, int, int], list[int]]  # (l, r, p) -> l' != l; filled by moves
 
 
 def root_table(shape: GroupShape) -> RootTable:
-    """2 rho, the positive roots of the standard flag, each family sorted, and
-    each root's constants; built once per graph."""
+    """The root records against the standard flag's 2 rho; built once per graph."""
     flag = standard_flag(shape)
+    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
     for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
-        families[root.parity, root.isotropic].append(root.vec)
-    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
-    iso, noniso, even = map(tuple, families.values())
-    odd_form = {}
-    for alpha in iso + noniso:
-        folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
-        odd_form[alpha] = folded, sum(map(mul, rho2, folded))
-    even_form = {alpha: (sum(a * a for a in alpha), sum(map(mul, rho2, alpha))) for alpha in even}
-    return RootTable(shape.n, rho2, iso, noniso, even, odd_form, even_form, {})
+        alpha = root.vec
+        if root.parity == "odd":
+            folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
+            record = alpha, folded, sum(map(mul, rho2, folded))
+        else:
+            record = alpha, sum(a * a for a in alpha), sum(map(mul, rho2, alpha))
+        families[root.parity, root.isotropic].append(record)
+    return RootTable(*map(tuple, families.values()), {})
 
 
 def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
     """lam -> lam - alpha for each positive odd isotropic root alpha with
     p dividing (lam + rho, alpha); the pairing is always an integer there."""
     out = []
-    for alpha in table.iso:
-        folded, c = table.odd_form[alpha]
+    for alpha, folded, c in table.iso:
         val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
         if val // 2 % p == 0:
@@ -96,8 +91,7 @@ def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[Link
     l' of each (l, r, p) are kept in table.steps.
     """
     out = []
-    for alpha in table.noniso:
-        folded, c = table.odd_form[alpha]
+    for alpha, folded, c in table.noniso:
         val = 2 * sum(map(mul, lam, folded)) + c - 1
         assert val % 2 == 0, (lam, alpha)
         l = val // 2 % p**r
@@ -127,8 +121,7 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
     to the last with a positive step."""
     q = p**r
     out = []
-    for alpha in table.even:
-        d, c = table.even_form[alpha]
+    for alpha, d, c in table.even:
         v = 2 * sum(map(mul, lam, alpha)) + c
         # integral at every wall or none; 2 rho's parities are equal within a block
         assert not any(v * a % d for a in alpha), (lam, alpha)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
+from operator import mul
 
 from .characters import PolyN, ch_product_Zr
 
@@ -120,8 +122,9 @@ def _signed_sums(pairs, parity: str, isotropic: bool | None) -> list[Root]:
     ]
 
 
-def roots(shape: GroupShape) -> list[Root]:
-    """The full root list: even part, then odd part."""
+@cache
+def roots(shape: GroupShape) -> tuple[Root, ...]:
+    """The full root list: even part, then odd part; built once per shape."""
     ds = [delta(i, shape) for i in range(1, shape.n + 1)]
     es = [eps(j, shape) for j in range(1, shape.m + 1)]
     out = _signed_sums(combinations(ds, 2), "even", None)
@@ -132,43 +135,21 @@ def roots(shape: GroupShape) -> list[Root]:
     out += _signed_sums(product(ds, es), "odd", True)
     if shape.parity_type == ODD:
         out += _signed(ds, "odd", False)
-    return out
+    return tuple(out)
 
 
 def phi_plus(flag: tuple[Label, ...], shape: GroupShape) -> set[Root]:
-    """Positive system of the Borel attached to a maximal isotropic flag.
-
-    The symplectic subsequence b_1.., the orthogonal subsequence c_1.. (both
-    in flag order, signed): sums and ordered differences within each block,
-    the doubled symplectic weights, the mixed sums, and the mixed differences
-    signed by which label comes first.  The single-label roots exist only in
-    the odd parity type.
+    """Positive system of the Borel attached to a maximal isotropic flag: the
+    roots of positive height, where the label l at 0-based position t of an
+    N-entry flag adds N - t times its signed vector to the height vector.
+    Every root is +-l, +-2l or +-l_s +- l_t for labels l, so none has height
+    0, and l_s - l_t is positive exactly when l_s comes first.
     """
     check_flag(flag, shape)
-    pos = {label: t for t, label in enumerate(flag)}
-    bs = [lb for lb in flag if lb[0] == SP]
-    cs = [lb for lb in flag if lb[0] == OR]
-    out: set[Root] = set()
-    for block in (bs, cs):
-        for a, b in combinations(block, 2):
-            va, vb = label_vec(a, shape), label_vec(b, shape)
-            out.add(Root(vsub(va, vb), "even", None))
-            out.add(Root(vadd(va, vb), "even", None))
-    for lb in bs:
-        v = label_vec(lb, shape)
-        out.add(Root(tuple(2 * c for c in v), "even", None))
-    if shape.parity_type == ODD:
-        for lb in cs:
-            out.add(Root(label_vec(lb, shape), "even", None))
-        for lb in bs:
-            out.add(Root(label_vec(lb, shape), "odd", False))
-    for b in bs:
-        for c in cs:
-            vb, vc = label_vec(b, shape), label_vec(c, shape)
-            out.add(Root(vadd(vb, vc), "odd", True))
-            diff = vsub(vb, vc) if pos[b] < pos[c] else vsub(vc, vb)
-            out.add(Root(diff, "odd", True))
-    return out
+    height = [0] * shape.rank
+    for t, label in enumerate(flag):
+        height = vadd(height, [(len(flag) - t) * c for c in label_vec(label, shape)])
+    return {root for root in roots(shape) if sum(map(mul, height, root.vec)) > 0}
 
 
 def phi_plus_vecs(flag: tuple[Label, ...], shape: GroupShape) -> set[Vec]:

@@ -1,7 +1,7 @@
 """Oracle-equivalence sweeps: every closed form replayed against an
 independent brute-force route, at fixed desk-scale bounds.
 
-Each check returns (ok, detail).  run_all() executes the lot and reports one
+Each check returns (ok, detail).  run_all() executes the lot and prints one
 line per check; the CLI's verify-all subcommand and the acceptance test module
 both drive these functions.
 """
@@ -404,11 +404,11 @@ QUICK_KWARGS = {
 }
 
 
-def run_all(quick: bool = False, report=print) -> bool:
+def run_all(quick: bool = False) -> bool:
     ok_all = True
     for name, fn in ALL_CHECKS:
         kwargs = QUICK_KWARGS.get(name, {}) if quick else {}
         ok, detail = fn(**kwargs)
         ok_all &= ok
-        report(f"{'PASS' if ok else 'FAIL'}  criterion {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  criterion {name}: {detail}")
     return ok_all

@@ -1,14 +1,16 @@
 """Reference linkage moves: the per-node builder spolink.linkage replaced.
 
-Every pairing is recomputed from 2 rho at every node and root, every residue
-step by a fresh comp_factors_r call, and every candidate even wall is kept
-only after a box test on its target.  The tests replay the library's move
-lists and edge tuples against these, in order.
+Its table holds only the symplectic rank, 2 rho and the bare positive roots
+of the standard flag.  Every pairing is recomputed from 2 rho at every node
+and root, every residue step by a fresh comp_factors_r call, and every
+candidate even wall is kept only after a box test on its target.  The tests
+replay the library's move lists and edge tuples against these, in order.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import NamedTuple
 
 from spolink.frobenius import comp_factors_r
 from spolink.linkage import (
@@ -19,12 +21,28 @@ from spolink.linkage import (
     Box,
     LinkageGraph,
     LinkageMove,
-    RootTable,
     TooManyEdges,
     Weight,
-    root_table,
 )
-from spolink.rootdata import GroupShape
+from spolink.rootdata import GroupShape, Vec, phi_plus, rho_parts, standard_flag
+
+
+class RootTable(NamedTuple):
+    n: int  # symplectic rank: the supersymmetric form is + on coordinates < n
+    rho2: Vec  # 2 rho, an integer vector
+    iso: tuple[Weight, ...]  # odd isotropic positive roots
+    noniso: tuple[Weight, ...]  # odd non-isotropic ones (none in the even type)
+    even: tuple[Weight, ...]
+
+
+def root_table(shape: GroupShape) -> RootTable:
+    """The standard flag's 2 rho and positive roots, each family sorted."""
+    flag = standard_flag(shape)
+    families = {("odd", True): [], ("odd", False): [], ("even", None): []}
+    for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
+        families[root.parity, root.isotropic].append(root.vec)
+    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
+    return RootTable(shape.n, rho2, *map(tuple, families.values()))
 
 
 def _form2(lam: Weight, table: RootTable, alpha: Weight) -> int:

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from spolink import characters
 from spolink.characters import (
     NegativeResidualError,
     ch_H0_sl2,
@@ -109,6 +110,21 @@ def test_ch_product_total_mass():
     assert sum(ch.values()) == 2**3 * 3**2
     assert ch[(0, 0) if (0, 0) in ch else max(ch)] >= 1
     assert max(ch) == (0, 0) and ch[(0, 0)] == 1  # leading coefficient one
+
+
+def test_ch_product_term_bound_is_an_upper_bound(monkeypatch):
+    # the check refuses a product whose term count could pass MAX_TERMS, so
+    # with the cap one below the true count it must refuse
+    for even, odd in [([(2, 0), (0, 1)], [(1, 1), (1, 0), (1, -1)]),
+                      ([(1, -1), (1, 1), (2, 0), (0, 2)], [(1, 0, 1), (0, 1, -1)]),
+                      ([], [(1,)])]:
+        lam = (0,) * len((even + odd)[0])
+        for p, r in ((3, 1), (3, 2), (5, 1)):
+            terms = len(ch_product_Zr(lam, even, odd, r, p))
+            with monkeypatch.context() as patch:
+                patch.setattr(characters, "MAX_TERMS", terms - 1)
+                with pytest.raises(characters.TooManyTerms):
+                    ch_product_Zr(lam, even, odd, r, p)
 
 
 def test_ch_product_shift_property():

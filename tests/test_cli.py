@@ -192,11 +192,28 @@ NAMED = {
     "r = 20": [["decompose-grt", "--p", "3", "--r", "20", "--l", "5"],
                ["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
                 "--rset", "20", "--box", "0:3"]],
+    # p^r alone would not finish here
+    "--r": [["hom", "--p", "3", "--k", "1", "--l", "1", "--grt", "--r", "100000000"],
+            ["lambda-bracket", "--n", "1", "--m", "1", "--type", "odd", "--flag", "1,1bar",
+             "--weight", "2,1", "--r", "100000000", "--p", "3"],
+            ["psi-table", "--p", "3", "--k", "1", "--grt", "--r", "25"],
+            ["socle", "--p", "3", "--l", "1", "--grt", "--r", "25"],
+            ["char-z", "--n", "1", "--m", "0", "--type", "odd", "--weight", "0", "--r", "30",
+             "--p", "3"]],
+    "--rset": [["components", "--n", "1", "--m", "1", "--type", "even", "--p", "3",
+                "--rset", "100000000", "--box", "0:1,0:1"]],
 }
-# Boxes whose graph passes linkage.MAX_EDGES: the error names the option.
+# Boxes whose graph passes linkage.MAX_EDGES, and listings that could pass
+# characters.MAX_TERMS: the error names the option.
 CAPPED = {
     "--box": [["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
                "--box", "0:20000"]],
+    "--r": [["socle", "--p", "3", "--l", "1", "--grt", "--r", "12"],
+            ["psi-table", "--p", "3", "--k", "1", "--grt", "--r", "12"],
+            ["char-z", "--n", "1", "--m", "0", "--type", "odd", "--weight", "0", "--r", "12",
+             "--p", "3"],
+            ["char-z", "--n", "2", "--m", "1", "--type", "odd", "--weight", "0,0,0",
+             "--r", "4", "--p", "3"]],
 }
 
 

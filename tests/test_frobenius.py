@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from spolink.characters import ch_L_spo, ch_truncate, peel, poly_shift
+from spolink.characters import MAX_TERMS, TooManyTerms, ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
     GrtMonomial,
     basis_h0_r,
@@ -45,6 +45,16 @@ def test_socle_basis_r_known():
     assert got == [GrtMonomial(MINUS, 3, 0, 0)]
     assert len(socle_basis_r(2, 1, 3, MINUS)) == 5
     assert ch_l_r(2, 1, 3) == ch_L_spo(2, 3)  # small simple survives truncation
+
+
+def test_listings_past_max_terms_are_refused():
+    # 2 * 3^12 = 1,062,882 candidate monomials
+    assert 2 * 3**12 > MAX_TERMS > 2 * 3**11
+    for listing in (basis_h0_r, socle_basis_r):
+        with pytest.raises(TooManyTerms, match="MAX_TERMS"):
+            listing(1, 12, 3, MINUS)
+    with pytest.raises(TooManyTerms):
+        psi_r_table(1, 12, 3)
 
 
 def test_socle_shift_invariance():

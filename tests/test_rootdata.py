@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+import reference_rootdata as ref
 
 from spolink.rootdata import (
     EVEN,
@@ -89,6 +91,25 @@ def test_phi_plus_halves_roots():
         assert not pos & {vneg(v) for v in pos}
 
 
+def _signed_flags(shape):
+    """Every maximal isotropic flag of the shape: each order of its labels,
+    each with every sign pattern."""
+    for perm in permutations(standard_flag(shape)):
+        for signs in product((1, -1), repeat=len(perm)):
+            yield tuple((kd, s * i) for (kd, i), s in zip(perm, signs))
+
+
+def test_phi_plus_equals_the_reference_on_every_flag():
+    # phiplus --flag, rho --flag and lambda-bracket accept any flag, not only
+    # the chain's: 4,280 signed flags over the shapes of rank <= 4
+    flags = 0
+    for shape in SHAPES:
+        for fl in _signed_flags(shape):
+            assert phi_plus(fl, shape) == ref.phi_plus(fl, shape), (shape, fl)
+            flags += 1
+    assert flags == 4280
+
+
 def test_isotropy_flags():
     for shape in SHAPES:
         for r in phi_plus(standard_flag(shape), shape):
@@ -171,31 +192,24 @@ def test_chain_steps_replay():
 
 def test_all_moves_on_all_flags_small_rank():
     # every legal move on every flag declares the exact positive-system delta
-    from itertools import permutations, product
-
     for shape in SHAPES:
         if shape.rank > 3:
             continue
-        labels = [(SP, i) for i in range(1, shape.n + 1)] + [
-            (OR, j) for j in range(1, shape.m + 1)
-        ]
-        for perm in permutations(labels):
-            for signs in product((1, -1), repeat=len(perm)):
-                fl = tuple((kd, s * i) for (kd, i), s in zip(perm, signs))
-                moves = [Move("transpose", s) for s in range(len(fl) - 1)]
-                last = fl[-1][0]
-                if last == SP:
-                    moves.append(Move("flip_symplectic"))
-                elif shape.parity_type == ODD:
-                    moves.append(Move("flip_orthogonal"))
-                else:
-                    moves.append(Move("relabel_orthogonal"))
-                before = phi_plus_vecs(fl, shape)
-                for mv in moves:
-                    res = apply_move(fl, mv, shape)
-                    after = phi_plus_vecs(res.flag, shape)
-                    assert before - after == set(res.removed), (shape, fl, mv)
-                    assert after - before == set(res.added), (shape, fl, mv)
+        for fl in _signed_flags(shape):
+            moves = [Move("transpose", s) for s in range(len(fl) - 1)]
+            last = fl[-1][0]
+            if last == SP:
+                moves.append(Move("flip_symplectic"))
+            elif shape.parity_type == ODD:
+                moves.append(Move("flip_orthogonal"))
+            else:
+                moves.append(Move("relabel_orthogonal"))
+            before = phi_plus_vecs(fl, shape)
+            for mv in moves:
+                res = apply_move(fl, mv, shape)
+                after = phi_plus_vecs(res.flag, shape)
+                assert before - after == set(res.removed), (shape, fl, mv)
+                assert after - before == set(res.added), (shape, fl, mv)
 
 
 def test_rho_parts_standard_rank11():
