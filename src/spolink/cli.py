@@ -310,12 +310,67 @@ COMMANDS = {
 
 
 class _Unparsed(Exception):
-    """A lean parser met help or a usage error; the full parser answers."""
+    """The plain reader met something else; the full argparse parser answers."""
 
 
-class _LeanParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Unparsed
+class _PlainParser:
+    """Reads a plain query off the calls build_parser makes: every option
+    spelled in full, as --opt=VALUE or as --opt VALUE with VALUE not starting
+    with a dash, each value converted by its type and inside its choices, a
+    repeated option's last value winning, every required option given, and
+    --seed-irrelevant only before the subcommand.  argparse returns the same
+    Namespace for such an argv; anything else raises _Unparsed."""
+
+    def __init__(self, **_):
+        self.options = {}  # flag -> add_argument keywords
+        self.commands = {}  # subcommand name -> its _PlainParser
+
+    def add_argument(self, flag, **kw):
+        self.options[flag] = kw
+
+    def add_subparsers(self, dest, **_):
+        self.dest = dest
+        return self
+
+    def add_parser(self, name, **_):
+        self.commands[name] = _PlainParser()
+        return self.commands[name]
+
+    def parse_args(self, argv, ns=None):
+        ns = ns or argparse.Namespace()
+        given, i = {}, 0
+        while i < len(argv) and argv[i] not in self.commands:
+            flag, eq, value = argv[i].partition("=")
+            kw = self.options.get(flag)
+            if kw is None or eq and "action" in kw:  # store_true takes no value
+                raise _Unparsed
+            if "action" in kw:
+                value = True
+            else:
+                if not eq:
+                    i += 1
+                    if i == len(argv) or argv[i].startswith("-"):
+                        raise _Unparsed
+                    value = argv[i]
+                try:
+                    value = kw.get("type", str)(value)
+                except ValueError:
+                    raise _Unparsed from None
+                if value not in kw.get("choices", [value]):
+                    raise _Unparsed
+            given[flag] = value
+            i += 1
+        for flag, kw in self.options.items():
+            if kw.get("required") and flag not in given:
+                raise _Unparsed
+            default = kw.get("default", False if "action" in kw else None)
+            setattr(ns, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+        if not self.commands:
+            return ns
+        if i == len(argv):
+            raise _Unparsed
+        setattr(ns, self.dest, argv[i])
+        return self.commands[argv[i]].parse_args(argv[i + 1:], ns)
 
 
 def build_parser(names=COMMANDS, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -339,15 +394,15 @@ def build_parser(names=COMMANDS, parser_class=argparse.ArgumentParser) -> argpar
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the named subcommand's parser built.  Help, a missing
-    or unknown subcommand and every usage error go to the full parser, so all
-    help pages and usage lines are its own.  No top-level option takes a
-    value, so the first token without a dash names the subcommand; a token
-    from -h or --h on may be help or an abbreviation of it."""
+    """Read a plain query off the named subcommand's build_parser calls.  Help,
+    a missing or unknown subcommand and anything else the plain reader does
+    not take go to the full parser, so all help pages and usage errors are
+    argparse's own.  No top-level option takes a value, so the first token
+    without a dash names the subcommand."""
     name = next((a for a in argv if not a.startswith("-")), None)
-    if name in COMMANDS and not any(a.startswith(("-h", "--h")) for a in argv):
+    if name in COMMANDS:
         with contextlib.suppress(_Unparsed):
-            return build_parser([name], _LeanParser).parse_args(argv)
+            return build_parser([name], _PlainParser).parse_args(argv)
     return build_parser().parse_args(argv)
 
 

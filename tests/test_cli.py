@@ -261,18 +261,41 @@ TOKENS = [*COMMANDS, *OPTIONS, "--format", "--seed-irrelevant", "--seed", "--for
           "odd", "tsv"]
 
 
+# Option values by kind, each list split into values the option takes and
+# values it refuses: int spellings int() accepts and rejects, strings empty,
+# spaced or starting with a dash (taken only as --opt=VALUE by the plain
+# reader, and by argparse only that way or as a negative number).
+INT_VALUES = (["3", "+3", " 5", "1_0", "-4"], ["1.5", ""])
+TEXT_VALUES = (["1,2", "0:3", "a b", "", "-x", "-1,2"], [])
+
+
 @st.composite
 def argvs(draw):
-    """A subcommand with its required options and some others, each with a
-    valid value, half the time between random tokens, sometimes shuffled."""
+    """A subcommand with its required options and some others, one time in
+    four between random tokens or shuffled.  --seed-irrelevant may lead,
+    once or twice.  An option comes once or twice, as --opt VALUE or
+    --opt=VALUE, its value taken or, one time in four, refused; a store_true
+    flag comes as itself or as --flag=."""
     name = draw(st.sampled_from(list(COMMANDS)))
     options = []
-    for flag, kw in [("--format", {"choices": ("tsv",)}), *COMMANDS[name][1]]:
-        if kw.get("required") or draw(st.booleans()):
-            valued = kw.get("action") != "store_true"
-            options += [flag, kw.get("choices", ("3",))[0]] if valued else [flag]
-    noise = st.lists(st.sampled_from(TOKENS), max_size=2) if draw(st.booleans()) else st.just([])
-    argv = draw(noise) + [name, *options] + draw(noise)
+    for flag, kw in [("--format", {"choices": ("json", "tsv", "text")}), *COMMANDS[name][1]]:
+        if not (kw.get("required") or draw(st.booleans())):
+            continue
+        for _ in range(draw(st.sampled_from((1, 1, 2)))):
+            if kw.get("action") == "store_true":
+                options.append(draw(st.sampled_from((flag, flag, flag + "="))))
+                continue
+            if "choices" in kw:
+                taken, refused = list(kw["choices"]), ["xml"]
+            else:
+                taken, refused = INT_VALUES if kw.get("type") is int else TEXT_VALUES
+            value = draw(st.sampled_from(refused if refused and draw(st.integers(0, 3)) == 0
+                                         else taken))
+            options += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    lead = ["--seed-irrelevant"] * draw(st.integers(0, 2))
+    noise = (st.lists(st.sampled_from(TOKENS), max_size=2) if draw(st.integers(0, 3)) == 0
+             else st.just([]))
+    argv = draw(noise) + lead + [name, *options] + draw(noise)
     return draw(st.permutations(argv)) if draw(st.integers(0, 3)) == 0 else argv
 
 
@@ -293,16 +316,26 @@ def test_lean_parse_matches_the_full_parser(argv):
 
 
 def test_only_the_named_subparser_is_built(monkeypatch, capsys):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    built, calls = [], []
+    add_parser, build = argparse._SubParsersAction.add_parser, cli.build_parser
 
     def counting(self, name, **kw):
         built.append(name)
         return add_parser(self, name, **kw)
 
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    # a plain query is read off one build_parser call; argparse builds nothing
     assert main(["decompose-sl2", "--p", "3", "--k", "3"]) == 0
-    assert built == ["decompose-sl2"]
+    assert built == [] and calls == [(["decompose-sl2"], cli._PlainParser)]
+    # an abbreviation is for argparse, which builds every subparser
+    calls.clear()
+    assert main(["decompose-sl2", "--p", "3", "--k", "3", "--form", "tsv"]) == 0
+    assert calls == [(["decompose-sl2"], cli._PlainParser), ()] and built == list(COMMANDS)
     built.clear()
     with pytest.raises(SystemExit):
         main(["-h"])

@@ -195,6 +195,23 @@ PARSER_EDGES = [
     ["hom", "--p", "3", "--k", "5", "--l", "1", "--grt", "--r", "1", "--bogus"],
 ]
 
+# Spellings at the edge of the plain reader (cli._PlainParser): --opt=VALUE
+# (a dash-leading value only this way), a repeated option (the last wins),
+# --seed-irrelevant twice, a store_true flag twice or given a value, int
+# spellings int() accepts, an empty string value, and a stray "-".
+PLAIN_EDGES = [
+    ["decompose-grt", "--p=3", "--r=2", "--l=-5", "--p=5"],
+    ["decompose-grt", "--p", "3", "--r", "2", "--l", "-5"],
+    ["--seed-irrelevant", "--seed-irrelevant", "decompose-sl2", "--p", "3", "--k", "3"],
+    ["hom", "--p", "3", "--k", "5", "--l", "1", "--grt", "--grt"],
+    ["hom", "--p", "3", "--k", "5", "--l", "1", "--grt="],
+    ["socle", "--p", "3", "--l", "4", "--side", "plus", "--side", "minus"],
+    ["decompose-sl2", "--p", "3", "--k", "1_0"],
+    ["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag="],
+    ["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag", "-1,2"],
+    ["decompose-sl2", "--p", "3", "--k", "3", "-"],
+]
+
 # Weights near the 20-digit cap of the word builder: k + 1 = 3^20 - 1 has
 # twenty digits p - 1, so 20 of its 2^19 words live; the thickened head
 # normalises to a weight of 16 base-7 digits.
@@ -211,6 +228,7 @@ CASES = (
     + RANGES
     + HELP
     + PARSER_EDGES
+    + PLAIN_EDGES
 )
 
 

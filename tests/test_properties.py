@@ -249,3 +249,17 @@ def test_translating_the_box_by_p_to_the_r_translates_the_edges(inputs, data):
     translated = {(tuple(map(add, a, shift)), tuple(map(add, b, shift)), kind, r)
                   for a, b, kind, r in _edge_set(build_graph(box, shape, r_set, p))}
     assert translated == _edge_set(build_graph(moved, shape, r_set, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_rank_one_components_are_the_blocks_beyond_criterion_11(p, data):
+    # criterion 11 checks the (1, 0) odd box [0, 4p^2] at r in {1, 2}; here
+    # the box starts anywhere in [-3p^2, 3p^2], spans 2p^2 or 4p^2, and the
+    # r-set is any nonempty part of {1, 2}
+    lo = data.draw(st.integers(-3 * p * p, 3 * p * p))
+    hi = lo + data.draw(st.sampled_from((2, 4))) * p * p
+    r_set = data.draw(st.sets(st.sampled_from((1, 2)), min_size=1))
+    graph = build_graph([(lo, hi)], GroupShape(1, 0, ODD), r_set, p)
+    got = [[w for (w,) in comp] for comp in components(graph)]
+    assert got == verify._partition_by(range(lo, hi + 1), lambda l: block_of(l, p))
