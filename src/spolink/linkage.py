@@ -10,9 +10,10 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import inf
-from operator import add, mul
+from functools import partial
+from itertools import product, repeat
+from math import gcd, inf
+from operator import add, itemgetter, le, mul, sub
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
@@ -69,16 +70,39 @@ def root_table(shape: GroupShape) -> RootTable:
     return RootTable(*map(tuple, families.values()), {})
 
 
-def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
-    """lam -> lam - alpha for each positive odd isotropic root alpha with
-    p dividing (lam + rho, alpha); the pairing is always an integer there."""
-    out = []
+_UNBOUNDED = repeat(-inf), repeat(inf)  # (lows, highs) of the public odd moves: keep every target
+_move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
+
+
+def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> list:
     for alpha, folded, c in table.iso:
         val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
         if val // 2 % p == 0:
-            target = tuple(a - b for a, b in zip(lam, alpha))
-            out.append(LinkageMove(ISO_ODD, alpha, lam, target, r))
+            target = tuple(map(sub, lam, alpha))
+            if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
+                out.append(_move((ISO_ODD, alpha, lam, target, r, None)))
+    return out
+
+
+def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
+    """lam -> lam - alpha for each positive odd isotropic root alpha with
+    p dividing (lam + rho, alpha); the pairing is always an integer there."""
+    return _iso_odd(lam, table, r, p, _UNBOUNDED, [])
+
+
+def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> list:
+    for alpha, folded, c in table.noniso:
+        val = 2 * sum(map(mul, lam, folded)) + c - 1
+        assert val % 2 == 0, (lam, alpha)
+        l = val // 2 % p**r
+        steps = table.steps.get((l, r, p))
+        if steps is None:
+            steps = table.steps[l, r, p] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+        for lp in steps:
+            target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
+            if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
+                out.append(_move((NONISO_ODD, alpha, lam, target, r, (l, lp))))
     return out
 
 
@@ -90,22 +114,42 @@ def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[Link
     down by l - l' for every constituent weight l' other than l.  The sorted
     l' of each (l, r, p) are kept in table.steps.
     """
-    out = []
-    for alpha, folded, c in table.noniso:
-        val = 2 * sum(map(mul, lam, folded)) + c - 1
-        assert val % 2 == 0, (lam, alpha)
-        l = val // 2 % p**r
-        steps = table.steps.get((l, r, p))
-        if steps is None:
-            steps = table.steps[l, r, p] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
-        for lp in steps:
-            target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
-            out.append(LinkageMove(NONISO_ODD, alpha, lam, target, r, (l, lp)))
+    return _noniso_odd(lam, table, r, p, _UNBOUNDED, [])
+
+
+def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
+    """Each even root's wall constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha,
+    g = gcd(alpha), q d, q g, the step q alpha, the nonzero coordinates (i, alpha_i / g,
+    q alpha_i, near edge, far edge; edges ordered by sign) and the zero ones (i, lo, hi)."""
+    plan = []
+    for alpha, d, c in table.even:
+        g = gcd(*alpha)
+        moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
+                  for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
+        fixed = [(i, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if not a]
+        plan.append((alpha, c, d, g, q * d, q * g, tuple(q * a for a in alpha), moving, fixed))
+    return plan
+
+
+def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> list:
+    for alpha, c, d, g, qd, qg, step, moving, fixed in plan:
+        v = 2 * sum(map(mul, lam, alpha)) + c
+        # integral at every wall or none; 2 rho's parities are equal within a
+        # block.  d divides v alpha_i for every i iff it divides v gcd(alpha).
+        assert v * g % d == 0, (lam, alpha)
+        s = v * g // d  # v alpha_i / d = s alpha_i / g
+        w_lo, w_hi = -inf, (v - 1) // qd
+        for i, a, qa, near, far in moving:
+            b = lam[i] - s * a
+            first, last = -((b - near) // qa), (far - b) // qa
+            w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
+        if w_lo <= w_hi and (not fixed or all(lo <= lam[i] <= hi for i, lo, hi in fixed)):
+            k = w_lo * qg - s
+            target = tuple([x + k * a // g for x, a in zip(lam, alpha)])
+            for w in range(w_lo, w_hi + 1):
+                out.append(_move((EVEN_MOVE, alpha, lam, target, r, (w,))))
+                target = tuple(map(add, target, step))
     return out
-
-
-def _in_box(w: Weight, box: Box) -> bool:
-    return all(lo <= c <= hi for c, (lo, hi) in zip(w, box))
 
 
 def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[LinkageMove]:
@@ -116,30 +160,11 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
     components inside the block congruence classes.
 
     In integers: with v = 2 (lam + rho).alpha and d = alpha.alpha, the pairing
-    is v / d and the target at wall w is base + w p^r alpha.  Each coordinate's
-    box edges bound w linearly, so the kept walls form one range, ascending up
-    to the last with a positive step."""
-    q = p**r
-    out = []
-    for alpha, d, c in table.even:
-        v = 2 * sum(map(mul, lam, alpha)) + c
-        # integral at every wall or none; 2 rho's parities are equal within a block
-        assert not any(v * a % d for a in alpha), (lam, alpha)
-        base = tuple(x - v * a // d for x, a in zip(lam, alpha))
-        w_lo, w_hi = -inf, (v - 1) // (q * d)
-        for b, a, (lo, hi) in zip(base, alpha, box):
-            if a:
-                near, far = (lo, hi) if a > 0 else (hi, lo)
-                w_lo, w_hi = max(w_lo, -((b - near) // (q * a))), min(w_hi, (far - b) // (q * a))
-            elif not lo <= b <= hi:
-                break  # a coordinate no wall moves lies outside the box
-        else:  # alpha has a nonzero coordinate, so w_lo is an integer here
-            step = tuple(q * a for a in alpha)
-            target = tuple(b + w_lo * s for b, s in zip(base, step))
-            for w in range(w_lo, w_hi + 1):
-                out.append(LinkageMove(EVEN_MOVE, alpha, lam, target, r, (w,)))
-                target = tuple(map(add, target, step))
-    return out
+    is v / d and the target at wall w is lam - (v / d) alpha + w p^r alpha.
+    Each nonzero coordinate's box edges bound w, so the kept walls form one
+    range, ascending up to the last with a positive step; build_graph plans
+    each root's constants once per (box, r), this call for lam alone."""
+    return _even(lam, _even_plan(table, p**r, box), r, [])
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,21 +174,22 @@ class LinkageGraph:
 
 
 def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> LinkageGraph:
-    """All moves from every integral weight in the box, kept when the target
-    also lies in the box.  The relation is used symmetrically: enumerating
-    from every node covers the reversed residue convention for the odd
-    non-isotropic moves as well.  Raises TooManyEdges past MAX_EDGES."""
+    """All moves from every integral weight in the box whose target also lies
+    in the box; odd targets are box-tested before their move is built, even
+    walls read each root's constants planned once per r.  Used symmetrically,
+    enumerating from every node also covers the reversed residue convention of
+    the odd non-isotropic moves.  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     table = root_table(shape)
-    edges, rs = [], sorted(r_set)
+    plans = [(r, _even_plan(table, p**r, box)) for r in sorted(r_set)]
+    edges, bounds = [], tuple(zip(*box))
     for lam in nodes:
-        for r in rs:
-            for mv in moves_iso_odd(lam, table, r, p) + moves_noniso_odd(lam, table, r, p):
-                if _in_box(mv.target, box):
-                    edges.append(mv)
-            edges.extend(moves_even(lam, table, r, p, box))
+        for r, plan in plans:
+            _iso_odd(lam, table, r, p, bounds, edges)
+            _noniso_odd(lam, table, r, p, bounds, edges)
+            _even(lam, plan, r, edges)
         if len(edges) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
     return LinkageGraph(nodes, tuple(edges))
@@ -171,27 +197,26 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
 
 def connected_components(nodes, pairs) -> list[list]:
     """Connected components of the undirected graph on nodes whose edges are
-    the given (a, b) pairs, by union-find; each component sorted, listed by
-    smallest member."""
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    the given (a, b) pairs, each component sorted, listed by smallest member.
+    Union-find on the nodes' positions, with path halving."""
+    index = {x: i for i, x in enumerate(nodes)}
+    parent = list(range(len(index)))
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        a, b = index[a], index[b]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
     groups: dict = {}
-    for x in nodes:
-        groups.setdefault(find(x), []).append(x)
+    for x, i in index.items():
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        groups.setdefault(i, []).append(x)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
 def components(graph: LinkageGraph) -> list[list[Weight]]:
     """Connected components under the symmetrised move relation, each sorted,
     listed by smallest member."""
-    return connected_components(graph.nodes, ((mv.source, mv.target) for mv in graph.edges))
+    return connected_components(graph.nodes, map(itemgetter(2, 3), graph.edges))

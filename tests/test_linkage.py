@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import reference_linkage as ref
@@ -10,6 +11,7 @@ from spolink.linkage import (
     EVEN_MOVE,
     ISO_ODD,
     NONISO_ODD,
+    RootTable,
     TooManyEdges,
     build_graph,
     components,
@@ -169,3 +171,25 @@ def test_edge_cap_stops_the_build(monkeypatch):
     monkeypatch.setattr(linkage, "MAX_EDGES", n_edges - 1)
     with pytest.raises(TooManyEdges, match=f"MAX_EDGES = {n_edges - 1:,}"):
         build_graph(box, shape, {1, 2}, 3)
+
+
+def test_even_integrality_assert_fires(monkeypatch):
+    # 2 rho.alpha = 1 is odd, so v = 2 (lam + rho).alpha is odd at every lam
+    # and v alpha_i / alpha.alpha is never an integer
+    table = RootTable((), (), (((1, 1), 2, 1),), {})
+    with pytest.raises(AssertionError):
+        moves_even((0, 0), table, 1, 3, [(-5, 5), (-5, 5)])
+    monkeypatch.setattr(linkage, "root_table", lambda shape: table)
+    with pytest.raises(AssertionError):
+        build_graph([(0, 2), (0, 2)], GroupShape(1, 1, ODD), {1}, 3)
+
+
+def test_gcd_integrality_equals_the_per_coordinate_check():
+    # the even moves assert d | v gcd(alpha) in place of d | v alpha_i for each i
+    shapes = [GroupShape(n, m, t) for n in range(5) for m in range(5 - n) if n + m
+              for t in (ODD, EVEN)]
+    for shape in shapes:
+        for alpha, d, _ in root_table(shape).even:
+            g = gcd(*alpha)
+            for v in range(-50, 50):
+                assert (v * g % d == 0) == all(v * a % d == 0 for a in alpha), (alpha, v)

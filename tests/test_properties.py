@@ -44,15 +44,25 @@ weights = st.integers(min_value=-10**6, max_value=10**6)
 
 @st.composite
 def small_graphs(draw):
-    nodes = draw(st.sets(st.integers(-20, 20), max_size=25))
-    node_list = sorted(nodes)
+    """Integer nodes, as a range (the shape criterion 8 passes) or a list in
+    any order, some isolated; pairs with self-loops, repeats and both orders."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-30, 30))
+        nodes = range(lo, lo + draw(st.integers(0, 60)))
+    else:
+        nodes = draw(st.permutations(sorted(draw(st.sets(st.integers(-40, 40), max_size=60)))))
     pairs = []
-    if node_list:
-        node = st.sampled_from(node_list)
-        pairs = draw(st.lists(st.tuples(node, node), max_size=40))
-    return node_list, pairs
+    if nodes:
+        node = st.sampled_from(list(nodes))
+        pairs = draw(st.lists(st.tuples(node, node), max_size=80))
+        if pairs:
+            pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=20))]
+        pairs += [(a, a) for a in draw(st.lists(node, max_size=5))]
+        pairs = draw(st.permutations(pairs))
+    return nodes, pairs
 
 
+@settings(max_examples=300)
 @given(small_graphs())
 def test_connected_components_match_networkx(graph):
     nodes, pairs = graph
