@@ -122,10 +122,18 @@ def ch_product_Zr(
     p: int,
 ) -> PolyN:
     """Product character e^lam * prod_even (1 + e^-a + ... + e^-(p^r-1)a)
-    * prod_odd (1 + e^-a), all in integer coordinate tuples.  Coordinate i of
-    a term takes at most 1 + sum of max(t) |a_i| values, which bounds the terms."""
+    * prod_odd (1 + e^-a), all in integer coordinate tuples, expanded factor
+    by factor.  A partial product has at most the previous one's bound times
+    the factor's length terms, and at most 1 + sum of max(t) |a_i| values in
+    coordinate i; the cap counts the updates those bounds allow, which is at
+    least the term count."""
     steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
-    check_terms(prod(1 + sum(ts[-1] * abs(a[i]) for a, ts in steps) for i in range(len(lam))))
+    span, size, work = [1] * len(lam), 1, 0
+    for alpha, ts in steps:
+        work += size * len(ts)
+        span = [s + ts[-1] * abs(a) for s, a in zip(span, alpha)]
+        size = min(size * len(ts), prod(span))
+    check_terms(work)
     acc: PolyN = {tuple(lam): 1}
     for alpha, ts in steps:
         nxt: PolyN = {}

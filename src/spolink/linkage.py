@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat
+from itertools import product
 from math import gcd, inf
 from operator import add, itemgetter, le, mul, sub
 from typing import NamedTuple
@@ -45,17 +45,17 @@ class LinkageMove(NamedTuple):
 
 
 class RootTable(NamedTuple):
-    """The standard flag's positive roots, each family sorted, as records of
-    the constants the moves read; lam.folded is the pairing (lam, alpha)."""
+    """The standard flag's positive roots, each family sorted, as immutable
+    records of the constants build_graph's moves read; lam.folded is the
+    pairing (lam, alpha)."""
 
     iso: tuple[tuple[Weight, Weight, int], ...]  # odd isotropic: (alpha, folded, 2 rho.folded)
     noniso: tuple[tuple[Weight, Weight, int], ...]  # the same, odd non-isotropic (odd type only)
     even: tuple[tuple[Weight, int, int], ...]  # (alpha, alpha.alpha, 2 rho.alpha)
-    steps: dict[tuple[int, int, int], list[int]]  # (l, r, p) -> l' != l; filled by moves
 
 
 def root_table(shape: GroupShape) -> RootTable:
-    """The root records against the standard flag's 2 rho; built once per graph."""
+    """The root records against the standard flag's 2 rho; build_graph makes one per graph."""
     flag = standard_flag(shape)
     rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
@@ -67,14 +67,13 @@ def root_table(shape: GroupShape) -> RootTable:
         else:
             record = alpha, sum(a * a for a in alpha), sum(map(mul, rho2, alpha))
         families[root.parity, root.isotropic].append(record)
-    return RootTable(*map(tuple, families.values()), {})
+    return RootTable(*map(tuple, families.values()))
 
 
-_UNBOUNDED = repeat(-inf), repeat(inf)  # (lows, highs) of the public odd moves: keep every target
 _move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
 
 
-def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> list:
+def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> None:
     for alpha, folded, c in table.iso:
         val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
@@ -82,39 +81,20 @@ def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -
             target = tuple(map(sub, lam, alpha))
             if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
                 out.append(_move((ISO_ODD, alpha, lam, target, r, None)))
-    return out
 
 
-def moves_iso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
-    """lam -> lam - alpha for each positive odd isotropic root alpha with
-    p dividing (lam + rho, alpha); the pairing is always an integer there."""
-    return _iso_odd(lam, table, r, p, _UNBOUNDED, [])
-
-
-def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> list:
+def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, steps, out) -> None:
     for alpha, folded, c in table.noniso:
         val = 2 * sum(map(mul, lam, folded)) + c - 1
         assert val % 2 == 0, (lam, alpha)
         l = val // 2 % p**r
-        steps = table.steps.get((l, r, p))
-        if steps is None:
-            steps = table.steps[l, r, p] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
-        for lp in steps:
+        lps = steps.get((l, r))
+        if lps is None:
+            lps = steps[l, r] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+        for lp in lps:
             target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
             if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
                 out.append(_move((NONISO_ODD, alpha, lam, target, r, (l, lp))))
-    return out
-
-
-def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[LinkageMove]:
-    """Moves along the odd non-isotropic roots (odd parity type only).
-
-    For alpha the i-th such root, take l = (lam + rho, alpha) - 1/2 reduced
-    mod p^r, list the thickened constituents of the head-l module, and step
-    down by l - l' for every constituent weight l' other than l.  The sorted
-    l' of each (l, r, p) are kept in table.steps.
-    """
-    return _noniso_odd(lam, table, r, p, _UNBOUNDED, [])
 
 
 def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
@@ -131,7 +111,7 @@ def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
     return plan
 
 
-def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> list:
+def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
     for alpha, c, d, g, qd, qg, step, moving, fixed in plan:
         v = 2 * sum(map(mul, lam, alpha)) + c
         # integral at every wall or none; 2 rho's parities are equal within a
@@ -149,22 +129,6 @@ def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> list:
             for w in range(w_lo, w_hi + 1):
                 out.append(_move((EVEN_MOVE, alpha, lam, target, r, (w,))))
                 target = tuple(map(add, target, step))
-    return out
-
-
-def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[LinkageMove]:
-    """Downward affine reflections lam -> lam - ((lam + rho, alpha^vee) - w p^r) alpha
-    across every even positive root alpha, for every wall index w keeping the
-    target inside the box.  The coroot is normalised with the positive-definite
-    form; the rho shift is the supersymmetric one, which is what keeps rank-one
-    components inside the block congruence classes.
-
-    In integers: with v = 2 (lam + rho).alpha and d = alpha.alpha, the pairing
-    is v / d and the target at wall w is lam - (v / d) alpha + w p^r alpha.
-    Each nonzero coordinate's box edges bound w, so the kept walls form one
-    range, ascending up to the last with a positive step; build_graph plans
-    each root's constants once per (box, r), this call for lam alone."""
-    return _even(lam, _even_plan(table, p**r, box), r, [])
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,21 +138,30 @@ class LinkageGraph:
 
 
 def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> LinkageGraph:
-    """All moves from every integral weight in the box whose target also lies
-    in the box; odd targets are box-tested before their move is built, even
-    walls read each root's constants planned once per r.  Used symmetrically,
-    enumerating from every node also covers the reversed residue convention of
-    the odd non-isotropic moves.  Raises TooManyEdges past MAX_EDGES."""
+    """Every move from each integral weight lam in the box whose target also
+    lies in the box; the one producer of LinkageMoves.  Per r in r_set, q = p^r:
+
+    - iso_odd: lam -> lam - alpha for each odd isotropic alpha with p | (lam + rho, alpha).
+    - noniso_odd (odd type): with l = (lam + rho, alpha) - 1/2 mod q, step down by
+      l - l' for each thickened constituent l' != l of the head-l module; the
+      sorted l' are memoised per (l, r) for this graph.
+    - even: lam -> lam - ((lam + rho, alpha^vee) - w q) alpha at every wall w with a
+      positive step, alpha^vee normalised by the positive-definite form, rho the supersymmetric
+      one (which keeps rank-one components inside the block classes).  The box
+      edges bound w, so the kept walls are one range, planned per root once per r.
+
+    Enumerating from every node also covers the reversed residue convention of
+    the noniso moves.  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     table = root_table(shape)
     plans = [(r, _even_plan(table, p**r, box)) for r in sorted(r_set)]
-    edges, bounds = [], tuple(zip(*box))
+    edges, bounds, steps = [], tuple(zip(*box)), {}
     for lam in nodes:
         for r, plan in plans:
             _iso_odd(lam, table, r, p, bounds, edges)
-            _noniso_odd(lam, table, r, p, bounds, edges)
+            _noniso_odd(lam, table, r, p, bounds, steps, edges)
             _even(lam, plan, r, edges)
         if len(edges) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")

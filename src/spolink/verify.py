@@ -350,30 +350,26 @@ def check_flag_independence(p: int = 3, r: int = 1) -> Check:
 
 
 def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
-    """Criterion 11: rank-one linkage graphs reproduce the block partition,
-    and the odd non-isotropic targets are exactly the non-head constituents."""
+    """Criterion 11: rank-one linkage graphs on [-2p^2, 4p^2] reproduce the
+    block partition, and the odd non-isotropic targets of each source are
+    exactly its non-head constituents (all of them lie in the box)."""
     shape = rootdata.GroupShape(1, 0, rootdata.ODD)
-    table = linkage.root_table(shape)
     for p in primes:
-        hi = 4 * p * p
-        box = [(0, hi)]
-        graph = linkage.build_graph(box, shape, {1, 2}, p)
+        lo, hi = -2 * p * p, 4 * p * p
+        graph = linkage.build_graph([(lo, hi)], shape, {1, 2}, p)
         got = [sorted(w[0] for w in comp) for comp in linkage.components(graph)]
-        want = _partition_by(range(hi + 1), lambda l: spo21.block_of(l, p))
+        want = _partition_by(range(lo, hi + 1), lambda l: spo21.block_of(l, p))
         if sorted(got) != sorted(want):
             return False, f"rank-1 components differ from blocks at p={p}"
+        targets: dict = {}
+        for mv in graph.edges:
+            if mv.kind == linkage.NONISO_ODD:
+                targets.setdefault((mv.source[0], mv.r), set()).add(mv.target[0])
         for r in (1, 2):
-            q = p**r
             for c in range(0, 3 * p * p + 1, 3):
-                lam = (c,)
-                moves = linkage.moves_noniso_odd(lam, table, r, p)
-                l = c % q
-                want_targets = {
-                    c - (l - lp)
-                    for lp in frobenius.comp_factors_r(l, r, p)
-                    if lp != l
-                }
-                if {mv.target[0] for mv in moves} != want_targets:
+                l = c % p**r
+                expect = {c - (l - lp) for lp in frobenius.comp_factors_r(l, r, p) if lp != l}
+                if targets.get((c, r), set()) != expect:
                     return False, f"noniso targets wrong at lam={c}, r={r}, p={p}"
     return True, f"block partition and noniso targets, p in {tuple(primes)}"
 

@@ -213,7 +213,13 @@ CAPPED = {
             ["char-z", "--n", "1", "--m", "0", "--type", "odd", "--weight", "0", "--r", "12",
              "--p", "3"],
             ["char-z", "--n", "2", "--m", "1", "--type", "odd", "--weight", "0,0,0",
-             "--r", "4", "--p", "3"]],
+             "--r", "4", "--p", "3"],
+            # few terms, but each of 28 factors touches up to 985,608 of them
+            ["char-z", "--n", "3", "--m", "2", "--type", "odd", "--weight", "0,0,0,0,0",
+             "--r", "1", "--p", "3"],
+            # four factors of 167 terms over up to 249,001 weights
+            ["char-z", "--n", "0", "--m", "2", "--type", "odd", "--weight", "0,0",
+             "--r", "1", "--p", "167"]],
 }
 
 

@@ -2,7 +2,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-import reference_linkage as ref
 
 from spolink import linkage
 
@@ -15,26 +14,29 @@ from spolink.linkage import (
     TooManyEdges,
     build_graph,
     components,
-    moves_even,
-    moves_iso_odd,
-    moves_noniso_odd,
     root_table,
 )
 from spolink.rootdata import EVEN, ODD, GroupShape, pairing, phi_plus, rho_parts, standard_flag
 from spolink.spo21 import block_of
 
 
+def _moves(graph, source, kind, r=1):
+    """The graph's moves of one kind and r out of one source, in build order."""
+    return [m for m in graph.edges if m.source == source and m.kind == kind and m.r == r]
+
+
 def test_iso_odd_known():
     shape = GroupShape(1, 1, ODD)
-    moves = moves_iso_odd((2, 1), root_table(shape), 1, 3)
+    # the box holds every iso target of both sources
+    graph = build_graph([(0, 3), (0, 3)], shape, {1}, 3)
+    moves = _moves(graph, (2, 1), ISO_ODD)
     # both isotropic roots pair to a multiple of 3 at this weight
     assert {(m.alpha, m.target) for m in moves} == {
         ((1, -1), (1, 2)),
         ((1, 1), (1, 0)),
     }
-    assert all(m.kind == ISO_ODD for m in moves)
     # at (1, 1) the shifted pairings are 2 and -1: nothing divides
-    assert moves_iso_odd((1, 1), root_table(shape), 1, 3) == []
+    assert _moves(graph, (1, 1), ISO_ODD) == []
 
 
 def test_iso_odd_pairings_are_integral():
@@ -53,56 +55,37 @@ def test_iso_odd_pairings_are_integral():
 def test_noniso_odd_even_type_is_empty():
     shape = GroupShape(2, 1, EVEN)
     assert root_table(shape).noniso == ()
-    assert moves_noniso_odd((3, 1, 0), root_table(shape), 1, 3) == []
+    graph = build_graph([(0, 4), (0, 2), (-1, 1)], shape, {1, 2}, 3)
+    assert (3, 1, 0) in graph.nodes
+    assert not any(m.kind == NONISO_ODD for m in graph.edges)
 
 
 def test_noniso_odd_rank1_known():
     shape = GroupShape(1, 0, ODD)
     # l = 3 mod 3 = 0; the non-head thickened constituent at head 0 is -1
-    moves = moves_noniso_odd((3,), root_table(shape), 1, 3)
+    graph = build_graph([(0, 6)], shape, {1}, 3)
+    moves = _moves(graph, (3,), NONISO_ODD)
     assert [(m.detail, m.target) for m in moves] == [((0, -1), (2,))]
 
 
 def test_noniso_targets_match_constituents():
-    table = root_table(GroupShape(1, 0, ODD))
+    shape = GroupShape(1, 0, ODD)
     for p in (3, 5):
+        # every target c - (l - l') has 0 <= l - l' < 2 p^2, so the box holds it
+        graph = build_graph([(-2 * p * p, 40)], shape, {1, 2}, p)
         for r in (1, 2):
             q = p**r
             for c in range(0, 40):
-                moves = moves_noniso_odd((c,), table, r, p)
+                moves = _moves(graph, (c,), NONISO_ODD, r)
                 l = c % q
                 want = {c - (l - lp) for lp in comp_factors_r(l, r, p) if lp != l}
                 assert {m.target[0] for m in moves} == want
 
 
-def test_residue_steps_live_on_each_table():
-    shape = GroupShape(1, 0, ODD)
-    first, second = root_table(shape), root_table(shape)
-    assert first.steps is not second.steps
-    moves_noniso_odd((3,), first, 1, 3)
-    assert first.steps == {(0, 1, 3): [-1]}
-    assert second.steps == {}
-
-
-def test_one_table_serves_every_prime():
-    # criterion 11 (an acceptance test) reuses one table across primes, so the
-    # steps are keyed by p too
-    shape = GroupShape(1, 0, ODD)
-    table, ref_table = root_table(shape), ref.root_table(shape)
-    for p in (3, 5, 7):
-        for r in (1, 2):
-            for c in range(0, 3 * p * p + 1):
-                lam = (c,)
-                want = ref.moves_noniso_odd(lam, ref_table, r, p)
-                assert moves_noniso_odd(lam, table, r, p) == want
-    assert {key[2] for key in table.steps} == {3, 5, 7}
-
-
 def test_moves_even_rank1_known():
     shape = GroupShape(1, 0, ODD)
-    moves = moves_even((3,), root_table(shape), 1, 3, [(-20, 20)])
+    moves = _moves(build_graph([(-20, 20)], shape, {1}, 3), (3,), EVEN_MOVE)
     assert {m.target[0] for m in moves} == {2, -4, -10, -16}
-    assert all(m.kind == EVEN_MOVE for m in moves)
     # every reflected weight stays in the block of the source
     for m in moves:
         if m.target[0] >= 0:
@@ -176,9 +159,7 @@ def test_edge_cap_stops_the_build(monkeypatch):
 def test_even_integrality_assert_fires(monkeypatch):
     # 2 rho.alpha = 1 is odd, so v = 2 (lam + rho).alpha is odd at every lam
     # and v alpha_i / alpha.alpha is never an integer
-    table = RootTable((), (), (((1, 1), 2, 1),), {})
-    with pytest.raises(AssertionError):
-        moves_even((0, 0), table, 1, 3, [(-5, 5), (-5, 5)])
+    table = RootTable((), (), (((1, 1), 2, 1),))
     monkeypatch.setattr(linkage, "root_table", lambda shape: table)
     with pytest.raises(AssertionError):
         build_graph([(0, 2), (0, 2)], GroupShape(1, 1, ODD), {1}, 3)

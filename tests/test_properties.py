@@ -17,14 +17,12 @@ from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
 from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
+    ISO_ODD,
+    NONISO_ODD,
     LinkageMove,
     build_graph,
     components,
     connected_components,
-    moves_even,
-    moves_iso_odd,
-    moves_noniso_odd,
-    root_table,
 )
 from spolink.rootdata import (
     EVEN,
@@ -116,15 +114,15 @@ def test_hom_r_is_one_dimensional_and_odd_or_zero(k, l, r, p):
 
 @st.composite
 def move_inputs(draw):
-    """A shape of rank <= 3, a small weight and a small box (the weight may lie outside it)."""
+    """A shape of rank <= 3, a small box and a weight inside it."""
     n = draw(st.integers(0, 3))
     m = draw(st.integers(1 if n == 0 else 0, 3 - n))
     shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
-    lam = tuple(draw(st.integers(-6, 6)) for _ in range(shape.rank))
     box = []
     for _ in range(shape.rank):
         lo = draw(st.integers(-6, 6))
         box.append((lo, lo + draw(st.integers(0, 6))))
+    lam = tuple(draw(st.integers(lo, hi)) for lo, hi in box)
     return shape, lam, box, draw(st.sampled_from((3, 5, 7))), draw(st.integers(1, 2))
 
 
@@ -133,6 +131,16 @@ def _standard_roots(shape):
     from rootdata."""
     flag = standard_flag(shape)
     return rho_parts(flag, shape)[2], sorted(phi_plus(flag, shape), key=lambda root: root.vec)
+
+
+def _moves_from(lam, kind, shape, box, p, r):
+    """The moves of one kind out of lam in the graph on the box, in build order."""
+    return [mv for mv in build_graph(box, shape, {r}, p).edges
+            if mv.source == lam and mv.kind == kind]
+
+
+def _in_box(weight, box):
+    return all(lo <= x <= hi for x, (lo, hi) in zip(weight, box))
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,23 +165,24 @@ def test_moves_even_match_wall_enumeration(inputs):
             if c > 0 and all(t.denominator == 1 and lo <= t <= hi
                              for t, (lo, hi) in zip(target, box)):
                 want.append(LinkageMove(EVEN_MOVE, alpha, lam, tuple(map(int, target)), r, (w,)))
-    assert moves_even(lam, root_table(shape), r, p, box) == want
+    assert _moves_from(lam, EVEN_MOVE, shape, box, p, r) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(move_inputs())
 def test_odd_moves_match_the_pairing(inputs):
-    shape, lam, _, p, r = inputs
+    # the targets of lam outside the box are not in the graph
+    shape, lam, box, p, r = inputs
     rho, roots = _standard_roots(shape)
     shifted = tuple(a + b for a, b in zip(lam, rho))  # lam + rho
-    table = root_table(shape)
     iso = [root for root in roots if root.parity == "odd" and root.isotropic]
     want_iso = [
         tuple(x - a for x, a in zip(lam, root.vec))
         for root in iso
         if pairing(shifted, root.vec, shape) % p == 0
     ]
-    assert [mv.target for mv in moves_iso_odd(lam, table, r, p)] == want_iso
+    got_iso = _moves_from(lam, ISO_ODD, shape, box, p, r)
+    assert [mv.target for mv in got_iso] == [t for t in want_iso if _in_box(t, box)]
     want_noniso = []
     for root in roots:
         if root.parity == "odd" and not root.isotropic:
@@ -183,19 +192,8 @@ def test_odd_moves_match_the_pairing(inputs):
                 for lp in sorted(comp_factors_r(l, r, p))
                 if lp != l
             ]
-    assert [mv.target for mv in moves_noniso_odd(lam, table, r, p)] == want_noniso
-
-
-@settings(max_examples=300, deadline=None)
-@given(move_inputs())
-def test_moves_equal_the_reference_in_order(inputs):
-    shape, lam, box, p, r = inputs
-    table, ref_table = root_table(shape), ref.root_table(shape)
-    assert moves_iso_odd(lam, table, r, p) == ref.moves_iso_odd(lam, ref_table, r, p)
-    assert moves_noniso_odd(lam, table, r, p) == ref.moves_noniso_odd(lam, ref_table, r, p)
-    # by repr, so the wall indices and targets stay ints
-    want = ref.moves_even(lam, ref_table, r, p, box)
-    assert repr(moves_even(lam, table, r, p, box)) == repr(want)
+    got_noniso = _moves_from(lam, NONISO_ODD, shape, box, p, r)
+    assert [mv.target for mv in got_noniso] == [t for t in want_noniso if _in_box(t, box)]
 
 
 @st.composite

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from spolink import sl2, spo21, verify
+from spolink import linkage, sl2, spo21, verify
 from spolink.characters import ch_L_spo
 
 PRIMES = (3, 5, 7)
@@ -61,6 +61,15 @@ def test_psi_tables_catch_a_dropped_factor(monkeypatch, part, message):
     monkeypatch.setattr(spo21, "ker_im_coker_factors", mutant)
     ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
     assert not ok and detail == f"{message} at (k={k}, j={j}, p={p})"
+
+
+def test_linkage_rank1_catches_a_dropped_target(monkeypatch):
+    # the factors at (0, 2, 3) are -6, -1 and 0, so the dropped target -6 lies
+    # below 0: only a graph box reaching -2 p^2 still holds the move
+    assert min(linkage.comp_factors_r(0, 2, 3)) == -6
+    monkeypatch.setattr(linkage, "comp_factors_r", _dropping(linkage.comp_factors_r, (0, 2, 3)))
+    ok, detail = verify.check_linkage_rank1(primes=(3,))
+    assert (ok, detail) == (False, "noniso targets wrong at lam=0, r=2, p=3")
 
 
 def test_each_memo_is_its_own():
