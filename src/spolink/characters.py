@@ -16,17 +16,19 @@ from .padic import digits
 Poly1 = dict[int, int]
 PolyN = dict[tuple[int, ...], int]
 
-MAX_TERMS = 1_000_000  # rows or terms a listing may hold; thickened ones grow like p^r
+# Rows or terms a listing may hold (thickened ones grow like p^r), and term
+# updates a product character's expansion may make.
+MAX_TERMS = 1_000_000
 
 
 class TooManyTerms(ValueError):
-    """A listing that could pass MAX_TERMS, refused before any of the work."""
+    """A listing or expansion that could pass MAX_TERMS, refused before any of the work."""
 
 
 def check_terms(bound: int) -> None:
     """Raise TooManyTerms when a listing of up to bound rows or terms passes MAX_TERMS."""
     if bound > MAX_TERMS:
-        raise TooManyTerms(f"up to {bound:,} rows or terms, more than MAX_TERMS = {MAX_TERMS:,}")
+        raise TooManyTerms(f"lists up to {bound:,} rows or terms, more than MAX_TERMS = {MAX_TERMS:,}")
 
 
 class NegativeResidualError(ValueError):
@@ -133,7 +135,9 @@ def ch_product_Zr(
         work += size * len(ts)
         span = [s + ts[-1] * abs(a) for s, a in zip(span, alpha)]
         size = min(size * len(ts), prod(span))
-    check_terms(work)
+    if work > MAX_TERMS:
+        raise TooManyTerms(f"expands its product in up to {work:,} term updates, "
+                           f"more than MAX_TERMS = {MAX_TERMS:,}")
     acc: PolyN = {tuple(lam): 1}
     for alpha, ts in steps:
         nxt: PolyN = {}

@@ -416,7 +416,7 @@ def run(argv=None) -> int:
     except linkage.TooManyEdges as exc:
         raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
     except TooManyTerms as exc:
-        raise ValueError(f"--r {args.r} lists {exc}; lower it") from None
+        raise ValueError(f"--r {args.r} {exc}; lower it") from None
     if isinstance(out, bool):
         return 0 if out else 1
     print(out)

@@ -113,24 +113,17 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
         odd  (idx=i, 1) -> C(kt-i-1, kt-p^r)        * minus(p^r-i-1, 0)
 
     normalised so the odd source with i = p^r - 1 hits the target head
-    monomial with coefficient 1.
+    monomial with coefficient 1.  Only a nonzero coefficient builds its target.
     """
     q = p**r
     kt = k % q + q
     lt = 2 * q - k - 1
     rows: dict[GrtMonomial, dict[GrtMonomial, int]] = {}
     for src in basis_h0_r(k, r, p, PLUS):
-        i = src.idx
+        i, eps = src.idx, src.eps
         b = binom_mod(kt - i - 1, kt - q, p)
-        if src.eps == 0:
-            c = (kt - i) * b % p
-            tgt = GrtMonomial(MINUS, lt, q - i - 1, 1)
-        else:
-            c = b
-            tgt = GrtMonomial(MINUS, lt, q - i - 1, 0)
-        rows[src] = {tgt: c} if c else {}
-        if c:
-            assert tgt.weight == src.weight, (src, tgt)
+        c = b if eps else (kt - i) * b % p
+        rows[src] = {GrtMonomial(MINUS, lt, q - i - 1, 1 - eps): c} if c else {}
     return MorphismTable(rows)
 
 

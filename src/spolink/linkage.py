@@ -41,7 +41,6 @@ class LinkageMove(NamedTuple):
     source: Weight
     target: Weight
     r: int
-    detail: tuple | None = None  # (l, l') for noniso_odd, wall index for even
 
 
 class RootTable(NamedTuple):
@@ -80,7 +79,7 @@ def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -
         if val // 2 % p == 0:
             target = tuple(map(sub, lam, alpha))
             if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
-                out.append(_move((ISO_ODD, alpha, lam, target, r, None)))
+                out.append(_move((ISO_ODD, alpha, lam, target, r)))
 
 
 def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, steps, out) -> None:
@@ -94,7 +93,7 @@ def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, steps, ou
         for lp in lps:
             target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
             if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
-                out.append(_move((NONISO_ODD, alpha, lam, target, r, (l, lp))))
+                out.append(_move((NONISO_ODD, alpha, lam, target, r)))
 
 
 def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
@@ -126,8 +125,8 @@ def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
         if w_lo <= w_hi and (not fixed or all(lo <= lam[i] <= hi for i, lo, hi in fixed)):
             k = w_lo * qg - s
             target = tuple([x + k * a // g for x, a in zip(lam, alpha)])
-            for w in range(w_lo, w_hi + 1):
-                out.append(_move((EVEN_MOVE, alpha, lam, target, r, (w,))))
+            for _ in range(w_lo, w_hi + 1):
+                out.append(_move((EVEN_MOVE, alpha, lam, target, r)))
                 target = tuple(map(add, target, step))
 
 

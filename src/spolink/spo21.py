@@ -211,11 +211,17 @@ class MorphismTable:
     """Weight-preserving table of a morphism on monomial bases.
 
     rows maps every source monomial to a target expression (empty when the
-    source is killed).  Weight spaces are one-dimensional, so each expression
-    has at most one term.
+    source is killed); construction asserts each target has its source's
+    weight.  Weight spaces are one-dimensional, so each expression has at most
+    one term.
     """
 
     rows: dict
+
+    def __post_init__(self) -> None:
+        for src, expr in self.rows.items():
+            for tgt in expr:
+                assert tgt.weight == src.weight, (src, tgt)
 
     def nonzero_rows(self) -> dict:
         return {s: expr for s, expr in self.rows.items() if expr}
@@ -240,47 +246,24 @@ def psi_table(k: int, j: int, p: int) -> MorphismTable:
 
     normalised so the odd source with i = j maps to the target highest even
     monomial with coefficient 1.  Coefficients live mod p; a vanishing
-    coefficient marks a kernel monomial.
+    coefficient marks a kernel monomial, and only a nonzero one builds its
+    target.
     """
     if not is_admissible_psi(k, j, p):
         raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
     l = k - 1 - 2 * j
     rows: dict[Monomial, VectorExpr] = {}
     for src in basis_h0(k, PLUS):
-        i = src.i
-        if src.eps == 0:
-            c = i * binom_mod(i - 1, j, p) % p
-            if c:
-                assert j + 1 <= i <= k - 1 - j, (k, j, i)
-                rows[src] = {Monomial(MINUS, l, i - 1 - j, 1): c}
-            else:
-                rows[src] = {}
-        else:
-            c = binom_mod(i, j, p)
-            if c:
-                assert j <= i <= k - 1 - j, (k, j, i)
-                rows[src] = {Monomial(MINUS, l, i - j, 0): c}
-            else:
-                rows[src] = {}
-    for src, expr in rows.items():
-        for tgt in expr:
-            assert tgt.weight == src.weight, (src, tgt)
+        i, eps = src.i, src.eps
+        c = binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
+        rows[src] = {Monomial(MINUS, l, i - j - 1 + eps, 1 - eps): c} if c else {}
     return MorphismTable(rows)
 
 
 def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
-    """Closed-form kernel of the (k, j) morphism: monomials in the outer index
-    ranges, plus inner ones whose table coefficient vanishes mod p."""
-    if not is_admissible_psi(k, j, p):
-        raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
-    out = []
-    for i in range(k + 1):
-        if i <= j or i >= k - j or i * binom_mod(i - 1, j, p) % p == 0:
-            out.append(Monomial(PLUS, k, i, 0))
-    for i in range(k):
-        if i <= j - 1 or i >= k - j or binom_mod(i, j, p) == 0:
-            out.append(Monomial(PLUS, k, i, 1))
-    return out
+    """Kernel of the (k, j) morphism: the sources psi_table sends to 0, in
+    table order."""
+    return [src for src, expr in psi_table(k, j, p).rows.items() if not expr]
 
 
 def _branch(m: int, p: int, want: str) -> list[int]:
@@ -350,23 +333,18 @@ def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Coun
     """Composition factors of the kernel, image and cokernel of the (k, j)
     morphism.
 
-    j = 0 (so p | k): all three lists are closed-form word lists.  j > 0:
-    the image is the first-kind word list cut to words opening with t
-    'greater-or-equal' symbols, t the digit length of j; kernel and cokernel
-    follow by multiset subtraction from the ends.
+    Only the image has a case for j = 0.  j = 0 (so p | k): k - 1 and the
+    first-kind word weights of k - 1.  j > 0: the first-kind word list cut to
+    words opening with t 'greater-or-equal' symbols, t the digit length of j.
+    Kernel and cokernel follow by multiset subtraction from the ends.
     """
     if not is_admissible_psi(k, j, p):
         raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
     if j == 0:
-        ker = Counter([k] + _branch(k, p, SECOND))
         im = Counter([k - 1] + _branch(k - 1, p, FIRST))
-        coker = Counter(_branch(k - 2, p, FIRST)) if k >= 2 else Counter()
-        return ker, im, coker
-    t = len(digits(j, p))
-    ge_prefix = "≥" * t
-    im = Counter(
-        pw.ell for pw in build_words(k - 1, p) if pw.word[:t] == ge_prefix
-    )
+    else:
+        t = len(digits(j, p))
+        im = Counter(pw.ell for pw in build_words(k - 1, p) if pw.word[:t] == "≥" * t)
     ker = _sub_multiset(comp_factors_h0(k, p), im)
     coker = _sub_multiset(comp_factors_h0(k - 1 - 2 * j, p), im)
     return ker, im, coker

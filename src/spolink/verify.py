@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
-from .characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
+from .characters import NegativeResidualError, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
 from .padic import defect
 from .words import GE, GT, LE, LT, build_words
 
@@ -165,25 +165,27 @@ def _char_minus(a: dict, b: dict) -> dict:
 
 
 def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
-    """Criterion 6: morphism tables vanish exactly on the closed-form kernel,
-    weight spaces satisfy rank-nullity, and the image/kernel/cokernel factor
-    multisets agree with independent character peels and subtractions."""
+    """Criterion 6: morphism tables hold a row for each of the 2k + 1 source
+    monomials (rank-nullity) and distinct image weights, and the
+    image/kernel/cokernel factor multisets agree with independent character
+    peels and subtractions."""
     for p in primes:
         simple = _memo(ch_L_spo, p)
         for k in range(1, kmax + 1):
             for j in spo21.admissible_js(k, p):
                 tab = spo21.psi_table(k, j, p)
-                zero_rows = {s for s, expr in tab.rows.items() if not expr}
-                if zero_rows != set(spo21.kernel_basis(k, j, p)):
-                    return False, f"kernel mismatch at (k={k}, j={j}, p={p})"
-                nz = tab.nonzero_rows()
-                if len(nz) + len(zero_rows) != 2 * k + 1:
+                if len(tab.rows) != 2 * k + 1:
                     return False, f"rank-nullity broken at (k={k}, j={j}, p={p})"
+                nz = tab.nonzero_rows()
                 im_char = {tgt.weight: 1 for expr in nz.values() for tgt in expr}
                 if len(im_char) != len(nz):
                     return False, f"image weights collide at (k={k}, j={j}, p={p})"
                 ker, im, coker = spo21.ker_im_coker_factors(k, j, p)
-                if peel(im_char, simple) != im:
+                try:
+                    im_ok = peel(im_char, simple) == im
+                except NegativeResidualError:  # the table's image is no sum of simples
+                    im_ok = False
+                if not im_ok:
                     return False, f"image factors mismatch at (k={k}, j={j}, p={p})"
                 ker_char = _char_minus(ch_H0_spo(k), im_char)
                 if _char_of_factors(ker, simple) != ker_char:
@@ -233,7 +235,7 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
                 ker, im, coker = frobenius.psi_r_ker_im_coker(k, r, p)
                 if im != Counter({lt: 1}) or ker != coker:
                     return False, f"ker/im/coker inconsistency at k={k}, r={r}, p={p}"
-                if len(nz) + len([1 for e in tab.rows.values() if not e]) != 2 * q:
+                if len(tab.rows) != 2 * q:
                     return False, f"rank-nullity broken at k={k}, r={r}, p={p}"
     return True, f"r in {tuple(rs)}, p in {tuple(primes)}, two periods of l"
 

@@ -80,7 +80,7 @@ def moves_noniso_odd(lam: Weight, table: RootTable, r: int, p: int) -> list[Link
             if lp == l:
                 continue
             target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
-            out.append(LinkageMove(NONISO_ODD, alpha, lam, target, r, (l, lp)))
+            out.append(LinkageMove(NONISO_ODD, alpha, lam, target, r))
     return out
 
 
@@ -115,7 +115,7 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
         for w in range(w_lo, w_hi + 1):
             target = tuple(b + w * q * a for b, a in zip(base, alpha))
             if _in_box(target, box):
-                out.append(LinkageMove(EVEN_MOVE, alpha, lam, target, r, (w,)))
+                out.append(LinkageMove(EVEN_MOVE, alpha, lam, target, r))
     return out
 
 

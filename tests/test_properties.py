@@ -164,7 +164,7 @@ def test_moves_even_match_wall_enumeration(inputs):
             target = [x - c * a for x, a in zip(lam, alpha)]
             if c > 0 and all(t.denominator == 1 and lo <= t <= hi
                              for t, (lo, hi) in zip(target, box)):
-                want.append(LinkageMove(EVEN_MOVE, alpha, lam, tuple(map(int, target)), r, (w,)))
+                want.append(LinkageMove(EVEN_MOVE, alpha, lam, tuple(map(int, target)), r))
     assert _moves_from(lam, EVEN_MOVE, shape, box, p, r) == want
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from spolink.characters import ch_H0_spo, ch_L_spo, peel
@@ -213,6 +215,24 @@ def test_ker_im_coker_j0():
     assert dict(ker) == {6: 1}
     assert dict(im) == {5: 1}
     assert dict(coker) == {0: 1}
+
+
+# Every k < 2000 that p divides, and 10- to 13-digit multiples of p (10 digits
+# at p = 3, whose words are built for at most 20 base-3 digits).
+J0_HEADS = {
+    3: [*range(3, 2000, 3), 3_000_000_021, 3_370_370_367],
+    5: [*range(5, 2000, 5), 999_999_999_995, 1_234_567_890_125],
+    7: [*range(7, 2000, 7), 9_999_999_999_997, 6_913_580_247_007],
+}
+
+
+def test_ker_im_coker_j0_unchanged():
+    # recorded when j = 0 still had its own closed-form word lists
+    lines = [f"{p} {k} " + " | ".join(str(sorted(part.items()))
+                                      for part in ker_im_coker_factors(k, 0, p))
+             for p, heads in J0_HEADS.items() for k in heads]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "cfeb3b66a426bbd4"
 
 
 def test_ker_im_coker_j_positive():

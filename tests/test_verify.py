@@ -63,6 +63,24 @@ def test_psi_tables_catch_a_dropped_factor(monkeypatch, part, message):
     assert not ok and detail == f"{message} at (k={k}, j={j}, p={p})"
 
 
+def test_psi_tables_catch_a_zeroed_row(monkeypatch):
+    # the table's image then is no sum of simple characters: peel raises, and
+    # the check reports it rather than letting it out
+    k, j, p = 39, 3, 3
+    true = spo21.psi_table
+
+    def mutant(*args):
+        tab = true(*args)
+        if args == (k, j, p):
+            src = next(s for s, expr in tab.rows.items() if expr)
+            tab = spo21.MorphismTable({**tab.rows, src: {}})
+        return tab
+
+    monkeypatch.setattr(spo21, "psi_table", mutant)
+    ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"image factors mismatch at (k={k}, j={j}, p={p})")
+
+
 def test_linkage_rank1_catches_a_dropped_target(monkeypatch):
     # the factors at (0, 2, 3) are -6, -1 and 0, so the dropped target -6 lies
     # below 0: only a graph box reaching -2 p^2 still holds the move
