@@ -118,12 +118,12 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
     q = p**r
     kt = k % q + q
     lt = 2 * q - k - 1
-    rows: dict[GrtMonomial, dict[GrtMonomial, int]] = {}
+    rows: dict[GrtMonomial, tuple[GrtMonomial, int] | None] = {}
     for src in basis_h0_r(k, r, p, PLUS):
         i, eps = src.idx, src.eps
         b = binom_mod(kt - i - 1, kt - q, p)
         c = b if eps else (kt - i) * b % p
-        rows[src] = {GrtMonomial(MINUS, lt, q - i - 1, 1 - eps): c} if c else {}
+        rows[src] = (GrtMonomial(MINUS, lt, q - i - 1, 1 - eps), c) if c else None
     return MorphismTable(rows)
 
 

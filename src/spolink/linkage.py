@@ -99,19 +99,19 @@ def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, steps, ou
 def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
     """Each even root's wall constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha,
     g = gcd(alpha), q d, q g, the step q alpha, the nonzero coordinates (i, alpha_i / g,
-    q alpha_i, near edge, far edge; edges ordered by sign) and the zero ones (i, lo, hi)."""
+    q alpha_i, near edge, far edge; edges ordered by sign).  A zero coordinate needs
+    no test: build_graph passes only nodes of the box, and the move keeps it."""
     plan = []
     for alpha, d, c in table.even:
         g = gcd(*alpha)
         moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
                   for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
-        fixed = [(i, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if not a]
-        plan.append((alpha, c, d, g, q * d, q * g, tuple(q * a for a in alpha), moving, fixed))
+        plan.append((alpha, c, d, g, q * d, q * g, tuple(q * a for a in alpha), moving))
     return plan
 
 
 def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
-    for alpha, c, d, g, qd, qg, step, moving, fixed in plan:
+    for alpha, c, d, g, qd, qg, step, moving in plan:
         v = 2 * sum(map(mul, lam, alpha)) + c
         # integral at every wall or none; 2 rho's parities are equal within a
         # block.  d divides v alpha_i for every i iff it divides v gcd(alpha).
@@ -122,7 +122,7 @@ def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
             b = lam[i] - s * a
             first, last = -((b - near) // qa), (far - b) // qa
             w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
-        if w_lo <= w_hi and (not fixed or all(lo <= lam[i] <= hi for i, lo, hi in fixed)):
+        if w_lo <= w_hi:
             k = w_lo * qg - s
             target = tuple([x + k * a // g for x, a in zip(lam, alpha)])
             for _ in range(w_lo, w_hi + 1):

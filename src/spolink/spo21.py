@@ -8,8 +8,9 @@ Monomials are indexed side-uniformly by (head, i, eps):
     plus side    x(-1,-1)^i  x(-1,1)^(head-i-eps) x(-1,0')^eps
 
 where 0' marks the odd generator.  Both have torus weight head - 2i - eps, and
-every weight space of a module here is one-dimensional, so spans of operator
-images are plain monomial sets.
+every weight space of a module here is one-dimensional, so an operator or a
+morphism sends a monomial to a multiple of at most one monomial: its image is
+a pair (monomial, coefficient mod p), or None when the coefficient vanishes.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class Monomial(namedtuple("MonomialFields", "side head i eps")):
         return render(PLUS, self.i, rest, self.eps)
 
 
-VectorExpr = dict[Monomial, int]
-
-
 def basis_h0(head: int, side: str) -> list[Monomial]:
     """Monomial basis of the induced module with the given head: head+1 even
     monomials followed by head odd ones (dimension 2*head + 1)."""
@@ -93,54 +91,29 @@ def socle_basis(l: int, p: int, side: str) -> list[Monomial]:
     return out
 
 
-def act(op: str, vec: VectorExpr, p: int, t: int = 1) -> VectorExpr:
-    """Apply a distribution operator to a vector, coefficients mod p.
+def act(op: str, mono: Monomial, p: int, t: int = 1) -> tuple[Monomial, int] | None:
+    """Apply a distribution operator to a basis monomial, coefficient mod p.
 
     f(t): (i, eps) -> C(head-i-eps, t) (i+t, eps)
     e(t): (i, eps) -> C(i, t) (i-t, eps)
     y:    (i, 0) -> (head-i) (i, 1);   (i, 1) -> (i+1, 0)
     x:    (i, 0) -> -i (i-1, 1);       (i, 1) -> (i, 0)
 
-    The same index formulas hold on both sides.  Results whose coefficient
-    vanishes mod p are dropped; a nonzero coefficient always lands in range.
+    The same index formulas hold on both sides.  The image is built only for
+    a coefficient nonzero mod p, and then always lands in range; else None.
     """
-    out: VectorExpr = {}
-
-    def add(mono: Monomial, c: int) -> None:
-        c %= p
-        if not c:
-            return
-        nv = (out.get(mono, 0) + c) % p
-        if nv:
-            out[mono] = nv
-        else:
-            out.pop(mono, None)
-
-    for m, coeff in vec.items():
-        h, i, eps, side = m.head, m.i, m.eps, m.side
-        if op == "f":
-            c = binom_mod(h - i - eps, t, p)
-            if c:
-                add(Monomial(side, h, i + t, eps), coeff * c)
-        elif op == "e":
-            c = binom_mod(i, t, p)
-            if c:
-                add(Monomial(side, h, i - t, eps), coeff * c)
-        elif op == "y":
-            if eps == 0:
-                if (h - i) % p:
-                    add(Monomial(side, h, i, 1), coeff * (h - i))
-            else:
-                add(Monomial(side, h, i + 1, 0), coeff)
-        elif op == "x":
-            if eps == 0:
-                if i % p:
-                    add(Monomial(side, h, i - 1, 1), -coeff * i)
-            else:
-                add(Monomial(side, h, i, 0), coeff)
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-    return out
+    side, h, i, eps = mono
+    if op == "f":
+        c, i = binom_mod(h - i - eps, t, p), i + t
+    elif op == "e":
+        c, i = binom_mod(i, t, p), i - t
+    elif op == "y":
+        c, i, eps = ((h - i) % p, i, 1) if eps == 0 else (1, i + 1, 0)
+    elif op == "x":
+        c, i, eps = (-i % p, i - 1, 1) if eps == 0 else (1, i, 0)
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    return (Monomial(side, h, i, eps), c) if c else None
 
 
 def rad_basis(k: int, p: int) -> list[Monomial]:
@@ -210,31 +183,33 @@ def admissible_js(k: int, p: int) -> list[int]:
 class MorphismTable:
     """Weight-preserving table of a morphism on monomial bases.
 
-    rows maps every source monomial to a target expression (empty when the
-    source is killed); construction asserts each target has its source's
-    weight.  Weight spaces are one-dimensional, so each expression has at most
-    one term.
+    rows maps every source monomial to its image, a pair (target, coeff), or
+    None when the source is killed; construction asserts each target has its
+    source's weight.
     """
 
     rows: dict
 
     def __post_init__(self) -> None:
-        for src, expr in self.rows.items():
-            for tgt in expr:
-                assert tgt.weight == src.weight, (src, tgt)
-
-    def nonzero_rows(self) -> dict:
-        return {s: expr for s, expr in self.rows.items() if expr}
+        for src, row in self.rows.items():
+            assert row is None or row[0].weight == src.weight, (src, row)
 
     def to_tsv(self) -> str:
         lines = ["source\ttarget\tcoeff"]
-        for src in self.rows:
-            expr = self.rows[src]
-            if not expr:
-                lines.append(f"{src}\t0\t0")
-            for tgt, c in expr.items():
-                lines.append(f"{src}\t{tgt}\t{c}")
+        for src, row in self.rows.items():
+            tgt, c = row or (0, 0)
+            lines.append(f"{src}\t{tgt}\t{c}")
         return "\n".join(lines) + "\n"
+
+
+def _need_admissible(k: int, j: int, p: int) -> None:
+    if not is_admissible_psi(k, j, p):
+        raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
+
+
+def _psi_coeff(i: int, eps: int, j: int, p: int) -> int:
+    # the (k, j) morphism's coefficient on the plus source (i, eps)
+    return binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
 
 
 def psi_table(k: int, j: int, p: int) -> MorphismTable:
@@ -249,21 +224,23 @@ def psi_table(k: int, j: int, p: int) -> MorphismTable:
     coefficient marks a kernel monomial, and only a nonzero one builds its
     target.
     """
-    if not is_admissible_psi(k, j, p):
-        raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
+    _need_admissible(k, j, p)
     l = k - 1 - 2 * j
-    rows: dict[Monomial, VectorExpr] = {}
+    rows: dict[Monomial, tuple[Monomial, int] | None] = {}
     for src in basis_h0(k, PLUS):
         i, eps = src.i, src.eps
-        c = binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
-        rows[src] = {Monomial(MINUS, l, i - j - 1 + eps, 1 - eps): c} if c else {}
+        c = _psi_coeff(i, eps, j, p)
+        rows[src] = (Monomial(MINUS, l, i - j - 1 + eps, 1 - eps), c) if c else None
     return MorphismTable(rows)
 
 
 def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
     """Kernel of the (k, j) morphism: the sources psi_table sends to 0, in
-    table order."""
-    return [src for src, expr in psi_table(k, j, p).rows.items() if not expr]
+    table order (even i = 0..k, then odd i = 0..k-1), from the same
+    coefficients; a Monomial is built only for a kernel source."""
+    _need_admissible(k, j, p)
+    return [Monomial(PLUS, k, i, eps) for eps in (0, 1) for i in range(k + 1 - eps)
+            if not _psi_coeff(i, eps, j, p)]
 
 
 def _branch(m: int, p: int, want: str) -> list[int]:
@@ -338,8 +315,7 @@ def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Coun
     words opening with t 'greater-or-equal' symbols, t the digit length of j.
     Kernel and cokernel follow by multiset subtraction from the ends.
     """
-    if not is_admissible_psi(k, j, p):
-        raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
+    _need_admissible(k, j, p)
     if j == 0:
         im = Counter([k - 1] + _branch(k - 1, p, FIRST))
     else:

@@ -50,9 +50,9 @@ def act_lines() -> list[str]:
         for k in range(16):
             for src in spo21.basis_h0(k, PLUS) + spo21.basis_h0(k, MINUS):
                 for op, t in (("f", 1), ("f", 2), ("f", 3), ("e", 1), ("e", 2), ("y", 1), ("x", 1)):
-                    img = spo21.act(op, {src: 1}, p, t)
+                    img = spo21.act(op, src, p, t)
                     out.append(f"{p} {_row(src)} {op}{t} -> "
-                               + ";".join(f"{_row(m)}*{c}" for m, c in img.items()))
+                               + ";".join(f"{_row(m)}*{c}" for m, c in filter(None, [img])))
     return out
 
 
@@ -63,8 +63,8 @@ def psi_table_lines() -> list[str]:
             for j in spo21.admissible_js(k, p):
                 tab = spo21.psi_table(k, j, p)
                 out.append(f"{p} {k} {j}")
-                out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in e.items())
-                        for s, e in tab.rows.items()]
+                out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in filter(None, [row]))
+                        for s, row in tab.rows.items()]
                 out.append(tab.to_tsv())
     return out
 
@@ -77,8 +77,8 @@ def psi_r_table_lines() -> list[str]:
             for k in range(-q, 2 * q + 1):
                 tab = frobenius.psi_r_table(k, r, p)
                 out.append(f"{p} {r} {k}")
-                out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in e.items())
-                        for s, e in tab.rows.items()]
+                out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in filter(None, [row]))
+                        for s, row in tab.rows.items()]
                 out.append(tab.to_tsv())
     return out
 

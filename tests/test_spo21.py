@@ -63,25 +63,31 @@ def test_socle_matches_simple_character(p):
 
 def test_act_known():
     k = 6
-    v = {Monomial(PLUS, k, 2, 1): 1}
-    img = act("y", v, 7)
-    assert img == {Monomial(PLUS, k, 3, 0): 1}
+    assert act("y", Monomial(PLUS, k, 2, 1), 7) == (Monomial(PLUS, k, 3, 0), 1)
     # lowering beyond the available exponent vanishes
-    assert act("f", {Monomial(PLUS, k, 4, 0): 1}, 7, t=3) == {}
+    assert act("f", Monomial(PLUS, k, 4, 0), 7, t=3) is None
     # raising pulls down the first exponent with a binomial coefficient
     i, j = 4, 1
-    got = act("e", {Monomial(PLUS, k, i, 1): 1}, 7, t=i - j)
-    assert got == {Monomial(PLUS, k, j, 1): binom_mod(i, i - j, 7)}
+    got = act("e", Monomial(PLUS, k, i, 1), 7, t=i - j)
+    assert got == (Monomial(PLUS, k, j, 1), binom_mod(i, i - j, 7))
+    with pytest.raises(ValueError):
+        act("h", Monomial(PLUS, k, 0, 0), 7)
 
 
 def test_act_single_monomial_images():
+    # f(t) lowers the weight by 2t, e(t) raises it by 2t, y lowers it by 1 and
+    # x raises it by 1; an image's coefficient is a nonzero residue
     for p in (3, 5):
-        for head in range(0, 12):
-            for mono in basis_h0(head, PLUS):
-                for op in ("y", "x"):
-                    assert len(act(op, {mono: 1}, p)) <= 1
-                for t in range(1, head + 1):
-                    assert len(act("f", {mono: 1}, p, t)) <= 1
+        for side in (MINUS, PLUS):
+            for head in range(0, 12):
+                for mono in basis_h0(head, side):
+                    images = [(act(op, mono, p), shift) for op, shift in (("y", -1), ("x", 1))]
+                    for t in range(1, head + 1):
+                        images += [(act("f", mono, p, t), -2 * t), (act("e", mono, p, t), 2 * t)]
+                    for img, shift in images:
+                        if img is not None:
+                            assert img[0].weight == mono.weight + shift, (mono, img)
+                            assert 0 < img[1] < p
 
 
 def test_rad_basis_known():
@@ -110,12 +116,12 @@ def test_hom_dim_known():
 def test_psi_table_known():
     tab = psi_table(3, 0, 3)
     rows = tab.rows
-    assert rows[Monomial(PLUS, 3, 1, 0)] == {Monomial(MINUS, 2, 0, 1): 1}
-    assert rows[Monomial(PLUS, 3, 2, 0)] == {Monomial(MINUS, 2, 1, 1): 2}
-    assert rows[Monomial(PLUS, 3, 0, 0)] == {}
-    assert rows[Monomial(PLUS, 3, 3, 0)] == {}
+    assert rows[Monomial(PLUS, 3, 1, 0)] == (Monomial(MINUS, 2, 0, 1), 1)
+    assert rows[Monomial(PLUS, 3, 2, 0)] == (Monomial(MINUS, 2, 1, 1), 2)
+    assert rows[Monomial(PLUS, 3, 0, 0)] is None
+    assert rows[Monomial(PLUS, 3, 3, 0)] is None
     # normalisation: the odd source with i = j hits the target head monomial
-    assert rows[Monomial(PLUS, 3, 0, 1)] == {Monomial(MINUS, 2, 0, 0): 1}
+    assert rows[Monomial(PLUS, 3, 0, 1)] == (Monomial(MINUS, 2, 0, 0), 1)
     with pytest.raises(ValueError):
         psi_table(4, 0, 3)  # j = 0 needs p | k
 
@@ -124,7 +130,7 @@ def test_psi_table_odd_sources_below_j_vanish():
     k, j, p = 13, 4, 3
     tab = psi_table(k, j, p)
     for i in range(j):
-        assert tab.rows[Monomial(PLUS, k, i, 1)] == {}
+        assert tab.rows[Monomial(PLUS, k, i, 1)] is None
 
 
 def test_kernel_basis_known():
@@ -132,6 +138,9 @@ def test_kernel_basis_known():
         Monomial(PLUS, 3, 0, 0),
         Monomial(PLUS, 3, 3, 0),
     }
+    for k, j in ((4, 0), (3, 5)):
+        with pytest.raises(ValueError, match=f"^\\(k={k}, j={j}\\) is not admissible at p=3$"):
+            kernel_basis(k, j, 3)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -139,9 +148,24 @@ def test_kernel_matches_table_zero_rows(p):
     for k in range(1, 120):
         for j in admissible_js(k, p):
             tab = psi_table(k, j, p)
-            zero = {s for s, expr in tab.rows.items() if not expr}
-            assert zero == set(kernel_basis(k, j, p))
-            assert len(zero) + len(tab.nonzero_rows()) == 2 * k + 1
+            zero = [s for s, row in tab.rows.items() if row is None]
+            assert zero == kernel_basis(k, j, p)
+            assert len(tab.rows) == 2 * k + 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_table_kernel_is_act_stable(p):
+    # a kernel is a submodule: every operator image of a monomial the table
+    # sends to 0 is again one, so a wrongly zeroed row shows
+    for k in range(1, 60):
+        for j in admissible_js(k, p):
+            kernel = {s for s, row in psi_table(k, j, p).rows.items() if row is None}
+            for mono in kernel:
+                images = [act("y", mono, p), act("x", mono, p)]
+                for t in range(1, k + 1):
+                    images += [act("e", mono, p, t), act("f", mono, p, t)]
+                for img in images:
+                    assert img is None or img[0] in kernel, (k, j, mono, img)
 
 
 def test_psi_equivariance_on_odd_sources():
@@ -152,26 +176,23 @@ def test_psi_equivariance_on_odd_sources():
                 tab = psi_table(k, j, p)
                 for i in range(j, min(k, j + 6)):
                     src = {Monomial(PLUS, k, i, 1): 1}
-                    lhs_vec = act("e", src, p, t=i - j) if i > j else src
-                    lhs = _apply(tab, lhs_vec, p)
-                    rhs = (
-                        act("e", _apply(tab, src, p), p, t=i - j)
-                        if i > j
-                        else _apply(tab, src, p)
-                    )
+                    lhs_vec = _linear(lambda m: act("e", m, p, t=i - j), src, p) if i > j else src
+                    lhs = _linear(lambda m: tab.rows[m], lhs_vec, p)
+                    rhs = _linear(lambda m: tab.rows[m], src, p)
+                    if i > j:
+                        rhs = _linear(lambda m: act("e", m, p, t=i - j), rhs, p)
                     assert lhs == rhs, (k, j, i, p)
 
 
-def _apply(tab, vec, p):
+def _linear(image, vec, p):
+    """Extend a map on basis monomials, m -> (target, coeff) or None, linearly
+    to a vector {monomial: coeff}, coefficients mod p."""
     out: dict = {}
     for src, c in vec.items():
-        for tgt, coeff in tab.rows[src].items():
-            nv = (out.get(tgt, 0) + c * coeff) % p
-            if nv:
-                out[tgt] = nv
-            else:
-                out.pop(tgt, None)
-    return out
+        if img := image(src):
+            tgt, coeff = img
+            out[tgt] = (out.get(tgt, 0) + c * coeff) % p
+    return {m: c for m, c in out.items() if c}
 
 
 def test_comp_factors_known():

@@ -72,8 +72,8 @@ def test_psi_tables_catch_a_zeroed_row(monkeypatch):
     def mutant(*args):
         tab = true(*args)
         if args == (k, j, p):
-            src = next(s for s, expr in tab.rows.items() if expr)
-            tab = spo21.MorphismTable({**tab.rows, src: {}})
+            src = next(s for s, row in tab.rows.items() if row)
+            tab = spo21.MorphismTable({**tab.rows, src: None})
         return tab
 
     monkeypatch.setattr(spo21, "psi_table", mutant)
