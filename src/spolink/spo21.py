@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .padic import all_divisible, binom_mod, digits
-from .words import FIRST, SECOND, build_words, kind
+from .words import FIRST, SECOND, word_codes
 
 MINUS = "minus"
 PLUS = "plus"
@@ -243,17 +243,13 @@ def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
             if not _psi_coeff(i, eps, j, p)]
 
 
-def _branch(m: int, p: int, want: str) -> list[int]:
-    """Weights of the non-head live words of the given kind for weight m."""
-    out = []
-    for pw in build_words(m, p):
-        if pw.ell == m:
-            continue
-        kd = kind(pw.word, pw.gen)
-        assert kd in (FIRST, SECOND), pw
-        if kd == want:
-            out.append(pw.ell)
-    return out
+def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:
+    """Weights of the non-head live words of weight m that open with t copies
+    of the symbol of code lead: FIRST (≥) or SECOND (<)."""
+    mask = 4**t - 1  # the first t positions
+    want = mask // 3 * lead
+    codes, _, ells = word_codes(m, p)
+    return [e for c, e in zip(codes, ells) if c & mask == want and e != m]
 
 
 def branch_parts(l: int, p: int) -> list[int]:
@@ -319,8 +315,9 @@ def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Coun
     if j == 0:
         im = Counter([k - 1] + _branch(k - 1, p, FIRST))
     else:
-        t = len(digits(j, p))
-        im = Counter(pw.ell for pw in build_words(k - 1, p) if pw.word[:t] == "≥" * t)
+        # _branch drops the head k - 1, which opens with t ≥ only when p^t | k,
+        # never for an admissible j of t digits
+        im = Counter(_branch(k - 1, p, FIRST, len(digits(j, p))))
     ker = _sub_multiset(comp_factors_h0(k, p), im)
     coker = _sub_multiset(comp_factors_h0(k - 1 - 2 * j, p), im)
     return ker, im, coker

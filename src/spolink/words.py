@@ -1,10 +1,15 @@
-"""Comparison words over {<, ≤, ≥, >} and the weight/subset maps attached to them.
+"""Comparison words over {<, ≤, ≥, >} and the weights attached to them.
 
 A weight k determines base-p digits a_0, ..., a_u of k + 1.  Words of length
 u + 1 are grown generation by generation, each with its weight ell; each
 live word names the simple constituent of highest weight ell of the induced
 rank-one module of highest weight k, so the live words are its constituent
 list as built: no weight repeats and none is negative.
+
+A word is held as an int code with two bits per position, position i in bits
+2i and 2i + 1, and the symbol SYMBOLS[s] at code s: < = 0, ≤ = 1, ≥ = 2,
+> = 3.  word_codes builds codes and weights as parallel lists and spells no
+word; build_words spells them.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ LT = "<"
 LE = "≤"  # ≤
 GE = "≥"  # ≥
 GT = ">"
+SYMBOLS = (LT, LE, GE, GT)
 
-BASE = "base"
-FIRST = "first"
-SECOND = "second"
+# code & 3 of a non-head word: first kind (≥...) or second kind (<...)
+FIRST = SYMBOLS.index(GE)
+SECOND = SYMBOLS.index(LT)
 
 MAX_DIGITS = 20  # live words grow exponentially with the digit count
 
@@ -31,8 +37,9 @@ class PrunedWord(NamedTuple):
     ell: int
 
 
-def build_words(k: int, p: int) -> list[PrunedWord]:
-    """The live words for weight k >= 0 with their weights, in listing order.
+def word_codes(k: int, p: int) -> tuple[list[int], list[int], list[int]]:
+    """The live words for weight k >= 0 as parallel lists of codes,
+    generations and weights, in listing order.
 
     Words have one position per base-p digit a_0, ..., a_u of k + 1.  The
     listing is the base word < ≤ ... ≤ (generation -1), then generations
@@ -48,38 +55,45 @@ def build_words(k: int, p: int) -> list[PrunedWord]:
     built for its bumps but not listed.  At most MAX_DIGITS digits.
     """
     if k < 0:
-        raise ValueError(f"build_words() needs k >= 0, got {k}")
+        raise ValueError(f"word_codes() needs k >= 0, got {k}")
     a = digits(k + 1, p)
     if len(a) > MAX_DIGITS:
         raise ValueError(
             f"k = {k} needs {len(a)} base-{p} digits; words are built for at most {MAX_DIGITS}"
         )
     u = len(a) - 1
-    base = LT + LE * u
-    prev = [(base, k)]  # generation j - 1, all live before position j
-    out = [PrunedWord(base, -1, k)] if a[0] else []
-    earlier: list[tuple[str, int]] = []  # live words of generations -1, ..., j - 2
+    base = sum(1 << 2 * i for i in range(1, u + 1))  # < ≤ ... ≤
+    prev, prev_ells = [base], [k]  # generation j - 1, all live before position j
+    codes, ells = ([base], [k]) if a[0] else ([], [])
+    gens = [-1] * len(codes)
+    earlier, earlier_ells = [], []  # live words of generations -1, ..., j - 2
     q = 1
     for j in range(u):
-        gen = [(w[:j] + GE + LT + w[j + 2 :], e - 2 * a[j] * q) for w, e in prev]
+        keep = ~(15 << 2 * j)  # clears positions j and j + 1
+        bump, spike = 2 << 2 * j, 3 << 2 * j  # ≥ < and > < at j, j + 1
+        drop = 2 * a[j] * q
+        gen = [c & keep | bump for c in prev]
+        gen_ells = [e - drop for e in prev_ells]
         if a[j] != p - 1:
-            drop = 2 * (a[j] + 1) * q
-            gen += [(w[:j] + GT + LT + w[j + 2 :], e - drop) for w, e in earlier]
+            drop += 2 * q
+            gen += [c & keep | spike for c in earlier]
+            gen_ells += [e - drop for e in earlier_ells]
         if a[j]:
             earlier += prev
+            earlier_ells += prev_ells
         if a[j + 1]:
-            out += [PrunedWord(w, j, e) for w, e in gen]
-        prev = gen
+            codes += gen
+            ells += gen_ells
+            gens += [j] * len(gen)
+        prev, prev_ells = gen, gen_ells
         q *= p
-    return out
+    return codes, gens, ells
 
 
-def kind(word: str, gen: int) -> str:
-    """base for the unique generation -1 word, else first (≥...) or second (<...)."""
-    if gen == -1:
-        return BASE
-    if word[0] == GE:
-        return FIRST
-    if word[0] == LT:
-        return SECOND
-    raise AssertionError(f"word {word!r} starts with {word[0]!r}: constructor bug")
+def build_words(k: int, p: int) -> list[PrunedWord]:
+    """The live words of word_codes(k, p), spelled, with their generations
+    and weights, in listing order."""
+    codes, gens, ells = word_codes(k, p)
+    shifts = range(0, 2 * len(digits(k + 1, p)), 2)
+    return [PrunedWord("".join([SYMBOLS[c >> s & 3] for s in shifts]), g, e)
+            for c, g, e in zip(codes, gens, ells)]

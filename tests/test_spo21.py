@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from spolink.characters import ch_H0_spo, ch_L_spo, peel
-from spolink.padic import binom_mod
+from spolink.padic import binom_mod, digits
 from spolink.spo21 import (
     MINUS,
     PLUS,
@@ -261,6 +261,20 @@ def test_ker_im_coker_j_positive():
     assert dict(im) == {7: 1}
     assert dict(ker) == {10: 1, 4: 1}
     assert dict(coker) == {4: 1}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_admissible_head_never_opens_the_image(p):
+    # the j > 0 image is the words of k - 1 opening with t >=, t the digit
+    # length of j; _branch drops the head (weight k - 1), which is safe only
+    # because the head never opens so for an admissible j
+    from spolink.words import GE, build_words
+
+    for k in range(2, 400):
+        for j in [j for j in admissible_js(k, p) if j]:
+            t = len(digits(j, p))
+            assert [pw for pw in build_words(k - 1, p)
+                    if pw.ell == k - 1 and pw.word[:t] == GE * t] == [], (k, j)
 
 
 @pytest.mark.parametrize("p", (3, 5))

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 import reference_words as ref
 from spolink.padic import digits
+from spolink.spo21 import _branch
 from spolink.words import (
-    BASE,
     FIRST,
     GE,
     GT,
@@ -13,9 +13,10 @@ from spolink.words import (
     LT,
     MAX_DIGITS,
     SECOND,
+    SYMBOLS,
     PrunedWord,
     build_words,
-    kind,
+    word_codes,
 )
 
 PRIMES = (3, 5, 7)
@@ -73,14 +74,14 @@ def test_s_set_known():
     assert ref.s_set(2, LT + LE, 3) == set()
 
 
-def test_kind():
-    assert kind(LT + LE * 4, -1) == BASE
-    assert kind(GE + LT + LE * 3, 0) == FIRST
-    assert kind(LT + GT + LT + LE + LE, 1) == SECOND
-    with pytest.raises(AssertionError):
-        kind(LE + LT, 0)
-    with pytest.raises(AssertionError):
-        kind(GT + LT, 1)
+def test_word_codes_known():
+    # two bits per position, position 0 lowest: < = 0, ≤ = 1, ≥ = 2, > = 3
+    assert SYMBOLS == (LT, LE, GE, GT)
+    assert word_codes(14, 7) == ([0b0100, 0b0010], [-1, 0], [14, 12])
+    assert word_codes(0, 3) == ([0], [-1], [0])
+    # digits(12, 3) = [0, 1, 1]: the base word is dead, ≥<≤ and ≥≥< live
+    assert word_codes(11, 3) == ([0b010010, 0b001010], [0, 1], [11, 5])
+    assert [pw.word for pw in build_words(11, 3)] == [GE + LT + LE, GE + GE + LT]
 
 
 def test_prune_known():
@@ -157,3 +158,24 @@ def test_live_weights_are_distinct_and_nonnegative(p, n_digits, data):
     ells = [pw.ell for pw in build_words(k, p)]
     assert len(set(ells)) == len(ells)
     assert min(ells) >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((3, 5, 7, 11, 101)), n_digits=st.integers(1, 16), data=st.data())
+def test_code_filters_match_spelled_words(p, n_digits, data):
+    k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
+    codes, gens, ells = word_codes(k, p)
+    spelled = build_words(k, p)
+    assert [(pw.gen, pw.ell) for pw in spelled] == list(zip(gens, ells))
+    # a code's low two bits are the spelled first symbol, and every word but
+    # the base opens with ≥ (first kind) or < (second kind)
+    assert [SYMBOLS[c & 3] for c in codes] == [pw.word[0] for pw in spelled]
+    assert all(pw.word[0] in (GE, LT) for pw in spelled if pw.gen != -1)
+    # the head is the word of weight k: the base word, or its bump when a_0 = 0
+    rest = [pw for pw in spelled if pw.ell != k]
+    assert _branch(k, p, FIRST) == [pw.ell for pw in rest if pw.word[0] == GE]
+    assert _branch(k, p, SECOND) == [pw.ell for pw in rest if pw.word[0] == LT]
+    # the leading-≥ mask of ker_im_coker_factors, for every cut t <= u + 1
+    # (no head qualifies there: test_spo21's admissible-head test)
+    for t in range(1, n_digits + 1):
+        assert _branch(k, p, FIRST, t) == [pw.ell for pw in rest if pw.word[:t] == GE * t]
