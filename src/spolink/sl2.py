@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .padic import defect
-from .words import word_codes
+from .words import build_words
 
 
 def decompose_sl2(k: int, p: int) -> Counter:
@@ -17,7 +17,7 @@ def decompose_sl2(k: int, p: int) -> Counter:
     """
     if k < 0:
         raise ValueError("decompose_sl2() needs k >= 0")
-    out = Counter(word_codes(k, p)[2])
+    out = Counter(build_words(k, p).ells)
     assert all(v == 1 for v in out.values()), f"multiplicity > 1 at k={k}: {out}"
     assert out[k] == 1, f"head weight {k} missing from its own decomposition"
     return out

@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .padic import all_divisible, binom_mod, digits
-from .words import FIRST, SECOND, word_codes
+from .words import FIRST, SECOND, build_words
 
 MINUS = "minus"
 PLUS = "plus"
@@ -248,8 +248,8 @@ def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:
     of the symbol of code lead: FIRST (≥) or SECOND (<)."""
     mask = 4**t - 1  # the first t positions
     want = mask // 3 * lead
-    codes, _, ells = word_codes(m, p)
-    return [e for c, e in zip(codes, ells) if c & mask == want and e != m]
+    live = build_words(m, p)
+    return [e for c, e in zip(live.codes, live.ells) if c & mask == want and e != m]
 
 
 def branch_parts(l: int, p: int) -> list[int]:
@@ -315,8 +315,8 @@ def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Coun
     if j == 0:
         im = Counter([k - 1] + _branch(k - 1, p, FIRST))
     else:
-        # _branch drops the head k - 1, which opens with t ≥ only when p^t | k,
-        # never for an admissible j of t digits
+        # the image's weights are at most k - 1 - 2j < k - 1, so dropping the
+        # head k - 1 in _branch drops no factor of the image
         im = Counter(_branch(k - 1, p, FIRST, len(digits(j, p))))
     ker = _sub_multiset(comp_factors_h0(k, p), im)
     coker = _sub_multiset(comp_factors_h0(k - 1 - 2 * j, p), im)

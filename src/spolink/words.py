@@ -8,12 +8,13 @@ list as built: no weight repeats and none is negative.
 
 A word is held as an int code with two bits per position, position i in bits
 2i and 2i + 1, and the symbol SYMBOLS[s] at code s: < = 0, ≤ = 1, ≥ = 2,
-> = 3.  word_codes builds codes and weights as parallel lists and spells no
-word; build_words spells them.
+> = 3.  build_words holds codes, generations and weights in parallel lists of
+a Words sequence, which spells a word only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .padic import digits
@@ -37,9 +38,26 @@ class PrunedWord(NamedTuple):
     ell: int
 
 
-def word_codes(k: int, p: int) -> tuple[list[int], list[int], list[int]]:
-    """The live words for weight k >= 0 as parallel lists of codes,
-    generations and weights, in listing order.
+class Words(Sequence):
+    """Live words of width positions as parallel lists of codes, generations
+    and weights; item i is spelled into a PrunedWord when it is read."""
+
+    def __init__(self, codes: list[int], gens: list[int], ells: list[int], width: int) -> None:
+        self.codes, self.gens, self.ells, self.width = codes, gens, ells, width
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> PrunedWord:
+        word = "".join([SYMBOLS[self.codes[i] >> s & 3] for s in range(0, 2 * self.width, 2)])
+        return PrunedWord(word, self.gens[i], self.ells[i])
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, Words)) else NotImplemented
+
+
+def build_words(k: int, p: int) -> Words:
+    """The live words for weight k >= 0 with their weights, in listing order.
 
     Words have one position per base-p digit a_0, ..., a_u of k + 1.  The
     listing is the base word < ≤ ... ≤ (generation -1), then generations
@@ -55,7 +73,7 @@ def word_codes(k: int, p: int) -> tuple[list[int], list[int], list[int]]:
     built for its bumps but not listed.  At most MAX_DIGITS digits.
     """
     if k < 0:
-        raise ValueError(f"word_codes() needs k >= 0, got {k}")
+        raise ValueError(f"build_words() needs k >= 0, got {k}")
     a = digits(k + 1, p)
     if len(a) > MAX_DIGITS:
         raise ValueError(
@@ -87,13 +105,4 @@ def word_codes(k: int, p: int) -> tuple[list[int], list[int], list[int]]:
             gens += [j] * len(gen)
         prev, prev_ells = gen, gen_ells
         q *= p
-    return codes, gens, ells
-
-
-def build_words(k: int, p: int) -> list[PrunedWord]:
-    """The live words of word_codes(k, p), spelled, with their generations
-    and weights, in listing order."""
-    codes, gens, ells = word_codes(k, p)
-    shifts = range(0, 2 * len(digits(k + 1, p)), 2)
-    return [PrunedWord("".join([SYMBOLS[c >> s & 3] for s in shifts]), g, e)
-            for c, g, e in zip(codes, gens, ells)]
+    return Words(codes, gens, ells, u + 1)

@@ -16,7 +16,6 @@ from spolink.words import (
     SYMBOLS,
     PrunedWord,
     build_words,
-    word_codes,
 )
 
 PRIMES = (3, 5, 7)
@@ -74,14 +73,28 @@ def test_s_set_known():
     assert ref.s_set(2, LT + LE, 3) == set()
 
 
-def test_word_codes_known():
+def _lists(live):
+    return live.codes, live.gens, live.ells
+
+
+def test_codes_known():
     # two bits per position, position 0 lowest: < = 0, ≤ = 1, ≥ = 2, > = 3
     assert SYMBOLS == (LT, LE, GE, GT)
-    assert word_codes(14, 7) == ([0b0100, 0b0010], [-1, 0], [14, 12])
-    assert word_codes(0, 3) == ([0], [-1], [0])
+    assert _lists(build_words(14, 7)) == ([0b0100, 0b0010], [-1, 0], [14, 12])
+    assert _lists(build_words(0, 3)) == ([0], [-1], [0])
     # digits(12, 3) = [0, 1, 1]: the base word is dead, ≥<≤ and ≥≥< live
-    assert word_codes(11, 3) == ([0b010010, 0b001010], [0, 1], [11, 5])
-    assert [pw.word for pw in build_words(11, 3)] == [GE + LT + LE, GE + GE + LT]
+    live = build_words(11, 3)
+    assert _lists(live) == ([0b010010, 0b001010], [0, 1], [11, 5])
+    assert [pw.word for pw in live] == [GE + LT + LE, GE + GE + LT]
+
+
+def test_words_read_as_a_list():
+    live = build_words(11, 3)
+    spelled = [PrunedWord(GE + LT + LE, 0, 11), PrunedWord(GE + GE + LT, 1, 5)]
+    assert len(live) == 2 and live[-1] == spelled[-1]
+    assert list(live) == spelled and live == spelled and spelled == live
+    assert live == build_words(11, 3) and live != build_words(11, 5)
+    assert live != tuple(spelled)  # equal only to lists, as a list is
 
 
 def test_prune_known():
@@ -164,9 +177,9 @@ def test_live_weights_are_distinct_and_nonnegative(p, n_digits, data):
 @given(p=st.sampled_from((3, 5, 7, 11, 101)), n_digits=st.integers(1, 16), data=st.data())
 def test_code_filters_match_spelled_words(p, n_digits, data):
     k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
-    codes, gens, ells = word_codes(k, p)
-    spelled = build_words(k, p)
-    assert [(pw.gen, pw.ell) for pw in spelled] == list(zip(gens, ells))
+    live = build_words(k, p)
+    codes, spelled = live.codes, list(live)
+    assert [(pw.gen, pw.ell) for pw in spelled] == list(zip(live.gens, live.ells))
     # a code's low two bits are the spelled first symbol, and every word but
     # the base opens with ≥ (first kind) or < (second kind)
     assert [SYMBOLS[c & 3] for c in codes] == [pw.word[0] for pw in spelled]
