@@ -23,7 +23,7 @@ from .rootdata import GroupShape
 from .words import MAX_DIGITS
 
 
-def factors_to_json(factors: Counter) -> dict:
+def _factors_json(factors: Counter) -> dict:
     return {
         "factors": [
             {"hw": hw, "mult": m} for hw, m in sorted(factors.items(), reverse=True)
@@ -41,7 +41,7 @@ def _factors_out(factors: Counter, fmt: str) -> str:
             f"L({hw})" if m == 1 else f"{m}*L({hw})"
             for hw, m in sorted(factors.items(), reverse=True)
         ) or "0"
-    return json.dumps(factors_to_json(factors))
+    return json.dumps(_factors_json(factors))
 
 
 def _monomials_out(monos, fmt: str) -> str:
@@ -166,9 +166,9 @@ def _ker_im_coker(args, p):
     else:
         ker, im, coker = spo21.ker_im_coker_factors(args.k, _need_j(args), p)
     return json.dumps({
-        "kernel": factors_to_json(ker),
-        "image": factors_to_json(im),
-        "cokernel": factors_to_json(coker),
+        "kernel": _factors_json(ker),
+        "image": _factors_json(im),
+        "cokernel": _factors_json(coker),
     })
 
 
@@ -201,8 +201,8 @@ def _chain(args, p):
 def _rho(args, p):
     shape = _shape(args)
     parts = dict(zip(("rho0", "rho1", "rho"), rootdata.rho_parts(_flag(args, shape), shape)))
-    out = {name: [str(c) for c in vec] for name, vec in parts.items()}
-    out["doubled"] = {name: [int(2 * c) for c in vec] for name, vec in parts.items()}
+    out = {name: [f"{c}/2" if c % 2 else str(c // 2) for c in vec] for name, vec in parts.items()}
+    out["doubled"] = parts
     return json.dumps(out)
 
 

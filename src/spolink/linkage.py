@@ -56,7 +56,7 @@ class RootTable(NamedTuple):
 def root_table(shape: GroupShape) -> RootTable:
     """The root records against the standard flag's 2 rho; build_graph makes one per graph."""
     flag = standard_flag(shape)
-    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
+    rho2 = rho_parts(flag, shape)[2]
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
     for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
         alpha = root.vec

@@ -4,14 +4,13 @@ full chain from the standard flag to its negative, rho vectors, the bilinear
 form, flag-normalised weights, and product characters.
 
 Roots and weights are integer tuples in the basis (delta_1..delta_n,
-eps_1..eps_m).  Only the rho vectors can be half-integral; rho_parts returns
-them as exact Fractions.
+eps_1..eps_m).  Only the rho vectors can be half-integral, so rho_parts
+returns them doubled: 2 rho is an integer tuple like every other vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from operator import mul
@@ -26,7 +25,6 @@ OR = "o"  # orthogonal label kind (epsilon block)
 
 Label = tuple[str, int]
 Vec = tuple[int, ...]
-RhoVec = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,15 +161,19 @@ class Move:
 
 
 @dataclass(frozen=True, slots=True)
-class MoveResult:
-    flag: tuple[Label, ...]
+class ChainStep:
+    """One elementary flag move with the positive roots it removes and adds."""
+
+    flag_from: tuple[Label, ...]
+    move: Move
+    flag_to: tuple[Label, ...]
     alpha: Vec | None
     levi: str | None
     removed: frozenset[Vec]
     added: frozenset[Vec]
 
 
-def apply_move(flag: tuple[Label, ...], move: Move, shape: GroupShape) -> MoveResult:
+def apply_move(flag: tuple[Label, ...], move: Move, shape: GroupShape) -> ChainStep:
     """One elementary flag move with its exact positive-system delta.
 
     Transpositions swap adjacent entries and exchange one difference root;
@@ -183,50 +185,40 @@ def apply_move(flag: tuple[Label, ...], move: Move, shape: GroupShape) -> MoveRe
     """
     check_flag(flag, shape)
     last = flag[-1]
+    flipped = flag[:-1] + ((last[0], -last[1]),)
     if move.kind == "transpose":
         s = move.pos
         if s is None or not 0 <= s < len(flag) - 1:
             raise ValueError(f"bad transposition position {s}")
         a, b = flag[s], flag[s + 1]
+        new = flag[:s] + (b, a) + flag[s + 2:]
         alpha = vsub(label_vec(a, shape), label_vec(b, shape))
-        new = list(flag)
-        new[s], new[s + 1] = b, a
-        levi = "GL2" if a[0] == b[0] else "GL11"
-        return MoveResult(tuple(new), alpha, levi, frozenset({alpha}), frozenset({vneg(alpha)}))
-    if move.kind == "flip_symplectic":
+        levi, removed = "GL2" if a[0] == b[0] else "GL11", (alpha,)
+    elif move.kind == "flip_symplectic":
         if last[0] != SP:
             raise ValueError("flip_symplectic needs a symplectic last entry")
         v = label_vec(last, shape)
         v2 = tuple(2 * c for c in v)
-        new = flag[:-1] + ((last[0], -last[1]),)
+        new = flipped
         if shape.parity_type == ODD:
-            return MoveResult(
-                new, v, "SPO21", frozenset({v, v2}), frozenset({vneg(v), vneg(v2)})
-            )
-        return MoveResult(new, v2, "SL2", frozenset({v2}), frozenset({vneg(v2)}))
-    if move.kind == "flip_orthogonal":
+            alpha, levi, removed = v, "SPO21", (v, v2)
+        else:
+            alpha, levi, removed = v2, "SL2", (v2,)
+    elif move.kind == "flip_orthogonal":
         if last[0] != OR:
             raise ValueError("flip_orthogonal needs an orthogonal last entry")
         if shape.parity_type != ODD:
             raise ValueError("flip_orthogonal does not move the Borel in the even type")
-        v = label_vec(last, shape)
-        new = flag[:-1] + ((last[0], -last[1]),)
-        return MoveResult(new, v, "SO3", frozenset({v}), frozenset({vneg(v)}))
-    if move.kind == "relabel_orthogonal":
+        new, alpha = flipped, label_vec(last, shape)
+        levi, removed = "SO3", (alpha,)
+    elif move.kind == "relabel_orthogonal":
         if last[0] != OR or shape.parity_type != EVEN:
             raise ValueError("relabel_orthogonal needs an even-type orthogonal last entry")
-        new = flag[:-1] + ((last[0], -last[1]),)
-        return MoveResult(new, None, None, frozenset(), frozenset())
-    raise ValueError(f"unknown move kind {move.kind!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ChainStep:
-    flag_from: tuple[Label, ...]
-    move: Move
-    flag_to: tuple[Label, ...]
-    alpha: Vec | None
-    levi: str | None
+        new, alpha, levi, removed = flipped, None, None, ()
+    else:
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    added = frozenset(map(vneg, removed))
+    return ChainStep(flag, move, new, alpha, levi, frozenset(removed), added)
 
 
 def chain_of_borels(shape: GroupShape) -> list[ChainStep]:
@@ -244,9 +236,8 @@ def chain_of_borels(shape: GroupShape) -> list[ChainStep]:
 
     def do(move: Move) -> None:
         nonlocal flag
-        res = apply_move(flag, move, shape)
-        steps.append(ChainStep(flag, move, res.flag, res.alpha, res.levi))
-        flag = res.flag
+        steps.append(apply_move(flag, move, shape))
+        flag = steps[-1].flag_to
 
     n, m = shape.n, shape.m
     for j in range(1, m + 1):
@@ -269,8 +260,9 @@ def chain_of_borels(shape: GroupShape) -> list[ChainStep]:
     return steps
 
 
-def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[RhoVec, RhoVec, RhoVec]:
-    """Half-sums of the even and odd positive roots, and their difference."""
+def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[Vec, Vec, Vec]:
+    """(2 rho0, 2 rho1, 2 rho): the sums of the even and of the odd positive
+    roots, and their difference, all integer tuples."""
     rk = shape.rank
     s0 = [0] * rk
     s1 = [0] * rk
@@ -278,34 +270,28 @@ def rho_parts(flag: tuple[Label, ...], shape: GroupShape) -> tuple[RhoVec, RhoVe
         tgt = s0 if root.parity == "even" else s1
         for t, c in enumerate(root.vec):
             tgt[t] += c
-    rho0 = tuple(Fraction(c, 2) for c in s0)
-    rho1 = tuple(Fraction(c, 2) for c in s1)
-    rho = vsub(rho0, rho1)
-    return rho0, rho1, rho
+    return tuple(s0), tuple(s1), vsub(s0, s1)
 
 
-def pairing(x: Vec | RhoVec, y: Vec | RhoVec, shape: GroupShape) -> Fraction:
-    """The supersymmetric form, exactly: +1 on the delta block, -1 on the
-    epsilon block."""
+def pairing(x: Vec, y: Vec, shape: GroupShape) -> int:
+    """The supersymmetric form: +1 on the delta block, -1 on the epsilon block."""
     n = shape.n
     tot = 0
     for t, (a, b) in enumerate(zip(x, y)):
         tot += a * b if t < n else -a * b
-    return Fraction(tot)
+    return tot
 
 
 def lambda_bracket(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: int) -> Vec:
-    """Flag-normalised weight lam + (p^r - 1)(rho0(F) - rho0) + (rho1(F) - rho1);
-    the result is always integral (asserted)."""
+    """Flag-normalised weight lam + (p^r - 1)(rho0(F) - rho0) + (rho1(F) - rho1),
+    built from the doubled shift; every doubled entry is even (asserted), so the
+    result is integral."""
     rho0f, rho1f, _ = rho_parts(flag, shape)
     rho0s, rho1s, _ = rho_parts(standard_flag(shape), shape)
     q = p**r
-    out = tuple(
-        lam[t] + (q - 1) * (rho0f[t] - rho0s[t]) + (rho1f[t] - rho1s[t])
-        for t in range(shape.rank)
-    )
-    assert all(c.denominator == 1 for c in out), f"non-integral bracket weight {out}"
-    return tuple(map(int, out))
+    shift = [(q - 1) * (a - b) + (c - d) for a, b, c, d in zip(rho0f, rho0s, rho1f, rho1s)]
+    assert all(c % 2 == 0 for c in shift), f"non-integral bracket shift {shift}/2"
+    return tuple(x + c // 2 for x, c in zip(lam, shift))
 
 
 def ch_z_flag(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: int) -> PolyN:

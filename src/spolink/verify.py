@@ -9,7 +9,6 @@ both drive these functions.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Callable
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
@@ -270,8 +269,9 @@ def _shapes(rank_max: int = 4):
 
 def check_rootdata(rank_max: int = 4) -> Check:
     """Criterion 9: positive systems halve the root count on every chain flag,
-    every move delta matches a recomputation, chain lengths and endpoints are
-    right, and the four normative pairing values come out exactly."""
+    every chain step replays as the same record and its delta matches a
+    recomputation, chain lengths and endpoints are right, and the four
+    normative pairings of 2 rho0 and 2 rho1 come out exactly."""
     for shape in _shapes(rank_max):
         all_roots = rootdata.roots(shape)
         if len(set(r.vec for r in all_roots)) != len(all_roots):
@@ -286,12 +286,11 @@ def check_rootdata(rank_max: int = 4) -> Check:
                 return False, f"positive system meets its negative for {shape}"
         moves = 0
         for step in steps:
-            res = rootdata.apply_move(step.flag_from, step.move, shape)
-            if res.flag != step.flag_to:
+            if rootdata.apply_move(step.flag_from, step.move, shape) != step:
                 return False, f"chain step does not replay for {shape}"
             before = rootdata.phi_plus_vecs(step.flag_from, shape)
             after = rootdata.phi_plus_vecs(step.flag_to, shape)
-            if before - after != set(res.removed) or after - before != set(res.added):
+            if before - after != step.removed or after - before != step.added:
                 return False, f"declared delta wrong for {shape} step {step.move}"
             if step.move.kind != "relabel_orthogonal":
                 moves += 1
@@ -299,9 +298,9 @@ def check_rootdata(rank_max: int = 4) -> Check:
                 j = step.flag_from[-1][1]
                 alpha = rootdata.delta(j, shape)
                 rho0f, rho1f, _ = rootdata.rho_parts(step.flag_from, shape)
-                if rootdata.pairing(rho0f, alpha, shape) != 1:
+                if rootdata.pairing(rho0f, alpha, shape) != 2:
                     return False, f"pre-flip rho0 pairing wrong for {shape}"
-                if rootdata.pairing(rho1f, alpha, shape) != Fraction(1, 2):
+                if rootdata.pairing(rho1f, alpha, shape) != 1:
                     return False, f"pre-flip rho1 pairing wrong for {shape}"
         expected = (shape.n + shape.m) ** 2
         if shape.parity_type == rootdata.ODD:
@@ -316,9 +315,9 @@ def check_rootdata(rank_max: int = 4) -> Check:
             rho0, rho1, _ = rootdata.rho_parts(rootdata.standard_flag(shape), shape)
             for j in range(1, shape.n + 1):
                 alpha = rootdata.delta(j, shape)
-                if rootdata.pairing(rho0, alpha, shape) != shape.n - j + 1:
+                if rootdata.pairing(rho0, alpha, shape) != 2 * (shape.n - j + 1):
                     return False, f"standard rho0 pairing wrong for {shape}"
-                if rootdata.pairing(rho1, alpha, shape) != Fraction(2 * shape.m + 1, 2):
+                if rootdata.pairing(rho1, alpha, shape) != 2 * shape.m + 1:
                     return False, f"standard rho1 pairing wrong for {shape}"
     return True, f"all shapes with rank <= {rank_max}, both types"
 

@@ -41,7 +41,7 @@ def root_table(shape: GroupShape) -> RootTable:
     families = {("odd", True): [], ("odd", False): [], ("even", None): []}
     for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
         families[root.parity, root.isotropic].append(root.vec)
-    rho2 = tuple(int(2 * c) for c in rho_parts(flag, shape)[2])
+    rho2 = rho_parts(flag, shape)[2]
     return RootTable(shape.n, rho2, *map(tuple, families.values()))
 
 

@@ -2,12 +2,13 @@ import argparse
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spolink import cli
+from spolink import cli, rootdata, verify
 from spolink.cli import COMMANDS, build_parser, main
 
 
@@ -114,6 +115,19 @@ def test_rho_and_lambda_bracket(capsys):
     code, out = run_cli(capsys, "lambda-bracket", "--n", "1", "--m", "1", "--type", "odd",
                         "--flag", "1,1bar", "--weight", "2,1", "--r", "1", "--p", "3")
     assert json.loads(out) == {"weight": [2, 1]}
+
+
+def test_rho_prints_the_halves_of_its_doubled_integers(capsys):
+    for shape in verify._shapes(3):
+        steps = rootdata.chain_of_borels(shape)
+        for flag in [rootdata.standard_flag(shape)] + [s.flag_to for s in steps]:
+            code, out = run_cli(capsys, "rho", "--n", str(shape.n), "--m", str(shape.m),
+                                "--type", shape.parity_type,
+                                "--flag=" + ",".join(map(rootdata.label_str, flag)))
+            got = json.loads(out)
+            assert code == 0
+            for name in ("rho0", "rho1", "rho"):
+                assert got[name] == [str(Fraction(c, 2)) for c in got["doubled"][name]]
 
 
 def test_char_z(capsys):

@@ -42,13 +42,14 @@ def test_iso_odd_known():
 def test_iso_odd_pairings_are_integral():
     for t in (ODD, EVEN):
         shape = GroupShape(2, 1, t)
-        rho = rho_parts(standard_flag(shape), shape)[2]
+        rho2 = rho_parts(standard_flag(shape), shape)[2]
         for root in phi_plus(standard_flag(shape), shape):
             if root.parity == "odd" and root.isotropic:
                 for lam in [(0, 0, 0), (1, 2, 3), (-2, 5, 1)]:
-                    val = pairing(
-                        tuple(a + b for a, b in zip(lam, rho)), root.vec, shape
-                    )
+                    # (lam + rho, alpha), halved from 2 (lam + rho)
+                    val = Fraction(pairing(
+                        tuple(2 * a + b for a, b in zip(lam, rho2)), root.vec, shape
+                    ), 2)
                     assert val.denominator == 1
 
 

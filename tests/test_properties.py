@@ -1,6 +1,6 @@
 """Hypothesis properties of the shared block, union-find, Hom, thickened
-constituent, rank-one decomposition, linkage-move and linkage-graph code, past
-the fixed sweep bounds."""
+constituent, rank-one decomposition, linkage-move, linkage-graph and
+flag-normalised character code, past the fixed sweep bounds."""
 
 import math
 from collections import Counter
@@ -8,12 +8,13 @@ from fractions import Fraction
 from operator import add
 
 import networkx as nx
+import pytest
 import reference_linkage as ref
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from spolink import verify
-from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
+from spolink.characters import TooManyTerms, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
 from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
@@ -28,6 +29,9 @@ from spolink.rootdata import (
     EVEN,
     ODD,
     GroupShape,
+    ch_z_flag,
+    chain_of_borels,
+    lambda_bracket,
     pairing,
     phi_plus,
     rho_parts,
@@ -127,7 +131,7 @@ def move_inputs(draw):
 
 
 def _standard_roots(shape):
-    """rho and the positive roots, sorted, of the standard flag, straight
+    """2 rho and the positive roots, sorted, of the standard flag, straight
     from rootdata."""
     flag = standard_flag(shape)
     return rho_parts(flag, shape)[2], sorted(phi_plus(flag, shape), key=lambda root: root.vec)
@@ -147,9 +151,9 @@ def _in_box(weight, box):
 @given(move_inputs())
 def test_moves_even_match_wall_enumeration(inputs):
     shape, lam, box, p, r = inputs
-    rho, roots = _standard_roots(shape)
+    rho2, roots = _standard_roots(shape)
     q = p**r
-    shifted = [c + h for c, h in zip(lam, rho)]  # lam + rho
+    shifted2 = [2 * c + h for c, h in zip(lam, rho2)]  # 2 (lam + rho)
     reach = max(map(abs, lam)) + max(abs(b) for lo_hi in box for b in lo_hi) + 1
     want = []
     for root in roots:
@@ -157,7 +161,7 @@ def test_moves_even_match_wall_enumeration(inputs):
             continue
         alpha = root.vec
         # <lam + rho, alpha^vee> with the positive-definite form
-        coroot = 2 * sum(x * a for x, a in zip(shifted, alpha)) / sum(a * a for a in alpha)
+        coroot = Fraction(sum(x * a for x, a in zip(shifted2, alpha)), sum(a * a for a in alpha))
         # every kept step c satisfies 0 < c <= reach, so these walls cover the box
         for w in range(math.floor((coroot - reach) / q) - 1, math.ceil(coroot / q) + 1):
             c = coroot - w * q
@@ -173,20 +177,20 @@ def test_moves_even_match_wall_enumeration(inputs):
 def test_odd_moves_match_the_pairing(inputs):
     # the targets of lam outside the box are not in the graph
     shape, lam, box, p, r = inputs
-    rho, roots = _standard_roots(shape)
-    shifted = tuple(a + b for a, b in zip(lam, rho))  # lam + rho
+    rho2, roots = _standard_roots(shape)
+    shifted2 = tuple(2 * a + b for a, b in zip(lam, rho2))  # 2 (lam + rho)
     iso = [root for root in roots if root.parity == "odd" and root.isotropic]
     want_iso = [
         tuple(x - a for x, a in zip(lam, root.vec))
         for root in iso
-        if pairing(shifted, root.vec, shape) % p == 0
+        if Fraction(pairing(shifted2, root.vec, shape), 2) % p == 0
     ]
     got_iso = _moves_from(lam, ISO_ODD, shape, box, p, r)
     assert [mv.target for mv in got_iso] == [t for t in want_iso if _in_box(t, box)]
     want_noniso = []
     for root in roots:
         if root.parity == "odd" and not root.isotropic:
-            l = int(pairing(shifted, root.vec, shape) - Fraction(1, 2)) % p**r
+            l = int(Fraction(pairing(shifted2, root.vec, shape) - 1, 2)) % p**r
             want_noniso += [
                 tuple(x - (l - lp) * a for x, a in zip(lam, root.vec))
                 for lp in sorted(comp_factors_r(l, r, p))
@@ -271,3 +275,25 @@ def test_rank_one_components_are_the_blocks_beyond_criterion_11(p, data):
     graph = build_graph([(lo, hi)], GroupShape(1, 0, ODD), r_set, p)
     got = [[w for (w,) in comp] for comp in components(graph)]
     assert got == verify._partition_by(range(lo, hi + 1), lambda l: block_of(l, p))
+
+
+# criterion 10 checks only the two (1, 1) shapes at p = 3, r = 1 on a 3x3 grid
+FLAG_CASES = [(shape, p, 1) for shape in verify._shapes(3) for p in (3, 5)]
+FLAG_CASES += [(shape, 3, 2) for shape in verify._shapes(2)]
+
+
+@pytest.mark.parametrize(
+    "shape, p, r", FLAG_CASES,
+    ids=[f"{s.n}{s.m}{s.parity_type}-p{p}-r{r}" for s, p, r in FLAG_CASES],
+)
+@settings(max_examples=2, deadline=None)  # up to 1.7 s an example at (3, 0) odd, p = 5
+@given(st.data())
+def test_flag_normalised_characters_agree_across_chain_flags(shape, p, r, data):
+    lam = tuple(data.draw(st.integers(-2 * p, 2 * p)) for _ in range(shape.rank))
+    flags = [standard_flag(shape)] + [step.flag_to for step in chain_of_borels(shape)]
+    try:
+        chars = [ch_z_flag(lambda_bracket(lam, fl, shape, r, p), fl, shape, r, p)
+                 for fl in flags]
+    except TooManyTerms:
+        reject()
+    assert all(ch == chars[0] for ch in chars[1:]), (shape, lam, p, r)

@@ -124,11 +124,11 @@ def test_apply_move_known():
     shape = GroupShape(1, 1, ODD)
     fl = standard_flag(shape)  # <1, 1bar>
     res = apply_move(fl, Move("transpose", 0), shape)
-    assert res.flag == ((OR, 1), (SP, 1))
+    assert res.flag_to == ((OR, 1), (SP, 1))
     assert res.alpha == (1, -1)
     assert res.levi == "GL11"
-    res2 = apply_move(res.flag, Move("flip_symplectic"), shape)
-    assert res2.flag == ((OR, 1), (SP, -1))
+    res2 = apply_move(res.flag_to, Move("flip_symplectic"), shape)
+    assert res2.flag_to == ((OR, 1), (SP, -1))
     assert res2.removed == {(1, 0), (2, 0)}
     assert res2.levi == "SPO21"
 
@@ -147,8 +147,8 @@ def test_relabel_is_borel_neutral():
     shape = GroupShape(1, 2, EVEN)
     fl = ((SP, -1), (OR, 1), (OR, 2))
     res = apply_move(fl, Move("relabel_orthogonal"), shape)
-    assert res.flag == ((SP, -1), (OR, 1), (OR, -2))
-    assert phi_plus_vecs(fl, shape) == phi_plus_vecs(res.flag, shape)
+    assert res.flag_to == ((SP, -1), (OR, 1), (OR, -2))
+    assert phi_plus_vecs(fl, shape) == phi_plus_vecs(res.flag_to, shape)
 
 
 def test_chain_rank11_odd():
@@ -183,7 +183,7 @@ def test_chain_steps_replay():
     for shape in SHAPES:
         for step in chain_of_borels(shape):
             res = apply_move(step.flag_from, step.move, shape)
-            assert res.flag == step.flag_to
+            assert res.flag_to == step.flag_to
             before = phi_plus_vecs(step.flag_from, shape)
             after = phi_plus_vecs(step.flag_to, shape)
             assert before - after == set(res.removed)
@@ -207,18 +207,17 @@ def test_all_moves_on_all_flags_small_rank():
             before = phi_plus_vecs(fl, shape)
             for mv in moves:
                 res = apply_move(fl, mv, shape)
-                after = phi_plus_vecs(res.flag, shape)
+                after = phi_plus_vecs(res.flag_to, shape)
                 assert before - after == set(res.removed), (shape, fl, mv)
                 assert after - before == set(res.added), (shape, fl, mv)
 
 
 def test_rho_parts_standard_rank11():
     shape = GroupShape(1, 1, ODD)
-    rho0, rho1, rho = rho_parts(standard_flag(shape), shape)
-    half = Fraction(1, 2)
-    assert rho0 == (1, half)  # delta + eps/2
-    assert rho1 == (3 * half, 0)  # 3/2 delta
-    assert rho == (-half, half)
+    rho0, rho1, rho = rho_parts(standard_flag(shape), shape)  # all doubled
+    assert rho0 == (2, 1)  # rho0 = delta + eps/2
+    assert rho1 == (3, 0)  # rho1 = 3/2 delta
+    assert rho == (-1, 1)
 
 
 def test_pairing_values():
@@ -228,11 +227,11 @@ def test_pairing_values():
     assert pairing((2, 0, 0), (2, 0, 0), shape) == 4  # 2*delta_1 with itself
     iso = (1, 0, -1)  # delta_1 - eps_1
     assert pairing(iso, iso, shape) == 0
-    rho0, rho1, _ = rho_parts(standard_flag(shape), shape)
+    rho0, rho1, _ = rho_parts(standard_flag(shape), shape)  # 2 rho0, 2 rho1
     for j in (1, 2):
         dj = tuple(1 if t == j - 1 else 0 for t in range(3))
-        assert pairing(rho0, dj, shape) == shape.n - j + 1
-        assert pairing(rho1, dj, shape) == Fraction(2 * shape.m + 1, 2)
+        assert pairing(rho0, dj, shape) == 2 * (shape.n - j + 1)
+        assert pairing(rho1, dj, shape) == 2 * shape.m + 1
 
 
 def test_pre_flip_pairing_values():
@@ -243,9 +242,9 @@ def test_pre_flip_pairing_values():
             if step.move.kind != "flip_symplectic":
                 continue
             alpha = step.alpha
-            rho0f, rho1f, _ = rho_parts(step.flag_from, shape)
-            assert pairing(rho0f, alpha, shape) == 1
-            assert pairing(rho1f, alpha, shape) == Fraction(1, 2)
+            rho0f, rho1f, _ = rho_parts(step.flag_from, shape)  # 2 rho0, 2 rho1
+            assert pairing(rho0f, alpha, shape) == 2
+            assert pairing(rho1f, alpha, shape) == 1
 
 
 def test_lambda_bracket_standard_identity():
@@ -266,8 +265,9 @@ def test_lambda_bracket_integral_and_identity():
                 for b in range(-1, 2):
                     lam = (a, b)
                     br = lambda_bracket(lam, fl, shape, 1, 3)
+                    # the rho parts are doubled, so halve the shift exactly
                     alt = tuple(
-                        lam[i] + 3 * (rho0f[i] - rho0s[i]) - (rhof[i] - rhos[i])
+                        lam[i] + Fraction(3 * (rho0f[i] - rho0s[i]) - (rhof[i] - rhos[i]), 2)
                         for i in range(2)
                     )
                     assert br == alt
