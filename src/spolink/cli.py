@@ -23,32 +23,39 @@ from .rootdata import GroupShape
 from .words import MAX_DIGITS
 
 
-def _factors_json(factors: Counter) -> dict:
-    return {
-        "factors": [
-            {"hw": hw, "mult": m} for hw, m in sorted(factors.items(), reverse=True)
-        ]
-    }
+def _descending(factors: Counter):
+    """(hw, mult) pairs, highest weight first.  Sorting the weights alone, and
+    skipping the lookups when every mult is 1 (every decomposition here is
+    multiplicity-free), costs a fraction of sorting the items."""
+    hws = sorted(factors, reverse=True)
+    mults = [1] * len(hws) if set(factors.values()) <= {1} else [factors[hw] for hw in hws]
+    return zip(hws, mults)
+
+
+def _factors_json(factors: Counter) -> str:
+    # json.dumps of {"factors": [{"hw": hw, "mult": m}, ...]}: every entry is
+    # an int, so joining f-strings gives the same bytes
+    rows = ", ".join([f'{{"hw": {hw}, "mult": {m}}}' for hw, m in _descending(factors)])
+    return f'{{"factors": [{rows}]}}'
 
 
 def _factors_out(factors: Counter, fmt: str) -> str:
     if fmt == "tsv":
-        lines = ["hw\tmult"]
-        lines += [f"{hw}\t{m}" for hw, m in sorted(factors.items(), reverse=True)]
-        return "\n".join(lines)
+        return "\n".join(["hw\tmult", *(f"{hw}\t{m}" for hw, m in _descending(factors))])
     if fmt == "text":
         return " + ".join(
-            f"L({hw})" if m == 1 else f"{m}*L({hw})"
-            for hw, m in sorted(factors.items(), reverse=True)
+            f"L({hw})" if m == 1 else f"{m}*L({hw})" for hw, m in _descending(factors)
         ) or "0"
-    return json.dumps(_factors_json(factors))
+    return _factors_json(factors)
 
 
-def _monomials_out(monos, fmt: str) -> str:
-    names = [str(m) for m in monos]
+def _names_out(names: list[str], fmt: str) -> str:
     if fmt in ("tsv", "text"):
         return "\n".join(names)
-    return json.dumps({"basis": names})
+    # json.dumps({"basis": names}): a monomial name is plain ASCII with no
+    # quote or backslash, so it needs no escaping
+    rows = ", ".join([f'"{name}"' for name in names])
+    return f'{{"basis": [{rows}]}}'
 
 
 def _roots_out(roots) -> str:
@@ -138,10 +145,10 @@ def _need_j(args) -> int:
 
 def _socle(args, p):
     if args.grt:
-        monos = frobenius.socle_basis_r(args.l, args.r, p, args.side)
+        names = frobenius.socle_basis_r(args.l, args.r, p, args.side, frobenius.grt_name)
     else:
-        monos = spo21.socle_basis(args.l, p, args.side)
-    return _monomials_out(monos, args.format)
+        names = spo21.socle_basis(args.l, p, args.side, spo21.monomial_name)
+    return _names_out(names, args.format)
 
 
 def _hom(args, p):
@@ -154,10 +161,10 @@ def _hom(args, p):
 
 def _psi_table(args, p):
     if args.grt:
-        tab = frobenius.psi_r_table(args.k, args.r, p)
+        tsv = frobenius.psi_r_table(args.k, args.r, p).to_tsv()
     else:
-        tab = spo21.psi_table(args.k, _need_j(args), p)
-    return tab.to_tsv().removesuffix("\n")
+        tsv = spo21.psi_tsv(args.k, _need_j(args), p)
+    return tsv.removesuffix("\n")
 
 
 def _ker_im_coker(args, p):
@@ -165,11 +172,8 @@ def _ker_im_coker(args, p):
         ker, im, coker = frobenius.psi_r_ker_im_coker(args.k, args.r, p)
     else:
         ker, im, coker = spo21.ker_im_coker_factors(args.k, _need_j(args), p)
-    return json.dumps({
-        "kernel": _factors_json(ker),
-        "image": _factors_json(im),
-        "cokernel": _factors_json(coker),
-    })
+    return (f'{{"kernel": {_factors_json(ker)}, "image": {_factors_json(im)}, '
+            f'"cokernel": {_factors_json(coker)}}}')
 
 
 def _blocks_out(lo: int, hi: int, p: int) -> str:
@@ -288,7 +292,8 @@ COMMANDS = {
     "hom": ("Hom dimension between induced modules", [P, K, L, *GRT], _hom),
     "psi-table": ("morphism table on basis monomials", [P, K, J, *GRT], _psi_table),
     "kernel": ("closed-form kernel basis of a morphism", [P, K, _int("--j", required=True)],
-               lambda args, p: _monomials_out(spo21.kernel_basis(args.k, args.j, p), args.format)),
+               lambda args, p: _names_out(
+                   spo21.kernel_basis(args.k, args.j, p, spo21.monomial_name), args.format)),
     "ker-im-coker": ("kernel/image/cokernel constituents", [P, K, J, *GRT], _ker_im_coker),
     "blocks": ("block ids over a weight window", [P, WINDOW], _blocks),
     "blocks-grt": ("thickening block ids over a weight window", [P, WINDOW],

@@ -18,7 +18,9 @@ from collections import Counter, namedtuple
 
 from .characters import Poly1, check_terms
 from .padic import binom_mod
-from .spo21 import MINUS, PLUS, MorphismTable, branch_parts, render, _sub_multiset
+from .spo21 import (
+    MINUS, PLUS, MorphismTable, branch_parts, render, socle_indices, _sub_multiset,
+)
 from .words import MAX_DIGITS
 
 
@@ -44,7 +46,12 @@ class GrtMonomial(namedtuple("GrtMonomialFields", "side head idx eps")):
         return 2 * self.idx + self.eps - self.head
 
     def __str__(self) -> str:
-        return render(self.side, self.head - self.idx - self.eps, self.idx, self.eps)
+        return grt_name(*self)
+
+
+def grt_name(side: str, head: int, idx: int, eps: int) -> str:
+    """str of the GrtMonomial (side, head, idx, eps), without building one."""
+    return render(side, head - idx - eps, idx, eps)
 
 
 def basis_h0_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
@@ -56,33 +63,21 @@ def basis_h0_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
     return out
 
 
-def _binom_nonzero(l: int, idx: int, q: int, p: int) -> int:
-    # C(l, idx) mod p for 0 <= idx < q = p^r and any integer l: only the
-    # digits of l below p^r matter, so reduce l into [0, q).
-    return binom_mod(l % q, idx, p)
-
-
-def socle_basis_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
-    """Socle basis: even monomials with C(l, idx) nonzero mod p, plus (when p
-    does not divide l) odd monomials with C(l-1, idx) nonzero; idx < p^r.
-
-    The index sets depend on l only through its residue mod p^r, which is what
-    makes the p^r-shift isomorphisms work.
-    """
+def _socle_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
+    # the socle's (idx, eps): C(l, idx) and C(l-1, idx) for idx < p^r depend
+    # only on the digits of l below p^r, so the rank-one listing of l mod p^r
+    # serves; this is what makes the p^r-shift isomorphisms work
     q = p**r
     check_terms(2 * q)
-    out = [
-        GrtMonomial(side, l, idx, 0)
-        for idx in range(q)
-        if _binom_nonzero(l, idx, q, p)
-    ]
-    if l % p != 0:
-        out += [
-            GrtMonomial(side, l, idx, 1)
-            for idx in range(q)
-            if _binom_nonzero(l - 1, idx, q, p)
-        ]
-    return out
+    return socle_indices(l % q, p)
+
+
+def socle_basis_r(l: int, r: int, p: int, side: str, make=GrtMonomial) -> list:
+    """Socle basis: even monomials with C(l, idx) nonzero mod p, plus (when p
+    does not divide l) odd monomials with C(l-1, idx) nonzero; idx < p^r.
+    One make(side, l, idx, eps) each: GrtMonomials, or their names with
+    make=grt_name."""
+    return [make(side, l, idx, eps) for idx, eps in _socle_r(l, r, p)]
 
 
 def ch_h0_r(l: int, r: int, p: int) -> Poly1:
@@ -92,7 +87,7 @@ def ch_h0_r(l: int, r: int, p: int) -> Poly1:
 
 def ch_l_r(l: int, r: int, p: int) -> Poly1:
     """Minus-side simple character, from the socle index sets."""
-    return {m.weight: 1 for m in socle_basis_r(l, r, p, MINUS)}
+    return {l - 2 * idx - eps: 1 for idx, eps in _socle_r(l, r, p)}
 
 
 def hom_r(k: int, l: int, r: int, p: int) -> tuple[int, str | None]:
@@ -137,8 +132,9 @@ def comp_factors_r(l: int, r: int, p: int) -> Counter:
     q = p**r
     lt = (l - q) % q + q
     shift = l - lt
-    out = Counter({e + shift: 1 for e in branch_parts(lt, p)})
-    assert all(v == 1 for v in out.values()), f"multiplicity > 1 at l={l}: {out}"
+    parts = branch_parts(lt, p)
+    out = Counter({e + shift: 1 for e in parts})
+    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {out}"
     return out
 
 

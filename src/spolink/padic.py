@@ -66,6 +66,19 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return r
 
 
+def lucas_support(n: int, p: int) -> list[int]:
+    """The i in [0, n], ascending, with C(n, i) nonzero mod p: by Lucas, those
+    whose every base-p digit is at most n's; [] for n < 0."""
+    if n < 0:
+        return []
+    out = [0]
+    q = 1
+    for d in digits(n, p):
+        out = [a + c for c in range(0, (d + 1) * q, q) for a in out]
+        q *= p
+    return out
+
+
 def a_val(l: int, p: int) -> int:
     """Exponent of the exact power of p dividing l != 0."""
     if l == 0:

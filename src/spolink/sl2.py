@@ -17,8 +17,9 @@ def decompose_sl2(k: int, p: int) -> Counter:
     """
     if k < 0:
         raise ValueError("decompose_sl2() needs k >= 0")
-    out = Counter(build_words(k, p).ells)
-    assert all(v == 1 for v in out.values()), f"multiplicity > 1 at k={k}: {out}"
+    ells = build_words(k, p).ells
+    out = Counter(ells)
+    assert len(out) == len(ells), f"multiplicity > 1 at k={k}: {out}"
     assert out[k] == 1, f"head weight {k} missing from its own decomposition"
     return out
 

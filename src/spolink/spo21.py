@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
-from .padic import all_divisible, binom_mod, digits
+from .padic import all_divisible, binom_mod, digits, lucas_support
 from .words import FIRST, SECOND, build_words
 
 MINUS = "minus"
@@ -34,12 +34,24 @@ _GENERATORS = {
 def render(side: str, first: int, second: int, eps: int) -> str:
     """Print a monomial from the exponents of its side's three generators:
     exponent 0 is left out, exponent 1 prints bare, the empty product is 1."""
-    shown = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(_GENERATORS[side], (first, second, eps))
-        if e != 0
-    ]
-    return " ".join(shown) if shown else "1"
+    a, b, c = _GENERATORS[side]
+    out = "" if first == 0 else a if first == 1 else f"{a}^{first}"
+    if second:
+        b = b if second == 1 else f"{b}^{second}"
+        out = f"{out} {b}" if out else b
+    if eps:
+        c = c if eps == 1 else f"{c}^{eps}"
+        out = f"{out} {c}" if out else c
+    return out or "1"
+
+
+def monomial_name(side: str, head: int, i: int, eps: int) -> str:
+    """The printed form of the monomial (side, head, i, eps), read straight
+    from its indices: str of the Monomial without building one."""
+    rest = head - i - eps
+    if side == MINUS:
+        return render(MINUS, rest, i, eps)
+    return render(PLUS, i, rest, eps)
 
 
 class Monomial(namedtuple("MonomialFields", "side head i eps")):
@@ -64,10 +76,7 @@ class Monomial(namedtuple("MonomialFields", "side head i eps")):
         return self.head - 2 * self.i - self.eps
 
     def __str__(self) -> str:
-        rest = self.head - self.i - self.eps
-        if self.side == MINUS:
-            return render(MINUS, rest, self.i, self.eps)
-        return render(PLUS, self.i, rest, self.eps)
+        return monomial_name(*self)
 
 
 def basis_h0(head: int, side: str) -> list[Monomial]:
@@ -80,15 +89,22 @@ def basis_h0(head: int, side: str) -> list[Monomial]:
     return out
 
 
-def socle_basis(l: int, p: int, side: str) -> list[Monomial]:
-    """Basis of the simple socle: even monomials with C(l, i) nonzero mod p,
-    plus (only when p does not divide l) odd monomials with C(l-1, i) nonzero."""
+def socle_indices(l: int, p: int) -> list[tuple[int, int]]:
+    """(i, eps) of the simple socle of head l >= 0, in basis order: the even
+    i with C(l, i) nonzero mod p, then (only when p does not divide l) the
+    odd i with C(l-1, i) nonzero, both listed by their base-p digits."""
+    out = [(i, 0) for i in lucas_support(l, p)]
+    if l % p != 0:
+        out += [(i, 1) for i in lucas_support(l - 1, p)]
+    return out
+
+
+def socle_basis(l: int, p: int, side: str, make=Monomial) -> list:
+    """Basis of the simple socle, one make(side, l, i, eps) per socle_indices
+    entry: Monomials, or their names with make=monomial_name."""
     if l < 0:
         raise ValueError("socle_basis() needs l >= 0")
-    out = [Monomial(side, l, i, 0) for i in range(l + 1) if binom_mod(l, i, p)]
-    if l % p != 0:
-        out += [Monomial(side, l, i, 1) for i in range(l) if binom_mod(l - 1, i, p)]
-    return out
+    return [make(side, l, i, eps) for i, eps in socle_indices(l, p)]
 
 
 def act(op: str, mono: Monomial, p: int, t: int = 1) -> tuple[Monomial, int] | None:
@@ -195,11 +211,13 @@ class MorphismTable:
             assert row is None or row[0].weight == src.weight, (src, row)
 
     def to_tsv(self) -> str:
-        lines = ["source\ttarget\tcoeff"]
-        for src, row in self.rows.items():
-            tgt, c = row or (0, 0)
-            lines.append(f"{src}\t{tgt}\t{c}")
-        return "\n".join(lines) + "\n"
+        return _tsv((src, *(row or (0, 0))) for src, row in self.rows.items())
+
+
+def _tsv(rows) -> str:
+    """A table as source/target/coeff lines from (source, target, coeff)
+    rows; a killed source has target and coeff 0."""
+    return "".join(["source\ttarget\tcoeff\n", *(f"{s}\t{t}\t{c}\n" for s, t, c in rows)])
 
 
 def _need_admissible(k: int, j: int, p: int) -> None:
@@ -207,40 +225,56 @@ def _need_admissible(k: int, j: int, p: int) -> None:
         raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
 
 
-def _psi_coeff(i: int, eps: int, j: int, p: int) -> int:
-    # the (k, j) morphism's coefficient on the plus source (i, eps)
-    return binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
-
-
-def psi_table(k: int, j: int, p: int) -> MorphismTable:
+def _psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """The morphism from the plus module of head k to the minus module of head
-    k - 1 - 2j, on basis monomials:
+    l = k - 1 - 2j, in integers: l, and one row (i, eps, ti, teps, c) per
+    plus source (i, eps) in basis order (even i = 0..k, then odd i = 0..k-1):
 
         even (i, 0) -> i * C(i-1, j) * minus(i-1-j, 1)
         odd  (i, 1) -> C(i, j)       * minus(i-j, 0)
 
     normalised so the odd source with i = j maps to the target highest even
-    monomial with coefficient 1.  Coefficients live mod p; a vanishing
-    coefficient marks a kernel monomial, and only a nonzero one builds its
-    target.
+    monomial with coefficient 1.  c lives mod p; c = 0 marks a kernel source,
+    whose (ti, teps) need not name a monomial.  Every image is asserted to be
+    a target basis index of its source's weight.
     """
     _need_admissible(k, j, p)
     l = k - 1 - 2 * j
-    rows: dict[Monomial, tuple[Monomial, int] | None] = {}
-    for src in basis_h0(k, PLUS):
-        i, eps = src.i, src.eps
-        c = _psi_coeff(i, eps, j, p)
-        rows[src] = (Monomial(MINUS, l, i - j - 1 + eps, 1 - eps), c) if c else None
-    return MorphismTable(rows)
+    rows = []
+    for eps in (0, 1):
+        for i in range(k + 1 - eps):
+            c = binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
+            ti, teps = i - j - 1 + eps, 1 - eps
+            assert not c or 0 <= ti <= l - teps and l - 2 * ti - teps == k - 2 * i - eps, (
+                k, j, i, eps)
+            rows.append((i, eps, ti, teps, c))
+    return l, rows
 
 
-def kernel_basis(k: int, j: int, p: int) -> list[Monomial]:
-    """Kernel of the (k, j) morphism: the sources psi_table sends to 0, in
-    table order (even i = 0..k, then odd i = 0..k-1), from the same
-    coefficients; a Monomial is built only for a kernel source."""
-    _need_admissible(k, j, p)
-    return [Monomial(PLUS, k, i, eps) for eps in (0, 1) for i in range(k + 1 - eps)
-            if not _psi_coeff(i, eps, j, p)]
+def psi_table(k: int, j: int, p: int) -> MorphismTable:
+    """The (k, j) morphism's table on basis monomials, read off _psi_rows: only
+    a nonzero coefficient builds its target."""
+    l, rows = _psi_rows(k, j, p)
+    return MorphismTable({
+        Monomial(PLUS, k, i, eps): (Monomial(MINUS, l, ti, teps), c) if c else None
+        for i, eps, ti, teps, c in rows
+    })
+
+
+def psi_tsv(k: int, j: int, p: int) -> str:
+    """psi_table(k, j, p).to_tsv(), spelled from _psi_rows with no Monomial built."""
+    l, rows = _psi_rows(k, j, p)
+    return _tsv(
+        (monomial_name(PLUS, k, i, eps), monomial_name(MINUS, l, ti, teps) if c else 0, c)
+        for i, eps, ti, teps, c in rows
+    )
+
+
+def kernel_basis(k: int, j: int, p: int, make=Monomial) -> list:
+    """Kernel of the (k, j) morphism: one make(PLUS, k, i, eps) per source
+    _psi_rows sends to 0, in table order; Monomials, or their names with
+    make=monomial_name."""
+    return [make(PLUS, k, i, eps) for i, eps, _, _, c in _psi_rows(k, j, p)[1] if not c]
 
 
 def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:
@@ -278,8 +312,9 @@ def comp_factors_h0(l: int, p: int) -> Counter:
         raise ValueError("comp_factors_h0() needs l >= 0")
     if l == 0:
         return Counter({0: 1})
-    out = Counter(branch_parts(l, p))
-    assert all(v == 1 for v in out.values()), f"multiplicity > 1 at l={l}: {out}"
+    parts = branch_parts(l, p)
+    out = Counter(parts)
+    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {out}"
     return out
 
 
