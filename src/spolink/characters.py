@@ -2,7 +2,9 @@
 
 Rank-one characters are dicts {weight: coefficient} with int weights; the
 multivariate characters used for flag comparisons are dicts keyed by integer
-coordinate tuples.  Zero coefficients are never stored.
+coordinate tuples.  Zero coefficients are never stored.  Internally the peel
+keeps its residual in a list indexed down from the top weight, and the product
+expansion keys its terms by one mixed-radix int per coordinate tuple.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def ch_H0_sl2(k: int) -> Poly1:
     """Character of the rank-one induced module: x^k + x^(k-2) + ... + x^(-k)."""
     if k < 0:
         raise ValueError("ch_H0_sl2() needs k >= 0")
-    return {k - 2 * i: 1 for i in range(k + 1)}
+    return dict.fromkeys(range(k, -k - 1, -2), 1)
 
 
 def ch_L_sl2(k: int, p: int) -> Poly1:
@@ -59,7 +61,7 @@ def ch_H0_spo(l: int) -> Poly1:
     weights l, l-1, ..., -l, each once (dimension 2l + 1)."""
     if l < 0:
         raise ValueError("ch_H0_spo() needs l >= 0")
-    return {l - j: 1 for j in range(2 * l + 1)}
+    return dict.fromkeys(range(l, -l - 1, -1), 1)
 
 
 def ch_L_spo(l: int, p: int) -> Poly1:
@@ -87,28 +89,41 @@ def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:
     subtract that many copies of simple_ch at it, and record the factor.
     Raises NegativeResidualError unless the residual terminates at exactly
     zero; each simple character must have top coefficient 1 at its argument.
+
+    The residual over [floor, top], the span of ch's nonzero terms, is a list
+    indexed by top - weight; terms a simple character puts outside it go to a
+    side dict and are never peeled.  A span past MAX_TERMS raises TooManyTerms
+    before the list is made.
     """
-    residual = {w: c for w, c in ch.items() if c}
+    weights = [w for w, c in ch.items() if c]
     factors: Counter = Counter()
-    if not residual:
+    if not weights:
         return factors
-    w = max(residual)
-    floor = min(residual)
-    while w >= floor:
-        c = residual.get(w, 0)
+    top, floor = max(weights), min(weights)
+    size = top - floor + 1
+    check_terms(size)
+    residual = [0] * size
+    for w in weights:
+        residual[top - w] = ch[w]
+    outside: Poly1 = {}
+    for i in range(size):
+        c = residual[i]
+        if not c:
+            continue
+        w = top - i
         if c < 0:
             raise NegativeResidualError(f"coefficient {c} at weight {w}")
-        if c > 0:
-            factors[w] = c
-            for wt, coef in simple_ch(w).items():
-                nv = residual.get(wt, 0) - c * coef
-                if nv:
-                    residual[wt] = nv
-                else:
-                    residual.pop(wt, None)
-        w -= 1
-    if residual:
-        raise NegativeResidualError(f"nonzero residual left: {residual}")
+        factors[w] = c
+        for wt, coef in simple_ch(w).items():
+            j = top - wt
+            if 0 <= j < size:
+                residual[j] -= c * coef
+            else:
+                outside[wt] = outside.get(wt, 0) - c * coef
+    if any(residual) or any(outside.values()):
+        left = {top - j: v for j, v in enumerate(residual) if v}
+        left.update((wt, v) for wt, v in outside.items() if v)
+        raise NegativeResidualError(f"nonzero residual left: {left}")
     return factors
 
 
@@ -128,7 +143,13 @@ def ch_product_Zr(
     by factor.  A partial product has at most the previous one's bound times
     the factor's length terms, and at most 1 + sum of max(t) |a_i| values in
     coordinate i; the cap counts the updates those bounds allow, which is at
-    least the term count."""
+    least the term count.
+
+    Coordinate i of every term lies within span_i - 1 of lam_i, so a term is
+    keyed by one int whose mixed-radix digits, radix 2 span_i - 1, are those
+    offsets shifted by span_i - 1, coordinate 0 most significant; multiplying
+    by e^-ta subtracts t times a's key.  Keys are decoded once at the end, in
+    insertion order."""
     steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
     span, size, work = [1] * len(lam), 1, 0
     for alpha, ts in steps:
@@ -138,12 +159,19 @@ def ch_product_Zr(
     if work > MAX_TERMS:
         raise TooManyTerms(f"expands its product in up to {work:,} term updates, "
                            f"more than MAX_TERMS = {MAX_TERMS:,}")
-    acc: PolyN = {tuple(lam): 1}
+    radix = [2 * s - 1 for s in span]
+    place = [prod(radix[i + 1:]) for i in range(len(radix))]
+    acc = {sum((s - 1) * pl for s, pl in zip(span, place)): 1}
     for alpha, ts in steps:
-        nxt: PolyN = {}
-        for wt, c in acc.items():
-            for t in ts:
-                key = tuple(w - t * a for w, a in zip(wt, alpha))
-                nxt[key] = nxt.get(key, 0) + c
+        a = sum(x * pl for x, pl in zip(alpha, place))
+        offsets = [t * a for t in ts]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, c in acc.items():
+            for off in offsets:
+                k = key - off
+                nxt[k] = get(k, 0) + c
         acc = nxt
-    return acc
+    cols = [[x - s + 1 + key // pl % rd for key in acc]
+            for x, s, pl, rd in zip(lam, span, place, radix)]
+    return dict(zip(zip(*cols) if cols else [()], acc.values()))  # rank 0: one key, ()

@@ -161,7 +161,7 @@ def _hom(args, p):
 
 def _psi_table(args, p):
     if args.grt:
-        tsv = frobenius.psi_r_table(args.k, args.r, p).to_tsv()
+        tsv = frobenius.psi_r_tsv(args.k, args.r, p)
     else:
         tsv = spo21.psi_tsv(args.k, _need_j(args), p)
     return tsv.removesuffix("\n")

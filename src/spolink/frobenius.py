@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from .characters import Poly1, check_terms
 from .padic import binom_mod
 from .spo21 import (
-    MINUS, PLUS, MorphismTable, branch_parts, render, socle_indices, _sub_multiset,
+    MINUS, PLUS, MorphismTable, branch_parts, render, socle_indices, _sub_multiset, _tsv,
 )
 from .words import MAX_DIGITS
 
@@ -82,7 +82,7 @@ def socle_basis_r(l: int, r: int, p: int, side: str, make=GrtMonomial) -> list:
 
 def ch_h0_r(l: int, r: int, p: int) -> Poly1:
     """Minus-side induced character: weights l, l-1, ..., l - 2p^r + 1."""
-    return {l - j: 1 for j in range(2 * p**r)}
+    return dict.fromkeys(range(l, l - 2 * p**r, -1), 1)
 
 
 def ch_l_r(l: int, r: int, p: int) -> Poly1:
@@ -98,9 +98,10 @@ def hom_r(k: int, l: int, r: int, p: int) -> tuple[int, str | None]:
     return (1, "odd") if l == 2 * p**r - k - 1 else (0, None)
 
 
-def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
+def _psi_r_rows(k: int, r: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """The morphism from the plus module of head k into the minus module of
-    head 2p^r - k - 1, on basis monomials.
+    head lt = 2p^r - k - 1, in integers: lt, and one row (i, eps, ti, teps, c)
+    per plus source (i, eps) in basis order (even i < p^r, then odd).
 
     With kt the representative of k in [p^r, 2p^r):
 
@@ -108,18 +109,41 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
         odd  (idx=i, 1) -> C(kt-i-1, kt-p^r)        * minus(p^r-i-1, 0)
 
     normalised so the odd source with i = p^r - 1 hits the target head
-    monomial with coefficient 1.  Only a nonzero coefficient builds its target.
+    monomial with coefficient 1.  c lives mod p; c = 0 marks a kernel source.
+    Every image is asserted to be a target basis index of its source's weight.
     """
     q = p**r
+    check_terms(2 * q)
     kt = k % q + q
     lt = 2 * q - k - 1
-    rows: dict[GrtMonomial, tuple[GrtMonomial, int] | None] = {}
-    for src in basis_h0_r(k, r, p, PLUS):
-        i, eps = src.idx, src.eps
-        b = binom_mod(kt - i - 1, kt - q, p)
-        c = b if eps else (kt - i) * b % p
-        rows[src] = (GrtMonomial(MINUS, lt, q - i - 1, 1 - eps), c) if c else None
-    return MorphismTable(rows)
+    rows = []
+    for eps in (0, 1):
+        for i in range(q):
+            b = binom_mod(kt - i - 1, kt - q, p)
+            c = b if eps else (kt - i) * b % p
+            ti, teps = q - i - 1, 1 - eps
+            assert not c or 0 <= ti < q and lt - 2 * ti - teps == 2 * i + eps - k, (k, r, p, i, eps)
+            rows.append((i, eps, ti, teps, c))
+    return lt, rows
+
+
+def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
+    """The thickened morphism's table on basis monomials, read off _psi_r_rows:
+    only a nonzero coefficient builds its target."""
+    lt, rows = _psi_r_rows(k, r, p)
+    return MorphismTable({
+        GrtMonomial(PLUS, k, i, eps): (GrtMonomial(MINUS, lt, ti, teps), c) if c else None
+        for i, eps, ti, teps, c in rows
+    })
+
+
+def psi_r_tsv(k: int, r: int, p: int) -> str:
+    """psi_r_table(k, r, p).to_tsv(), spelled from _psi_r_rows with no GrtMonomial built."""
+    lt, rows = _psi_r_rows(k, r, p)
+    return _tsv(
+        (grt_name(PLUS, k, i, eps), grt_name(MINUS, lt, ti, teps) if c else 0, c)
+        for i, eps, ti, teps, c in rows
+    )
 
 
 def comp_factors_r(l: int, r: int, p: int) -> Counter:

@@ -12,6 +12,7 @@ from spolink.frobenius import (
     hom_r,
     psi_r_ker_im_coker,
     psi_r_table,
+    psi_r_tsv,
     socle_basis_r,
 )
 from spolink.spo21 import MINUS, PLUS, block_of
@@ -53,8 +54,9 @@ def test_listings_past_max_terms_are_refused():
     for listing in (basis_h0_r, socle_basis_r):
         with pytest.raises(TooManyTerms, match="MAX_TERMS"):
             listing(1, 12, 3, MINUS)
-    with pytest.raises(TooManyTerms):
-        psi_r_table(1, 12, 3)
+    for table in (psi_r_table, psi_r_tsv):
+        with pytest.raises(TooManyTerms):
+            table(1, 12, 3)
 
 
 def test_socle_shift_invariance():

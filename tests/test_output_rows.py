@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from spolink import cli, spo21
 from spolink.characters import MAX_TERMS
-from spolink.frobenius import ch_l_r, grt_name, psi_r_ker_im_coker, psi_r_table, socle_basis_r
+from spolink.frobenius import (
+    ch_l_r, grt_name, psi_r_ker_im_coker, psi_r_table, psi_r_tsv, socle_basis_r,
+)
 from spolink.padic import lucas_support
 from spolink.spo21 import MINUS, PLUS, monomial_name, socle_basis
 
@@ -88,6 +90,13 @@ def test_psi_text_and_kernel_names_are_the_table_forms():
         assert spo21.psi_tsv(k, j, p) == spo21.psi_table(k, j, p).to_tsv(), (k, j, p)
         assert spo21.kernel_basis(k, j, p, monomial_name) == [
             str(m) for m in spo21.kernel_basis(k, j, p)], (k, j, p)
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_psi_r_text_is_the_table_form(p, r):
+    q = p**r
+    for k in range(-2 * q, 3 * q):
+        assert psi_r_tsv(k, r, p) == psi_r_table(k, r, p).to_tsv(), (k, r, p)
 
 
 def _old_kic(ker, im, coker) -> str:
