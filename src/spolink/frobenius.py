@@ -54,15 +54,6 @@ def grt_name(side: str, head: int, idx: int, eps: int) -> str:
     return render(side, head - idx - eps, idx, eps)
 
 
-def basis_h0_r(l: int, r: int, p: int, side: str) -> list[GrtMonomial]:
-    """The 2 p^r monomials with idx < p^r and eps in {0, 1}; any integer head."""
-    q = p**r
-    check_terms(2 * q)
-    out = [GrtMonomial(side, l, idx, 0) for idx in range(q)]
-    out += [GrtMonomial(side, l, idx, 1) for idx in range(q)]
-    return out
-
-
 def _socle_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
     # the socle's (idx, eps): C(l, idx) and C(l-1, idx) for idx < p^r depend
     # only on the digits of l below p^r, so the rank-one listing of l mod p^r
@@ -138,7 +129,7 @@ def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
 
 
 def psi_r_tsv(k: int, r: int, p: int) -> str:
-    """psi_r_table(k, r, p).to_tsv(), spelled from _psi_r_rows with no GrtMonomial built."""
+    """psi_r_table(k, r, p) as _tsv text, spelled from _psi_r_rows with no GrtMonomial built."""
     lt, rows = _psi_r_rows(k, r, p)
     return _tsv(
         (grt_name(PLUS, k, i, eps), grt_name(MINUS, lt, ti, teps) if c else 0, c)

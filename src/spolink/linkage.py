@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from math import gcd, inf
-from operator import add, itemgetter, le, mul, sub
+from math import gcd, inf, prod
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
@@ -72,46 +72,59 @@ def root_table(shape: GroupShape) -> RootTable:
 _move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
 
 
-def _iso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, out: list) -> None:
-    for alpha, folded, c in table.iso:
+def _odd_plan(records: tuple, box: Box, strides: list[int]) -> tuple:
+    """Each odd root's record, its id offset off and its nonzero coordinates (i, alpha_i, lo, hi):
+    lam - k alpha has id i0 - k off and is in the box iff lo <= lam_i - k alpha_i <= hi at each."""
+    return tuple((alpha, folded, c, sum(map(mul, alpha, strides)),
+                  tuple((i, a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a))
+                 for alpha, folded, c in records)
+
+
+def _iso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, nodes: tuple, out: list) -> None:
+    for alpha, folded, c, off, moving in plan:
         val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
         if val // 2 % p == 0:
-            target = tuple(map(sub, lam, alpha))
-            if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
-                out.append(_move((ISO_ODD, alpha, lam, target, r)))
+            for i, a, lo, hi in moving:
+                if not lo <= lam[i] - a <= hi:
+                    break
+            else:
+                out.append(_move((ISO_ODD, alpha, lam, nodes[i0 - off], r)))
 
 
-def _noniso_odd(lam: Weight, table: RootTable, r: int, p: int, bounds, steps, out) -> None:
-    for alpha, folded, c in table.noniso:
+def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, nodes, steps, out) -> None:
+    for alpha, folded, c, off, moving in plan:
         val = 2 * sum(map(mul, lam, folded)) + c - 1
         assert val % 2 == 0, (lam, alpha)
         l = val // 2 % p**r
-        lps = steps.get((l, r))
-        if lps is None:
-            lps = steps[l, r] = [lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
-        for lp in lps:
-            target = tuple(a - (l - lp) * b for a, b in zip(lam, alpha))
-            if all(map(le, bounds[0], target)) and all(map(le, target, bounds[1])):
-                out.append(_move((NONISO_ODD, alpha, lam, target, r)))
+        ks = steps.get((l, r))
+        if ks is None:
+            ks = steps[l, r] = [l - lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+        for k in ks:
+            for i, a, lo, hi in moving:
+                if not lo <= lam[i] - k * a <= hi:
+                    break
+            else:
+                out.append(_move((NONISO_ODD, alpha, lam, nodes[i0 - k * off], r)))
 
 
-def _even_plan(table: RootTable, q: int, box: Box) -> list[tuple]:
+def _even_plan(table: RootTable, q: int, box: Box, strides: list[int]) -> list[tuple]:
     """Each even root's wall constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha,
-    g = gcd(alpha), q d, q g, the step q alpha, the nonzero coordinates (i, alpha_i / g,
-    q alpha_i, near edge, far edge; edges ordered by sign).  A zero coordinate needs
-    no test: build_graph passes only nodes of the box, and the move keeps it."""
+    g = gcd(alpha), q d, q g, the id offsets of alpha / g and of q alpha, the nonzero
+    coordinates (i, alpha_i / g, q alpha_i, near edge, far edge; edges ordered by sign).
+    A zero coordinate needs no test: nodes are in the box, and the move keeps it."""
     plan = []
     for alpha, d, c in table.even:
         g = gcd(*alpha)
+        off = sum(map(mul, alpha, strides))
         moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
                   for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
-        plan.append((alpha, c, d, g, q * d, q * g, tuple(q * a for a in alpha), moving))
+        plan.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving))
     return plan
 
 
-def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
-    for alpha, c, d, g, qd, qg, step, moving in plan:
+def _even(lam: Weight, i0: int, plan: list[tuple], r: int, nodes: tuple, out: list) -> None:
+    for alpha, c, d, g, qd, qg, off_g, qoff, moving in plan:
         v = 2 * sum(map(mul, lam, alpha)) + c
         # integral at every wall or none; 2 rho's parities are equal within a
         # block.  d divides v alpha_i for every i iff it divides v gcd(alpha).
@@ -122,12 +135,10 @@ def _even(lam: Weight, plan: list[tuple], r: int, out: list) -> None:
             b = lam[i] - s * a
             first, last = -((b - near) // qa), (far - b) // qa
             w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
-        if w_lo <= w_hi:
-            k = w_lo * qg - s
-            target = tuple([x + k * a // g for x, a in zip(lam, alpha)])
-            for _ in range(w_lo, w_hi + 1):
-                out.append(_move((EVEN_MOVE, alpha, lam, target, r)))
-                target = tuple(map(add, target, step))
+        if w_lo <= w_hi:  # wall w_lo's target is lam + (w_lo q g - s) alpha / g
+            t0 = i0 + (w_lo * qg - s) * off_g
+            for t in range(t0, t0 + (w_hi - w_lo + 1) * qoff, qoff):
+                out.append(_move((EVEN_MOVE, alpha, lam, nodes[t], r)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,26 +153,30 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
 
     - iso_odd: lam -> lam - alpha for each odd isotropic alpha with p | (lam + rho, alpha).
     - noniso_odd (odd type): with l = (lam + rho, alpha) - 1/2 mod q, step down by
-      l - l' for each thickened constituent l' != l of the head-l module; the
-      sorted l' are memoised per (l, r) for this graph.
+      l - l' for each thickened constituent l' != l of the head-l module, in order
+      of l'; the steps are memoised per (l, r) for this graph.
     - even: lam -> lam - ((lam + rho, alpha^vee) - w q) alpha at every wall w with a
       positive step, alpha^vee normalised by the positive-definite form, rho the supersymmetric
       one (which keeps rank-one components inside the block classes).  The box
       edges bound w, so the kept walls are one range, planned per root once per r.
 
     Enumerating from every node also covers the reversed residue convention of
-    the noniso moves.  Raises TooManyEdges past MAX_EDGES."""
+    the noniso moves.  A node's id, its position in nodes, is mixed radix with coordinate
+    0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i,
+    so every edge reads its target from nodes.  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
+    strides = [prod(hi - lo + 1 for lo, hi in box[i + 1:]) for i in range(len(box))]
     table = root_table(shape)
-    plans = [(r, _even_plan(table, p**r, box)) for r in sorted(r_set)]
-    edges, bounds, steps = [], tuple(zip(*box)), {}
-    for lam in nodes:
+    iso, noniso = _odd_plan(table.iso, box, strides), _odd_plan(table.noniso, box, strides)
+    plans = [(r, _even_plan(table, p**r, box, strides)) for r in sorted(r_set)]
+    edges, steps = [], {}
+    for i0, lam in enumerate(nodes):
         for r, plan in plans:
-            _iso_odd(lam, table, r, p, bounds, edges)
-            _noniso_odd(lam, table, r, p, bounds, steps, edges)
-            _even(lam, plan, r, edges)
+            _iso_odd(lam, i0, iso, r, p, nodes, edges)
+            _noniso_odd(lam, i0, noniso, r, p, nodes, steps, edges)
+            _even(lam, i0, plan, r, nodes, edges)
         if len(edges) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
     return LinkageGraph(nodes, tuple(edges))

@@ -210,9 +210,6 @@ class MorphismTable:
         for src, row in self.rows.items():
             assert row is None or row[0].weight == src.weight, (src, row)
 
-    def to_tsv(self) -> str:
-        return _tsv((src, *(row or (0, 0))) for src, row in self.rows.items())
-
 
 def _tsv(rows) -> str:
     """A table as source/target/coeff lines from (source, target, coeff)
@@ -262,7 +259,7 @@ def psi_table(k: int, j: int, p: int) -> MorphismTable:
 
 
 def psi_tsv(k: int, j: int, p: int) -> str:
-    """psi_table(k, j, p).to_tsv(), spelled from _psi_rows with no Monomial built."""
+    """psi_table(k, j, p) as _tsv text, spelled from _psi_rows with no Monomial built."""
     l, rows = _psi_rows(k, j, p)
     return _tsv(
         (monomial_name(PLUS, k, i, eps), monomial_name(MINUS, l, ti, teps) if c else 0, c)

@@ -1,11 +1,11 @@
 from collections import Counter
 
 import pytest
+from reference_tables import basis_h0_r
 
 from spolink.characters import MAX_TERMS, TooManyTerms, ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
     GrtMonomial,
-    basis_h0_r,
     ch_h0_r,
     ch_l_r,
     comp_factors_r,

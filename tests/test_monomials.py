@@ -11,6 +11,7 @@ import pickle
 import random
 
 import pytest
+import reference_tables as ref
 
 from spolink import frobenius, spo21
 from spolink.frobenius import GrtMonomial
@@ -39,7 +40,7 @@ def _sample(kind) -> list:
         monos = [m for side in (MINUS, PLUS) for h in range(4) for m in spo21.basis_h0(h, side)]
     else:
         monos = [m for side in (MINUS, PLUS) for h in (-2, 0, 3)
-                 for m in frobenius.basis_h0_r(h, 1, 3, side)]
+                 for m in ref.basis_h0_r(h, 1, 3, side)]
     random.Random(7).shuffle(monos)
     return monos
 
@@ -65,7 +66,7 @@ def psi_table_lines() -> list[str]:
                 out.append(f"{p} {k} {j}")
                 out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in filter(None, [row]))
                         for s, row in tab.rows.items()]
-                out.append(tab.to_tsv())
+                out.append(ref.table_tsv(tab))
     return out
 
 
@@ -79,7 +80,7 @@ def psi_r_table_lines() -> list[str]:
                 out.append(f"{p} {r} {k}")
                 out += [f"{_row(s)} -> " + ";".join(f"{_row(m)}*{c}" for m, c in filter(None, [row]))
                         for s, row in tab.rows.items()]
-                out.append(tab.to_tsv())
+                out.append(ref.table_tsv(tab))
     return out
 
 

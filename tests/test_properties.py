@@ -202,7 +202,9 @@ def test_odd_moves_match_the_pairing(inputs):
 
 @st.composite
 def graph_inputs(draw):
-    """A shape of rank <= 3, a small box, a prime and an r-set inside {1, 2}."""
+    """A shape of rank <= 3, a small box, a prime and an r-set inside {1, 2, 3}.  At
+    r = 3, q = p^3 >= 27 is about as wide as the widest box, so the even wall range is
+    often empty, and the node ids are exercised at every stride."""
     n = draw(st.integers(0, 3))
     m = draw(st.integers(1 if n == 0 else 0, 3 - n))
     shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
@@ -211,7 +213,7 @@ def graph_inputs(draw):
     for _ in range(shape.rank):
         lo = draw(st.integers(-20, 20))
         box.append((lo, lo + draw(st.integers(0, width - 1))))
-    r_set = draw(st.sets(st.sampled_from((1, 2))))
+    r_set = draw(st.sets(st.sampled_from((1, 2, 3))))
     return shape, box, draw(st.sampled_from((3, 5, 7))), r_set
 
 
@@ -226,6 +228,17 @@ def test_build_graph_equals_the_reference_in_order(inputs):
     got, want = build_graph(box, shape, r_set, p), ref.build_graph(box, shape, r_set, p)
     assert got.nodes == want.nodes
     assert repr(got.edges) == repr(want.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_every_edge_shares_the_box_node_tuples(inputs):
+    # each source and target is an element of nodes itself (the same object, not an
+    # equal copy): targets are read from nodes by mixed-radix id
+    shape, box, p, r_set = inputs
+    graph = build_graph(box, shape, r_set, p)
+    by_id = {id(w) for w in graph.nodes}
+    assert all(id(mv.source) in by_id and id(mv.target) in by_id for mv in graph.edges)
 
 
 @settings(max_examples=150, deadline=None)
