@@ -9,11 +9,13 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import product, repeat
 from math import gcd, inf, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
@@ -72,46 +74,55 @@ def root_table(shape: GroupShape) -> RootTable:
 _move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
 
 
-def _odd_plan(records: tuple, box: Box, strides: list[int]) -> tuple:
-    """Each odd root's record, its id offset off and its nonzero coordinates (i, alpha_i, lo, hi):
-    lam - k alpha has id i0 - k off and is in the box iff lo <= lam_i - k alpha_i <= hi at each."""
-    return tuple((alpha, folded, c, sum(map(mul, alpha, strides)),
+def _column(v: Weight, box: Box) -> list[int]:
+    """col[id] = lam.v at every node lam of the box, built in mixed radix coordinate by coordinate."""
+    col = [0]
+    for a, (lo, hi) in zip(v, box):
+        col = [c + a * x for c in col for x in range(lo, hi + 1)]
+    return col
+
+
+def _odd_plan(records: tuple, box: Box, strides: list[int], column) -> tuple:
+    """Each odd root's alpha, 2 rho.folded, pairing column lam.folded, id offset off and nonzero
+    coordinates (i, alpha_i, lo, hi): lam - s alpha has id i0 - s off and is in the box iff
+    lo <= lam_i - s alpha_i <= hi at each."""
+    return tuple((alpha, c, column(folded), sum(map(mul, alpha, strides)),
                   tuple((i, a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a))
                  for alpha, folded, c in records)
 
 
-def _iso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, nodes: tuple, out: list) -> None:
-    for alpha, folded, c, off, moving in plan:
-        val = 2 * sum(map(mul, lam, folded)) + c  # 2 (lam + rho, alpha)
+def _iso_odd(lam: Weight, i0: int, plan: tuple, p: int, dst, code) -> None:
+    for alpha, c, col, off, moving, k in plan:
+        val = 2 * col[i0] + c  # 2 (lam + rho, alpha)
         assert val % 2 == 0, (lam, alpha)
         if val // 2 % p == 0:
             for i, a, lo, hi in moving:
                 if not lo <= lam[i] - a <= hi:
                     break
             else:
-                out.append(_move((ISO_ODD, alpha, lam, nodes[i0 - off], r)))
+                dst.append(i0 - off), code.append(k)
 
 
-def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, nodes, steps, out) -> None:
-    for alpha, folded, c, off, moving in plan:
-        val = 2 * sum(map(mul, lam, folded)) + c - 1
+def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, code) -> None:
+    for alpha, c, col, off, moving, k in plan:
+        val = 2 * col[i0] + c - 1
         assert val % 2 == 0, (lam, alpha)
         l = val // 2 % p**r
         ks = steps.get((l, r))
         if ks is None:
             ks = steps[l, r] = [l - lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
-        for k in ks:
+        for s in ks:
             for i, a, lo, hi in moving:
-                if not lo <= lam[i] - k * a <= hi:
+                if not lo <= lam[i] - s * a <= hi:
                     break
             else:
-                out.append(_move((NONISO_ODD, alpha, lam, nodes[i0 - k * off], r)))
+                dst.append(i0 - s * off), code.append(k)
 
 
-def _even_plan(table: RootTable, q: int, box: Box, strides: list[int]) -> list[tuple]:
+def _even_plan(table: RootTable, q: int, box: Box, strides: list[int], column) -> list[tuple]:
     """Each even root's wall constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha,
     g = gcd(alpha), q d, q g, the id offsets of alpha / g and of q alpha, the nonzero
-    coordinates (i, alpha_i / g, q alpha_i, near edge, far edge; edges ordered by sign).
+    coordinates (i, alpha_i / g, q alpha_i, near edge, far edge; ordered by sign), column lam.alpha.
     A zero coordinate needs no test: nodes are in the box, and the move keeps it."""
     plan = []
     for alpha, d, c in table.even:
@@ -119,13 +130,13 @@ def _even_plan(table: RootTable, q: int, box: Box, strides: list[int]) -> list[t
         off = sum(map(mul, alpha, strides))
         moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
                   for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
-        plan.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving))
+        plan.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving, column(alpha)))
     return plan
 
 
-def _even(lam: Weight, i0: int, plan: list[tuple], r: int, nodes: tuple, out: list) -> None:
-    for alpha, c, d, g, qd, qg, off_g, qoff, moving in plan:
-        v = 2 * sum(map(mul, lam, alpha)) + c
+def _even(lam: Weight, i0: int, plan: tuple, dst, code) -> None:
+    for alpha, c, d, g, qd, qg, off_g, qoff, moving, col, k in plan:
+        v = 2 * col[i0] + c
         # integral at every wall or none; 2 rho's parities are equal within a
         # block.  d divides v alpha_i for every i iff it divides v gcd(alpha).
         assert v * g % d == 0, (lam, alpha)
@@ -136,15 +147,43 @@ def _even(lam: Weight, i0: int, plan: list[tuple], r: int, nodes: tuple, out: li
             first, last = -((b - near) // qa), (far - b) // qa
             w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
         if w_lo <= w_hi:  # wall w_lo's target is lam + (w_lo q g - s) alpha / g
+            n = w_hi - w_lo + 1
             t0 = i0 + (w_lo * qg - s) * off_g
-            for t in range(t0, t0 + (w_hi - w_lo + 1) * qoff, qoff):
-                out.append(_move((EVEN_MOVE, alpha, lam, nodes[t], r)))
+            dst.extend(range(t0, t0 + n * qoff, qoff))
+            code.extend(repeat(k, n))
+
+
+class Edges(Sequence):
+    """A graph's edges as id columns, source, target and a code into moves, a tuple of
+    (kind, alpha, r); read-only, each LinkageMove built from the graph's nodes when read.
+    A plain slotted class: a dataclass would add a millisecond to every CLI import."""
+
+    __slots__ = ("nodes", "src", "dst", "code", "moves")
+
+    def __init__(self, nodes: tuple, src: array, dst: array, code: array, moves: tuple):
+        self.nodes, self.src, self.dst, self.code, self.moves = nodes, src, dst, code, moves
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, i: int) -> LinkageMove:
+        kind, alpha, r = self.moves[self.code[i]]
+        return _move((kind, alpha, self.nodes[self.src[i]], self.nodes[self.dst[i]], r))
+
+    def __iter__(self):
+        nodes, moves = self.nodes, self.moves
+        for s, t, c in zip(self.src, self.dst, self.code):
+            kind, alpha, r = moves[c]
+            yield _move((kind, alpha, nodes[s], nodes[t], r))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True, slots=True)
 class LinkageGraph:
     nodes: tuple[Weight, ...]
-    edges: tuple[LinkageMove, ...]
+    edges: Edges
 
 
 def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> LinkageGraph:
@@ -162,48 +201,57 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
 
     Enumerating from every node also covers the reversed residue convention of
     the noniso moves.  A node's id, its position in nodes, is mixed radix with coordinate
-    0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i,
-    so every edge reads its target from nodes.  Raises TooManyEdges past MAX_EDGES."""
+    0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i.
+    Each root's pairing lam.v is read from one column per graph, and the edges are
+    stored as id columns (see Edges).  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     strides = [prod(hi - lo + 1 for lo, hi in box[i + 1:]) for i in range(len(box))]
-    table = root_table(shape)
-    iso, noniso = _odd_plan(table.iso, box, strides), _odd_plan(table.noniso, box, strides)
-    plans = [(r, _even_plan(table, p**r, box, strides)) for r in sorted(r_set)]
-    edges, steps = [], {}
+    table, column = root_table(shape), cache(lambda v: _column(v, box))
+    iso = _odd_plan(table.iso, box, strides, column)
+    noniso = _odd_plan(table.noniso, box, strides, column)
+    moves, plans = [], []  # each plan record ends with its move code, an index into moves
+    for r in sorted(r_set):
+        even, coded = _even_plan(table, p**r, box, strides, column), [r]
+        for kind, plan in (ISO_ODD, iso), (NONISO_ODD, noniso), (EVEN_MOVE, even):
+            coded.append(tuple((*rec, len(moves) + k) for k, rec in enumerate(plan)))
+            moves += [(kind, rec[0], r) for rec in plan]
+        plans.append(coded)
+    src, dst, code, steps = array("q"), array("q"), array("q"), {}
     for i0, lam in enumerate(nodes):
-        for r, plan in plans:
-            _iso_odd(lam, i0, iso, r, p, nodes, edges)
-            _noniso_odd(lam, i0, noniso, r, p, nodes, steps, edges)
-            _even(lam, i0, plan, r, nodes, edges)
-        if len(edges) > MAX_EDGES:
+        for r, iso_r, noniso_r, even_r in plans:
+            _iso_odd(lam, i0, iso_r, p, dst, code)
+            _noniso_odd(lam, i0, noniso_r, r, p, steps, dst, code)
+            _even(lam, i0, even_r, dst, code)
+        src.extend(repeat(i0, len(dst) - len(src)))
+        if len(src) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
-    return LinkageGraph(nodes, tuple(edges))
+    return LinkageGraph(nodes, Edges(nodes, src, dst, code, tuple(moves)))
 
 
 def connected_components(nodes, pairs) -> list[list]:
-    """Connected components of the undirected graph on nodes whose edges are
-    the given (a, b) pairs, each component sorted, listed by smallest member.
-    Union-find on the nodes' positions, with path halving."""
-    index = {x: i for i, x in enumerate(nodes)}
-    parent = list(range(len(index)))
+    """Connected components of the undirected graph on nodes, which must be in
+    ascending order, whose edges are the given (a, b) pairs of positions into
+    nodes; each component sorted, listed by smallest member.  Union-find on the
+    positions with path halving; positions ascend, so no sort is needed."""
+    parent = list(range(len(nodes)))
     for a, b in pairs:
-        a, b = index[a], index[b]
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         parent[a] = b
     groups: dict = {}
-    for x, i in index.items():
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        groups.setdefault(i, []).append(x)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    for i, x in enumerate(nodes):
+        j = i
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        groups.setdefault(j, []).append(x)
+    return list(groups.values())
 
 
 def components(graph: LinkageGraph) -> list[list[Weight]]:
     """Connected components under the symmetrised move relation, each sorted,
-    listed by smallest member."""
-    return connected_components(graph.nodes, map(itemgetter(2, 3), graph.edges))
+    listed by smallest member; node ids ascend with the nodes."""
+    return connected_components(graph.nodes, zip(graph.edges.src, graph.edges.dst))

@@ -250,7 +250,7 @@ def check_blocks(primes=(3, 5, 7)) -> Check:
         ]
         for name, lo, hi, factors in windows:
             nodes = range(lo, hi + 1)
-            edges = [(l, f) for l in nodes for f in factors(l) if lo <= f <= hi]
+            edges = [(l - lo, f - lo) for l in nodes for f in factors(l) if lo <= f <= hi]
             got = linkage.connected_components(nodes, edges)
             want = _partition_by(nodes, lambda l: spo21.block_of(l, p))
             if got != want or len(got) != p:

@@ -46,20 +46,21 @@ weights = st.integers(min_value=-10**6, max_value=10**6)
 
 @st.composite
 def small_graphs(draw):
-    """Integer nodes, as a range (the shape criterion 8 passes) or a list in
-    any order, some isolated; pairs with self-loops, repeats and both orders."""
+    """Integer nodes in ascending order, as a range (the shape criterion 8 passes)
+    or a sorted list, some isolated; pairs of positions into them with
+    self-loops, repeats and both orders."""
     if draw(st.booleans()):
         lo = draw(st.integers(-30, 30))
         nodes = range(lo, lo + draw(st.integers(0, 60)))
     else:
-        nodes = draw(st.permutations(sorted(draw(st.sets(st.integers(-40, 40), max_size=60)))))
+        nodes = sorted(draw(st.sets(st.integers(-40, 40), max_size=60)))
     pairs = []
     if nodes:
-        node = st.sampled_from(list(nodes))
-        pairs = draw(st.lists(st.tuples(node, node), max_size=80))
+        position = st.integers(0, len(nodes) - 1)
+        pairs = draw(st.lists(st.tuples(position, position), max_size=80))
         if pairs:
             pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=20))]
-        pairs += [(a, a) for a in draw(st.lists(node, max_size=5))]
+        pairs += [(a, a) for a in draw(st.lists(position, max_size=5))]
         pairs = draw(st.permutations(pairs))
     return nodes, pairs
 
@@ -70,7 +71,7 @@ def test_connected_components_match_networkx(graph):
     nodes, pairs = graph
     g = nx.Graph()
     g.add_nodes_from(nodes)
-    g.add_edges_from(pairs)
+    g.add_edges_from((nodes[a], nodes[b]) for a, b in pairs)
     want = sorted((sorted(c) for c in nx.connected_components(g)), key=lambda c: c[0])
     assert connected_components(nodes, pairs) == want
 
@@ -228,6 +229,25 @@ def test_build_graph_equals_the_reference_in_order(inputs):
     got, want = build_graph(box, shape, r_set, p), ref.build_graph(box, shape, r_set, p)
     assert got.nodes == want.nodes
     assert repr(got.edges) == repr(want.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs(), st.data())
+def test_the_edge_view_reads_as_the_reference_edges(inputs, data):
+    # graph.edges keeps id columns and builds each move when it is read
+    shape, box, p, r_set = inputs
+    graph = build_graph(box, shape, r_set, p)
+    edges = tuple(graph.edges)
+    assert edges == ref.build_graph(box, shape, r_set, p).edges
+    assert len(graph.edges) == len(edges)
+    if edges:
+        for i in (0, -1, data.draw(st.integers(-len(edges), len(edges) - 1))):
+            assert type(graph.edges[i]) is LinkageMove and graph.edges[i] == edges[i]
+    with pytest.raises(IndexError):
+        graph.edges[len(edges)]
+    position = {w: i for i, w in enumerate(graph.nodes)}
+    pairs = [(position[mv.source], position[mv.target]) for mv in edges]
+    assert components(graph) == connected_components(graph.nodes, pairs)
 
 
 @settings(max_examples=150, deadline=None)
