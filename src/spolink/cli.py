@@ -145,9 +145,9 @@ def _need_j(args) -> int:
 
 def _socle(args, p):
     if args.grt:
-        names = frobenius.socle_basis_r(args.l, args.r, p, args.side, frobenius.grt_name)
+        names = frobenius.socle_basis_r(args.l, args.r, p, args.side)
     else:
-        names = spo21.socle_basis(args.l, p, args.side, spo21.monomial_name)
+        names = spo21.socle_basis(args.l, p, args.side)
     return _names_out(names, args.format)
 
 
@@ -292,8 +292,7 @@ COMMANDS = {
     "hom": ("Hom dimension between induced modules", [P, K, L, *GRT], _hom),
     "psi-table": ("morphism table on basis monomials", [P, K, J, *GRT], _psi_table),
     "kernel": ("closed-form kernel basis of a morphism", [P, K, _int("--j", required=True)],
-               lambda args, p: _names_out(
-                   spo21.kernel_basis(args.k, args.j, p, spo21.monomial_name), args.format)),
+               lambda args, p: _names_out(spo21.kernel_basis(args.k, args.j, p), args.format)),
     "ker-im-coker": ("kernel/image/cokernel constituents", [P, K, J, *GRT], _ker_im_coker),
     "blocks": ("block ids over a weight window", [P, WINDOW], _blocks),
     "blocks-grt": ("thickening block ids over a weight window", [P, WINDOW],

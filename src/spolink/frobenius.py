@@ -9,48 +9,23 @@ exponents.  Monomials are indexed by (head, idx, eps) with 0 <= idx < p^r:
     plus side,  head k     x(-1,-1)^(k-idx-eps) x(-1,1)^idx x(-1,0')^eps
     (module of lowest weight -k)
 
-with torus weights l - 2 idx - eps and 2 idx + eps - k respectively.
+with torus weights l - 2 idx - eps and 2 idx + eps - k respectively.  As in
+spo21, a morphism is handed out as one integer row per source, and a monomial
+becomes text only through grt_name.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 
 from .characters import Poly1, check_terms
 from .padic import binom_mod
-from .spo21 import (
-    MINUS, PLUS, MorphismTable, branch_parts, render, socle_indices, _sub_multiset, _tsv,
-)
+from .spo21 import MINUS, PLUS, branch_parts, render, socle_indices, _sub_multiset, _tsv
 from .words import MAX_DIGITS
 
 
-class GrtMonomial(namedtuple("GrtMonomialFields", "side head idx eps")):
-    """The tuple (side, head, idx, eps), typed and checked like spo21.Monomial."""
-    __slots__ = ()
-
-    def __new__(cls, side: str, head: int, idx: int, eps: int) -> GrtMonomial:
-        if side not in (MINUS, PLUS):
-            raise ValueError(f"bad side {side!r}")
-        if eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {eps}")
-        if idx < 0:
-            raise ValueError(f"idx must be >= 0, got {idx}")
-        return tuple.__new__(cls, (side, head, idx, eps))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def weight(self) -> int:
-        if self.side == MINUS:
-            return self.head - 2 * self.idx - self.eps
-        return 2 * self.idx + self.eps - self.head
-
-    def __str__(self) -> str:
-        return grt_name(*self)
-
-
 def grt_name(side: str, head: int, idx: int, eps: int) -> str:
-    """str of the GrtMonomial (side, head, idx, eps), without building one."""
+    """The printed form of the thickened monomial (side, head, idx, eps)."""
     return render(side, head - idx - eps, idx, eps)
 
 
@@ -63,12 +38,11 @@ def _socle_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
     return socle_indices(l % q, p)
 
 
-def socle_basis_r(l: int, r: int, p: int, side: str, make=GrtMonomial) -> list:
-    """Socle basis: even monomials with C(l, idx) nonzero mod p, plus (when p
-    does not divide l) odd monomials with C(l-1, idx) nonzero; idx < p^r.
-    One make(side, l, idx, eps) each: GrtMonomials, or their names with
-    make=grt_name."""
-    return [make(side, l, idx, eps) for idx, eps in _socle_r(l, r, p)]
+def socle_basis_r(l: int, r: int, p: int, side: str) -> list[str]:
+    """Names of the socle basis: even monomials with C(l, idx) nonzero mod p,
+    plus (when p does not divide l) odd monomials with C(l-1, idx) nonzero;
+    idx < p^r."""
+    return [grt_name(side, l, idx, eps) for idx, eps in _socle_r(l, r, p)]
 
 
 def ch_h0_r(l: int, r: int, p: int) -> Poly1:
@@ -89,7 +63,7 @@ def hom_r(k: int, l: int, r: int, p: int) -> tuple[int, str | None]:
     return (1, "odd") if l == 2 * p**r - k - 1 else (0, None)
 
 
-def _psi_r_rows(k: int, r: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+def psi_r_rows(k: int, r: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """The morphism from the plus module of head k into the minus module of
     head lt = 2p^r - k - 1, in integers: lt, and one row (i, eps, ti, teps, c)
     per plus source (i, eps) in basis order (even i < p^r, then odd).
@@ -118,19 +92,10 @@ def _psi_r_rows(k: int, r: int, p: int) -> tuple[int, list[tuple[int, int, int, 
     return lt, rows
 
 
-def psi_r_table(k: int, r: int, p: int) -> MorphismTable:
-    """The thickened morphism's table on basis monomials, read off _psi_r_rows:
-    only a nonzero coefficient builds its target."""
-    lt, rows = _psi_r_rows(k, r, p)
-    return MorphismTable({
-        GrtMonomial(PLUS, k, i, eps): (GrtMonomial(MINUS, lt, ti, teps), c) if c else None
-        for i, eps, ti, teps, c in rows
-    })
-
-
 def psi_r_tsv(k: int, r: int, p: int) -> str:
-    """psi_r_table(k, r, p) as _tsv text, spelled from _psi_r_rows with no GrtMonomial built."""
-    lt, rows = _psi_r_rows(k, r, p)
+    """The thickened morphism's rows as _tsv text, each index spelled by
+    grt_name."""
+    lt, rows = psi_r_rows(k, r, p)
     return _tsv(
         (grt_name(PLUS, k, i, eps), grt_name(MINUS, lt, ti, teps) if c else 0, c)
         for i, eps, ti, teps, c in rows

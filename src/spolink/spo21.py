@@ -7,16 +7,19 @@ Monomials are indexed side-uniformly by (head, i, eps):
     minus side   x(1,1)^(head-i-eps)   x(1,-1)^i  x(1,0')^eps
     plus side    x(-1,-1)^i  x(-1,1)^(head-i-eps) x(-1,0')^eps
 
-where 0' marks the odd generator.  Both have torus weight head - 2i - eps, and
-every weight space of a module here is one-dimensional, so an operator or a
-morphism sends a monomial to a multiple of at most one monomial: its image is
-a pair (monomial, coefficient mod p), or None when the coefficient vanishes.
+where 0' marks the odd generator.  The basis of one head and side is the
+pairs (i, eps) with 0 <= i <= head - eps.  Both sides give (i, eps) the torus
+weight head - 2i - eps, and every weight space of a module here is
+one-dimensional, so an operator or a morphism sends a basis pair to a multiple
+of at most one pair.  Operators return that image as ((i, eps), coefficient
+mod p), or None when the coefficient vanishes.  Socles, radicals and morphisms
+are handed out as these integers (a morphism as one integer row per source),
+and a monomial becomes text only through monomial_name.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from dataclasses import dataclass
+from collections import Counter
 
 from .padic import all_divisible, binom_mod, digits, lucas_support
 from .words import FIRST, SECOND, build_words
@@ -46,47 +49,11 @@ def render(side: str, first: int, second: int, eps: int) -> str:
 
 
 def monomial_name(side: str, head: int, i: int, eps: int) -> str:
-    """The printed form of the monomial (side, head, i, eps), read straight
-    from its indices: str of the Monomial without building one."""
+    """The printed form of the monomial (side, head, i, eps)."""
     rest = head - i - eps
     if side == MINUS:
         return render(MINUS, rest, i, eps)
     return render(PLUS, i, rest, eps)
-
-
-class Monomial(namedtuple("MonomialFields", "side head i eps")):
-    """The tuple (side, head, i, eps), so it sorts, hashes and compares as one:
-    it also equals a plain tuple or a frobenius.GrtMonomial of the same fields
-    (no table mixes the two).  Every construction, _make and _replace too, checks."""
-    __slots__ = ()
-
-    def __new__(cls, side: str, head: int, i: int, eps: int) -> Monomial:
-        if side not in (MINUS, PLUS):
-            raise ValueError(f"bad side {side!r}")
-        if eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {eps}")
-        if not 0 <= i <= head - eps:
-            raise ValueError(f"exponent i={i} out of range for head={head}, eps={eps}")
-        return tuple.__new__(cls, (side, head, i, eps))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def weight(self) -> int:
-        return self.head - 2 * self.i - self.eps
-
-    def __str__(self) -> str:
-        return monomial_name(*self)
-
-
-def basis_h0(head: int, side: str) -> list[Monomial]:
-    """Monomial basis of the induced module with the given head: head+1 even
-    monomials followed by head odd ones (dimension 2*head + 1)."""
-    if head < 0:
-        raise ValueError("basis_h0() needs head >= 0")
-    out = [Monomial(side, head, i, 0) for i in range(head + 1)]
-    out += [Monomial(side, head, i, 1) for i in range(head)]
-    return out
 
 
 def socle_indices(l: int, p: int) -> list[tuple[int, int]]:
@@ -99,42 +66,47 @@ def socle_indices(l: int, p: int) -> list[tuple[int, int]]:
     return out
 
 
-def socle_basis(l: int, p: int, side: str, make=Monomial) -> list:
-    """Basis of the simple socle, one make(side, l, i, eps) per socle_indices
-    entry: Monomials, or their names with make=monomial_name."""
+def socle_basis(l: int, p: int, side: str) -> list[str]:
+    """Names of the simple socle's basis monomials, one per socle_indices
+    entry."""
     if l < 0:
         raise ValueError("socle_basis() needs l >= 0")
-    return [make(side, l, i, eps) for i, eps in socle_indices(l, p)]
+    return [monomial_name(side, l, i, eps) for i, eps in socle_indices(l, p)]
 
 
-def act(op: str, mono: Monomial, p: int, t: int = 1) -> tuple[Monomial, int] | None:
-    """Apply a distribution operator to a basis monomial, coefficient mod p.
+def act(op: str, head: int, i: int, eps: int, p: int,
+        t: int = 1) -> tuple[tuple[int, int], int] | None:
+    """Apply a distribution operator to the basis pair (i, eps) of a module of
+    the given head, coefficient mod p.
 
     f(t): (i, eps) -> C(head-i-eps, t) (i+t, eps)
     e(t): (i, eps) -> C(i, t) (i-t, eps)
     y:    (i, 0) -> (head-i) (i, 1);   (i, 1) -> (i+1, 0)
     x:    (i, 0) -> -i (i-1, 1);       (i, 1) -> (i, 0)
 
-    The same index formulas hold on both sides.  The image is built only for
-    a coefficient nonzero mod p, and then always lands in range; else None.
+    The same index formulas hold on both sides.  The image ((i, eps), c) is
+    returned only for a coefficient c nonzero mod p, and then is asserted to
+    be a basis pair; else None.
     """
-    side, h, i, eps = mono
     if op == "f":
-        c, i = binom_mod(h - i - eps, t, p), i + t
+        c, i = binom_mod(head - i - eps, t, p), i + t
     elif op == "e":
         c, i = binom_mod(i, t, p), i - t
     elif op == "y":
-        c, i, eps = ((h - i) % p, i, 1) if eps == 0 else (1, i + 1, 0)
+        c, i, eps = ((head - i) % p, i, 1) if eps == 0 else (1, i + 1, 0)
     elif op == "x":
         c, i, eps = (-i % p, i - 1, 1) if eps == 0 else (1, i, 0)
     else:
         raise ValueError(f"unknown operator {op!r}")
-    return (Monomial(side, h, i, eps), c) if c else None
+    if not c:
+        return None
+    assert 0 <= i <= head - eps, (op, head, i, eps)
+    return (i, eps), c
 
 
-def rad_basis(k: int, p: int) -> list[Monomial]:
-    """Monomials spanning the radical of the plus-side induced module of head k
-    under the lower-triangular Borel.
+def rad_basis(k: int, p: int) -> list[tuple[int, int]]:
+    """(i, eps) of the plus monomials spanning the radical of the plus-side
+    induced module of head k under the lower-triangular Borel.
 
     Every weight space is one-dimensional, so the radical is spanned by the
     plus monomials it contains: all even ones with i >= 1; the odd one with
@@ -145,14 +117,10 @@ def rad_basis(k: int, p: int) -> list[Monomial]:
         raise ValueError("rad_basis() needs k >= 0")
     if k == 0:
         return []
-    out = [Monomial(PLUS, k, i, 0) for i in range(1, k + 1)]
+    out = [(i, 0) for i in range(1, k + 1)]
     if k % p != 0:
-        out.append(Monomial(PLUS, k, 0, 1))
-    out += [
-        Monomial(PLUS, k, j, 1)
-        for j in range(1, k)
-        if not all_divisible(k, j, p)
-    ]
+        out.append((0, 1))
+    out += [(j, 1) for j in range(1, k) if not all_divisible(k, j, p)]
     return out
 
 
@@ -195,22 +163,6 @@ def admissible_js(k: int, p: int) -> list[int]:
     return [j for j in range((k + 1) // 2) if is_admissible_psi(k, j, p)]
 
 
-@dataclass(frozen=True, slots=True)
-class MorphismTable:
-    """Weight-preserving table of a morphism on monomial bases.
-
-    rows maps every source monomial to its image, a pair (target, coeff), or
-    None when the source is killed; construction asserts each target has its
-    source's weight.
-    """
-
-    rows: dict
-
-    def __post_init__(self) -> None:
-        for src, row in self.rows.items():
-            assert row is None or row[0].weight == src.weight, (src, row)
-
-
 def _tsv(rows) -> str:
     """A table as source/target/coeff lines from (source, target, coeff)
     rows; a killed source has target and coeff 0."""
@@ -222,7 +174,7 @@ def _need_admissible(k: int, j: int, p: int) -> None:
         raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
 
 
-def _psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+def psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
     """The morphism from the plus module of head k to the minus module of head
     l = k - 1 - 2j, in integers: l, and one row (i, eps, ti, teps, c) per
     plus source (i, eps) in basis order (even i = 0..k, then odd i = 0..k-1):
@@ -248,30 +200,20 @@ def _psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, in
     return l, rows
 
 
-def psi_table(k: int, j: int, p: int) -> MorphismTable:
-    """The (k, j) morphism's table on basis monomials, read off _psi_rows: only
-    a nonzero coefficient builds its target."""
-    l, rows = _psi_rows(k, j, p)
-    return MorphismTable({
-        Monomial(PLUS, k, i, eps): (Monomial(MINUS, l, ti, teps), c) if c else None
-        for i, eps, ti, teps, c in rows
-    })
-
-
 def psi_tsv(k: int, j: int, p: int) -> str:
-    """psi_table(k, j, p) as _tsv text, spelled from _psi_rows with no Monomial built."""
-    l, rows = _psi_rows(k, j, p)
+    """The (k, j) morphism's rows as _tsv text, each index spelled by
+    monomial_name."""
+    l, rows = psi_rows(k, j, p)
     return _tsv(
         (monomial_name(PLUS, k, i, eps), monomial_name(MINUS, l, ti, teps) if c else 0, c)
         for i, eps, ti, teps, c in rows
     )
 
 
-def kernel_basis(k: int, j: int, p: int, make=Monomial) -> list:
-    """Kernel of the (k, j) morphism: one make(PLUS, k, i, eps) per source
-    _psi_rows sends to 0, in table order; Monomials, or their names with
-    make=monomial_name."""
-    return [make(PLUS, k, i, eps) for i, eps, _, _, c in _psi_rows(k, j, p)[1] if not c]
+def kernel_basis(k: int, j: int, p: int) -> list[str]:
+    """Names of the kernel of the (k, j) morphism: the sources psi_rows sends
+    to 0, in row order."""
+    return [monomial_name(PLUS, k, i, eps) for i, eps, _, _, c in psi_rows(k, j, p)[1] if not c]
 
 
 def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:

@@ -102,20 +102,19 @@ def check_spo_oracle(lmax: int = 1500, primes=(3, 5, 7)) -> Check:
     return True, f"all l <= {lmax}, p in {tuple(primes)}"
 
 
-def rad_oracle_quotient(k: int, p: int) -> list[spo21.Monomial]:
-    """Plus monomials surviving modulo the span of all lowering images,
-    computed from the operator actions themselves (every image is a single
-    monomial, so the span is a monomial set)."""
-    basis = spo21.basis_h0(k, spo21.PLUS)
-    in_rad = {img[0] for v in basis if (img := spo21.act("y", v, p))}
-    for mono in basis:
-        if mono in in_rad:
+def rad_oracle_quotient(k: int, p: int) -> list[tuple[int, int]]:
+    """(i, eps) of the plus monomials surviving modulo the span of all lowering
+    images, computed from the operator actions themselves (every image is a
+    single basis pair, so the span is a set of pairs)."""
+    basis = [(i, 0) for i in range(k + 1)] + [(i, 1) for i in range(k)]
+    in_rad = {img[0] for i, eps in basis if (img := spo21.act("y", k, i, eps, p))}
+    for i, eps in basis:
+        if (i, eps) in in_rad:
             continue
-        for t in range(1, mono.i + 1):
-            src = spo21.Monomial(spo21.PLUS, k, mono.i - t, mono.eps)
-            img = spo21.act("f", src, p, t)
-            if img and img[0] == mono:
-                in_rad.add(mono)
+        for t in range(1, i + 1):
+            img = spo21.act("f", k, i - t, eps, p, t)
+            if img and img[0] == (i, eps):
+                in_rad.add((i, eps))
                 break
     return [m for m in basis if m not in in_rad]
 
@@ -127,20 +126,20 @@ def check_hom_oracle(kmax: int = 300, primes=(3, 5, 7)) -> Check:
         for k in range(kmax + 1):
             quotient = rad_oracle_quotient(k, p)
             by_weight = {}
-            for m in quotient:
-                if m.weight in by_weight:
+            for i, eps in quotient:
+                if k - 2 * i - eps in by_weight:
                     return False, f"quotient weight clash at k={k}, p={p}"
-                by_weight[m.weight] = m
-            rad = set(spo21.rad_basis(k, p))
-            if rad != set(spo21.basis_h0(k, spo21.PLUS)) - set(quotient):
+                by_weight[k - 2 * i - eps] = eps
+            basis = {(i, eps) for eps in (0, 1) for i in range(k + 1 - eps)}
+            if set(spo21.rad_basis(k, p)) != basis - set(quotient):
                 return False, f"rad_basis mismatch at k={k}, p={p}"
             if any(w < 0 for w in by_weight):
                 return False, f"negative quotient weight at k={k}, p={p}"
             for l in range(k + 3):
                 dim, parity = spo21.hom_dim(k, l, p)
-                mono = by_weight.get(l)
-                want_dim = 0 if mono is None else 1
-                want_par = None if mono is None else ("odd" if mono.eps else "even")
+                eps = by_weight.get(l)
+                want_dim = 0 if eps is None else 1
+                want_par = None if eps is None else ("odd" if eps else "even")
                 if (dim, parity) != (want_dim, want_par):
                     return False, f"hom mismatch at k={k}, l={l}, p={p}"
     return True, f"all k <= {kmax}, p in {tuple(primes)}"
@@ -159,7 +158,7 @@ def _char_minus(a: dict, b: dict) -> dict:
 
 
 def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
-    """Criterion 6: morphism tables hold a row for each of the 2k + 1 source
+    """Criterion 6: morphism rows hold one row for each of the 2k + 1 source
     monomials (rank-nullity) and distinct image weights, and the
     image/kernel/cokernel factor multisets agree with independent character
     peels and subtractions."""
@@ -167,17 +166,17 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
         simple = _memo(ch_L_spo, p)
         for k in range(1, kmax + 1):
             for j in spo21.admissible_js(k, p):
-                tab = spo21.psi_table(k, j, p)
-                if len(tab.rows) != 2 * k + 1:
+                l, rows = spo21.psi_rows(k, j, p)
+                if len(rows) != 2 * k + 1:
                     return False, f"rank-nullity broken at (k={k}, j={j}, p={p})"
-                images = [row[0] for row in tab.rows.values() if row]
-                im_char = {tgt.weight: 1 for tgt in images}
+                images = [l - 2 * ti - teps for _, _, ti, teps, c in rows if c]
+                im_char = dict.fromkeys(images, 1)
                 if len(im_char) != len(images):
                     return False, f"image weights collide at (k={k}, j={j}, p={p})"
                 ker, im, coker = spo21.ker_im_coker_factors(k, j, p)
                 try:
                     im_ok = peel(im_char, simple) == im
-                except NegativeResidualError:  # the table's image is no sum of simples
+                except NegativeResidualError:  # the rows' image is no sum of simples
                     im_ok = False
                 if not im_ok:
                     return False, f"image factors mismatch at (k={k}, j={j}, p={p})"
@@ -220,15 +219,15 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
                     if frobenius.comp_factors_r(l + t * q, r, p) != shifted:
                         return False, f"shift equivariance fails at l={l}, t={t}, r={r}, p={p}"
             for k in range(-q, 2 * q + 1):
-                tab = frobenius.psi_r_table(k, r, p)
-                im_weights = {row[0].weight for row in tab.rows.values() if row}
+                head, rows = frobenius.psi_r_rows(k, r, p)
+                im_weights = {head - 2 * ti - teps for _, _, ti, teps, c in rows if c}
                 lt = 2 * q - k - 1
                 if im_weights != set(frobenius.ch_l_r(lt, r, p)):
                     return False, f"image is not the single simple at k={k}, r={r}, p={p}"
                 ker, im, coker = frobenius.psi_r_ker_im_coker(k, r, p)
                 if im != Counter({lt: 1}) or ker != coker:
                     return False, f"ker/im/coker inconsistency at k={k}, r={r}, p={p}"
-                if len(tab.rows) != 2 * q:
+                if len(rows) != 2 * q:
                     return False, f"rank-nullity broken at k={k}, r={r}, p={p}"
     return True, f"r in {tuple(rs)}, p in {tuple(primes)}, two periods of l"
 

@@ -1,32 +1,37 @@
 from collections import Counter
 
 import pytest
-from reference_tables import basis_h0_r
 
 from spolink.characters import MAX_TERMS, TooManyTerms, ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
-    GrtMonomial,
     ch_h0_r,
     ch_l_r,
     comp_factors_r,
+    grt_name,
     hom_r,
     psi_r_ker_im_coker,
-    psi_r_table,
+    psi_r_rows,
     psi_r_tsv,
     socle_basis_r,
 )
-from spolink.spo21 import MINUS, PLUS, block_of
+from spolink.spo21 import MINUS, block_of
 
 PRIMES = (3, 5)
 
 
+def _plus_weights(k, r, p):
+    """Weights of the plus basis of head k, read off the sources of its rows."""
+    return sorted(2 * i + eps - k for i, eps, *_ in psi_r_rows(k, r, p)[1])
+
+
 def test_basis_h0_r():
-    basis = basis_h0_r(5, 1, 3, MINUS)
-    assert len(basis) == 6
-    assert sorted(m.weight for m in basis) == [0, 1, 2, 3, 4, 5]
-    for l in (-4, 0, 7):
-        assert len(basis_h0_r(l, 2, 3, MINUS)) == 2 * 9
-        assert len(basis_h0_r(l, 1, 5, PLUS)) == 10
+    # the rows list the 2p^r pairs (idx, eps), idx < p^r, in basis order
+    for p, r in ((3, 1), (3, 2), (5, 1)):
+        q = p**r
+        for k in (-4, 0, 7):
+            sources = [(i, eps) for i, eps, *_ in psi_r_rows(k, r, p)[1]]
+            assert sources == [(i, eps) for eps in (0, 1) for i in range(q)]
+    assert _plus_weights(0, 1, 3) == [0, 1, 2, 3, 4, 5]
 
 
 def test_plus_side_weights_mirror_minus():
@@ -36,14 +41,11 @@ def test_plus_side_weights_mirror_minus():
         for r in (1, 2):
             q = p**r
             for k in (-3, 0, q, 2 * q - 1, 2 * q + 4):
-                plus = sorted(m.weight for m in basis_h0_r(k, r, p, PLUS))
-                minus = sorted(m.weight for m in basis_h0_r(2 * q - k - 1, r, p, MINUS))
-                assert plus == minus
+                assert _plus_weights(k, r, p) == sorted(ch_h0_r(2 * q - k - 1, r, p))
 
 
 def test_socle_basis_r_known():
-    got = socle_basis_r(3, 1, 3, MINUS)
-    assert got == [GrtMonomial(MINUS, 3, 0, 0)]
+    assert socle_basis_r(3, 1, 3, MINUS) == [grt_name(MINUS, 3, 0, 0)] == ["x(1,1)^3"]
     assert len(socle_basis_r(2, 1, 3, MINUS)) == 5
     assert ch_l_r(2, 1, 3) == ch_L_spo(2, 3)  # small simple survives truncation
 
@@ -51,25 +53,22 @@ def test_socle_basis_r_known():
 def test_listings_past_max_terms_are_refused():
     # 2 * 3^12 = 1,062,882 candidate monomials
     assert 2 * 3**12 > MAX_TERMS > 2 * 3**11
-    for listing in (basis_h0_r, socle_basis_r):
-        with pytest.raises(TooManyTerms, match="MAX_TERMS"):
-            listing(1, 12, 3, MINUS)
-    for table in (psi_r_table, psi_r_tsv):
+    with pytest.raises(TooManyTerms, match="MAX_TERMS"):
+        socle_basis_r(1, 12, 3, MINUS)
+    for table in (psi_r_rows, psi_r_tsv):
         with pytest.raises(TooManyTerms):
             table(1, 12, 3)
 
 
 def test_socle_shift_invariance():
+    # a shift by p^r moves every socle weight by p^r: the (idx, eps) stay
     for p in PRIMES:
         for r in (1, 2):
             q = p**r
             for l in range(-q, q + 1):
-                base = [(m.idx, m.eps) for m in socle_basis_r(l, r, p, MINUS)]
+                base = ch_l_r(l, r, p)
                 for t in (-2, 1, 5):
-                    shifted = [
-                        (m.idx, m.eps) for m in socle_basis_r(l + t * q, r, p, MINUS)
-                    ]
-                    assert shifted == base
+                    assert ch_l_r(l + t * q, r, p) == poly_shift(base, t * q)
 
 
 def test_ch_l_r_is_truncated_group_character():
@@ -89,35 +88,26 @@ def test_hom_r():
 
 
 def test_psi_r_table_normalisation():
-    tab = psi_r_table(3, 1, 3)
-    src = GrtMonomial(PLUS, 3, 2, 1)
-    assert tab.rows[src] == (GrtMonomial(MINUS, 2, 0, 0), 1)
+    # the odd source with idx = p^r - 1 hits the target head monomial
+    lt, rows = psi_r_rows(3, 1, 3)
+    assert lt == 2 and (2, 1, 0, 0, 1) in rows
     for p in PRIMES:
         for r in (1, 2):
             q = p**r
             for k in (-2, 0, q, 2 * q - 1, 3 * q + 1):
-                tab = psi_r_table(k, r, p)
-                src = GrtMonomial(PLUS, k, q - 1, 1)
-                tgt = GrtMonomial(MINUS, 2 * q - k - 1, 0, 0)
-                assert tab.rows[src] == (tgt, 1)
+                lt, rows = psi_r_rows(k, r, p)
+                assert lt == 2 * q - k - 1
+                assert rows[-1] == (q - 1, 1, 0, 0, 1)
 
 
 def test_psi_r_shift_covariance():
-    # coefficients only depend on k mod p^r
+    # the rows, which leave out both heads, only depend on k mod p^r
     for p in PRIMES:
         r, q = 1, p
         for k in range(q, 2 * q):
-            base = psi_r_table(k, r, p)
+            base = psi_r_rows(k, r, p)[1]
             for t in (-2, 3):
-                other = psi_r_table(k + t * q, r, p)
-                for src, row in base.rows.items():
-                    src2 = GrtMonomial(PLUS, k + t * q, src.idx, src.eps)
-                    assert _indices(other.rows[src2]) == _indices(row)
-
-
-def _indices(row):
-    # a table row with its target's head dropped: (idx, eps, coeff), or None
-    return row and (row[0].idx, row[0].eps, row[1])
+                assert psi_r_rows(k + t * q, r, p)[1] == base
 
 
 def test_comp_factors_r_known():

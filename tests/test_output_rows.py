@@ -1,23 +1,23 @@
 """Integer rows to text: the Lucas digit listings of socles against scans
-over every index, and each text writer against the object or json form it
-replaced, byte for byte."""
+over every index, and each text writer, byte for byte, against the json form
+it replaced or digests recorded while it matched the object form."""
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 import reference_socle as ref
-import reference_tables as tables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spolink import cli, spo21
 from spolink.characters import MAX_TERMS
 from spolink.frobenius import (
-    ch_l_r, grt_name, psi_r_ker_im_coker, psi_r_table, psi_r_tsv, socle_basis_r,
+    ch_l_r, grt_name, psi_r_ker_im_coker, psi_r_rows, psi_r_tsv, socle_basis_r,
 )
 from spolink.padic import lucas_support
-from spolink.spo21 import MINUS, PLUS, monomial_name, socle_basis
+from spolink.spo21 import MINUS, PLUS, monomial_name, socle_basis, socle_indices
 
 primes = st.sampled_from((3, 5, 7, 11))
 sides = st.sampled_from((MINUS, PLUS))
@@ -32,24 +32,22 @@ def test_lucas_support_is_the_binomial_scan(n, p):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 5_000), primes, sides)
 def test_socle_basis_is_the_scan(l, p, side):
-    got = socle_basis(l, p, side)
-    assert got == ref.socle_scan(l, p, side)
-    assert socle_basis(l, p, side, monomial_name) == [str(m) for m in got]
+    scan = ref.socle_scan(l, p)
+    assert socle_indices(l, p) == scan
+    assert socle_basis(l, p, side) == [monomial_name(side, l, i, eps) for i, eps in scan]
 
 
 def test_socle_basis_refuses_a_negative_head():
     with pytest.raises(ValueError, match="socle_basis"):
-        socle_basis(-1, 3, MINUS, monomial_name)
+        socle_basis(-1, 3, MINUS)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(-10**6, 10**6), st.integers(1, 3), primes, sides)
 def test_socle_basis_r_is_the_scan(l, r, p, side):
-    got = socle_basis_r(l, r, p, side)
-    assert got == ref.socle_scan_r(l, r, p, side)
-    assert socle_basis_r(l, r, p, side, grt_name) == [str(m) for m in got]
-    if side == MINUS:
-        assert ch_l_r(l, r, p) == {m.weight: 1 for m in got}
+    scan = ref.socle_scan_r(l, r, p)
+    assert socle_basis_r(l, r, p, side) == [grt_name(side, l, idx, eps) for idx, eps in scan]
+    assert ch_l_r(l, r, p) == {l - 2 * idx - eps: 1 for idx, eps in scan}
 
 
 # ------------------------------------------------------------ text writers
@@ -75,8 +73,8 @@ def test_factor_text_is_the_old_form(factors, fmt):
 
 
 def test_basis_text_is_json_dumps():
-    lists = [[], ["1"], socle_basis(3, 3, MINUS, monomial_name),
-             socle_basis_r(-7, 2, 3, PLUS, grt_name), spo21.kernel_basis(39, 3, 3, monomial_name)]
+    lists = [[], ["1"], socle_basis(3, 3, MINUS), socle_basis_r(-7, 2, 3, PLUS),
+             spo21.kernel_basis(39, 3, 3)]
     for names in lists:
         assert cli._names_out(names, "json") == json.dumps({"basis": names})
         assert cli._names_out(names, "tsv") == "\n".join(names)
@@ -86,18 +84,37 @@ def _admissible(kmax=200, ps=(3, 5, 7)):
     return [(k, j, p) for p in ps for k in range(1, kmax) for j in spo21.admissible_js(k, p)]
 
 
+def _sha(texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+# The sha256 of each text writer's output over a range, recorded while the
+# tables were still also built from monomial objects and each text was checked
+# equal, table by table, to the table written out from its objects.
+PSI_TEXT = "067881b19dbcccb8453fa342884ff3e9df61d615087aaf4a6040380747b04fbc"
+KERNEL_NAMES = "99a718c0700b88ba0bd802501c40ba150960b2ea8f460b007f6787513c405361"
+PSI_R_TEXT = {
+    (3, 1): "5ca74dc0fc4505faf03fa8f14ee6a77b2e8a880e11c816ba7cf81a9d380aa4e2",
+    (3, 2): "dec1cad357199bccce0595360e056962c639cebe7d90bb03d0a4188869d40a46",
+    (3, 3): "86d24e278ab0b4e45611e904557dba1f203945ef3da6df91c41861180f213496",
+    (5, 1): "b06609c8c0781483b94a139e7cb7932229bddbc3b5d107b5775df54096cd7c5f",
+    (5, 2): "b11a27b598fff67e3f8658c0a791b4977ce7616e294f8cbe96725512bdf8fae7",
+    (7, 1): "d0374701ce4153bf6ec95b8eaa78f20e69fe5865de7d8dc87e7e8994323e3aa5",
+    (7, 2): "1ba41d692498f677959b5450e7c5e51e9f9300a3a50d1dd4102590fff45373aa",
+}
+
+
 def test_psi_text_and_kernel_names_are_the_table_forms():
-    for k, j, p in _admissible():
-        assert spo21.psi_tsv(k, j, p) == tables.table_tsv(spo21.psi_table(k, j, p)), (k, j, p)
-        assert spo21.kernel_basis(k, j, p, monomial_name) == [
-            str(m) for m in spo21.kernel_basis(k, j, p)], (k, j, p)
+    adm = _admissible()
+    assert _sha(f"{k} {j} {p}\n" + spo21.psi_tsv(k, j, p) for k, j, p in adm) == PSI_TEXT
+    assert _sha(f"{k} {j} {p}\t" + "\t".join(spo21.kernel_basis(k, j, p)) + "\n"
+                for k, j, p in adm) == KERNEL_NAMES
 
 
-@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+@pytest.mark.parametrize("p, r", list(PSI_R_TEXT))
 def test_psi_r_text_is_the_table_form(p, r):
     q = p**r
-    for k in range(-2 * q, 3 * q):
-        assert psi_r_tsv(k, r, p) == tables.table_tsv(psi_r_table(k, r, p)), (k, r, p)
+    assert _sha(f"{k}\n" + psi_r_tsv(k, r, p) for k in range(-2 * q, 3 * q)) == PSI_R_TEXT[p, r]
 
 
 def _old_kic(ker, im, coker) -> str:
@@ -127,10 +144,10 @@ def test_psi_r_table_image_is_the_target_simple(size, k):
     p, r = size
     q = p**r
     assert 2 * q <= MAX_TERMS
-    tab = psi_r_table(k, r, p)
-    assert len(tab.rows) == 2 * q
+    head, rows = psi_r_rows(k, r, p)
+    assert len(rows) == 2 * q
     lt = 2 * q - k - 1
-    images = [row[0].weight for row in tab.rows.values() if row]
+    images = [head - 2 * ti - teps for _, _, ti, teps, c in rows if c]
     assert len(set(images)) == len(images)
     assert set(images) == set(ch_l_r(lt, r, p))
     ker, im, coker = psi_r_ker_im_coker(k, r, p)

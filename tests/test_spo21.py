@@ -7,100 +7,105 @@ from spolink.padic import binom_mod, digits
 from spolink.spo21 import (
     MINUS,
     PLUS,
-    Monomial,
     act,
     admissible_js,
-    basis_h0,
     block_of,
     comp_factors_h0,
     hom_dim,
     ker_im_coker_factors,
     kernel_basis,
-    psi_table,
+    monomial_name,
+    psi_rows,
     rad_basis,
     socle_basis,
+    socle_indices,
 )
 
 PRIMES = (3, 5, 7)
 
 
+def _basis(head: int) -> list[tuple[int, int]]:
+    """The (i, eps) of the induced module of the given head, in basis order."""
+    return [(i, 0) for i in range(head + 1)] + [(i, 1) for i in range(head)]
+
+
+def _weight(head: int, pair: tuple[int, int]) -> int:
+    i, eps = pair
+    return head - 2 * i - eps
+
+
 def test_monomial_weights_and_strings():
-    m = Monomial(MINUS, 5, 2, 1)
-    assert m.weight == 0
-    assert str(m) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
-    pm = Monomial(PLUS, 5, 2, 0)
-    assert pm.weight == 1
-    assert str(pm) == "x(-1,-1)^2 x(-1,1)^3"
-    assert str(Monomial(MINUS, 0, 0, 0)) == "1"
-    with pytest.raises(ValueError):
-        Monomial(MINUS, 3, 3, 1)
-    with pytest.raises(ValueError):
-        Monomial("sideways", 3, 0, 0)
+    assert _weight(5, (2, 1)) == 0
+    assert monomial_name(MINUS, 5, 2, 1) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
+    assert _weight(5, (2, 0)) == 1
+    assert monomial_name(PLUS, 5, 2, 0) == "x(-1,-1)^2 x(-1,1)^3"
+    assert monomial_name(MINUS, 0, 0, 0) == "1"
 
 
 def test_basis_h0_counts():
-    assert len(basis_h0(0, MINUS)) == 1
-    assert len(basis_h0(3, MINUS)) == 7
-    assert len(basis_h0(2, PLUS)) == 5
+    # the rows of a morphism list the plus basis of head k, in basis order
+    for p in PRIMES:
+        for k in range(1, 40):
+            for j in admissible_js(k, p):
+                sources = [(i, eps) for i, eps, *_ in psi_rows(k, j, p)[1]]
+                assert sources == _basis(k)
     for head in range(8):
-        weights = sorted(m.weight for m in basis_h0(head, MINUS))
+        weights = sorted(_weight(head, m) for m in _basis(head))
         assert weights == list(range(-head, head + 1))
 
 
 def test_socle_basis_known():
-    got = socle_basis(3, 3, MINUS)
-    assert got == [Monomial(MINUS, 3, 0, 0), Monomial(MINUS, 3, 3, 0)]
+    assert socle_indices(3, 3) == [(0, 0), (3, 0)]
+    assert socle_basis(3, 3, MINUS) == ["x(1,1)^3", "x(1,-1)^3"]
     assert len(socle_basis(2, 3, MINUS)) == 5
     for p in PRIMES:
-        assert socle_basis(0, p, MINUS) == [Monomial(MINUS, 0, 0, 0)]
+        assert socle_indices(0, p) == [(0, 0)]
+        assert socle_basis(0, p, MINUS) == ["1"]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_socle_matches_simple_character(p):
     for l in range(0, 120):
-        assert {m.weight: 1 for m in socle_basis(l, p, MINUS)} == ch_L_spo(l, p)
+        assert {_weight(l, m): 1 for m in socle_indices(l, p)} == ch_L_spo(l, p)
 
 
 def test_act_known():
     k = 6
-    assert act("y", Monomial(PLUS, k, 2, 1), 7) == (Monomial(PLUS, k, 3, 0), 1)
+    assert act("y", k, 2, 1, 7) == ((3, 0), 1)
     # lowering beyond the available exponent vanishes
-    assert act("f", Monomial(PLUS, k, 4, 0), 7, t=3) is None
+    assert act("f", k, 4, 0, 7, t=3) is None
     # raising pulls down the first exponent with a binomial coefficient
     i, j = 4, 1
-    got = act("e", Monomial(PLUS, k, i, 1), 7, t=i - j)
-    assert got == (Monomial(PLUS, k, j, 1), binom_mod(i, i - j, 7))
+    got = act("e", k, i, 1, 7, t=i - j)
+    assert got == ((j, 1), binom_mod(i, i - j, 7))
     with pytest.raises(ValueError):
-        act("h", Monomial(PLUS, k, 0, 0), 7)
+        act("h", k, 0, 0, 7)
 
 
 def test_act_single_monomial_images():
     # f(t) lowers the weight by 2t, e(t) raises it by 2t, y lowers it by 1 and
-    # x raises it by 1; an image's coefficient is a nonzero residue
+    # x raises it by 1; an image's coefficient is a nonzero residue, and its
+    # pair lies in the basis
     for p in (3, 5):
-        for side in (MINUS, PLUS):
-            for head in range(0, 12):
-                for mono in basis_h0(head, side):
-                    images = [(act(op, mono, p), shift) for op, shift in (("y", -1), ("x", 1))]
-                    for t in range(1, head + 1):
-                        images += [(act("f", mono, p, t), -2 * t), (act("e", mono, p, t), 2 * t)]
-                    for img, shift in images:
-                        if img is not None:
-                            assert img[0].weight == mono.weight + shift, (mono, img)
-                            assert 0 < img[1] < p
+        for head in range(0, 12):
+            basis = _basis(head)
+            for mono in basis:
+                images = [(act(op, head, *mono, p), shift) for op, shift in (("y", -1), ("x", 1))]
+                for t in range(1, head + 1):
+                    images += [(act("f", head, *mono, p, t), -2 * t),
+                               (act("e", head, *mono, p, t), 2 * t)]
+                for img, shift in images:
+                    if img is not None:
+                        assert img[0] in basis, (head, mono, img)
+                        assert _weight(head, img[0]) == _weight(head, mono) + shift, (mono, img)
+                        assert 0 < img[1] < p
 
 
 def test_rad_basis_known():
     for p in PRIMES:
         assert rad_basis(0, p) == []
     got = set(rad_basis(3, 3))
-    want = {
-        Monomial(PLUS, 3, 1, 0),
-        Monomial(PLUS, 3, 2, 0),
-        Monomial(PLUS, 3, 3, 0),
-        Monomial(PLUS, 3, 1, 1),
-        Monomial(PLUS, 3, 2, 1),
-    }
+    want = {(1, 0), (2, 0), (3, 0), (1, 1), (2, 1)}
     assert got == want  # codimension 2 in the 7-dimensional module
 
 
@@ -113,31 +118,36 @@ def test_hom_dim_known():
         assert hom_dim(0, 2, p) == (0, None)
 
 
+def _table(k, j, p):
+    """The (k, j) rows as a map (i, eps) -> ((ti, teps), c), or None when the
+    source is killed."""
+    return {(i, eps): ((ti, teps), c) if c else None
+            for i, eps, ti, teps, c in psi_rows(k, j, p)[1]}
+
+
 def test_psi_table_known():
-    tab = psi_table(3, 0, 3)
-    rows = tab.rows
-    assert rows[Monomial(PLUS, 3, 1, 0)] == (Monomial(MINUS, 2, 0, 1), 1)
-    assert rows[Monomial(PLUS, 3, 2, 0)] == (Monomial(MINUS, 2, 1, 1), 2)
-    assert rows[Monomial(PLUS, 3, 0, 0)] is None
-    assert rows[Monomial(PLUS, 3, 3, 0)] is None
+    l, _ = psi_rows(3, 0, 3)
+    assert l == 2
+    rows = _table(3, 0, 3)
+    assert rows[1, 0] == ((0, 1), 1)
+    assert rows[2, 0] == ((1, 1), 2)
+    assert rows[0, 0] is None
+    assert rows[3, 0] is None
     # normalisation: the odd source with i = j hits the target head monomial
-    assert rows[Monomial(PLUS, 3, 0, 1)] == (Monomial(MINUS, 2, 0, 0), 1)
+    assert rows[0, 1] == ((0, 0), 1)
     with pytest.raises(ValueError):
-        psi_table(4, 0, 3)  # j = 0 needs p | k
+        psi_rows(4, 0, 3)  # j = 0 needs p | k
 
 
 def test_psi_table_odd_sources_below_j_vanish():
     k, j, p = 13, 4, 3
-    tab = psi_table(k, j, p)
+    rows = _table(k, j, p)
     for i in range(j):
-        assert tab.rows[Monomial(PLUS, k, i, 1)] is None
+        assert rows[i, 1] is None
 
 
 def test_kernel_basis_known():
-    assert set(kernel_basis(3, 0, 3)) == {
-        Monomial(PLUS, 3, 0, 0),
-        Monomial(PLUS, 3, 3, 0),
-    }
+    assert set(kernel_basis(3, 0, 3)) == {"x(-1,1)^3", "x(-1,-1)^3"}
     for k, j in ((4, 0), (3, 5)):
         with pytest.raises(ValueError, match=f"^\\(k={k}, j={j}\\) is not admissible at p=3$"):
             kernel_basis(k, j, 3)
@@ -147,23 +157,23 @@ def test_kernel_basis_known():
 def test_kernel_matches_table_zero_rows(p):
     for k in range(1, 120):
         for j in admissible_js(k, p):
-            tab = psi_table(k, j, p)
-            zero = [s for s, row in tab.rows.items() if row is None]
+            rows = _table(k, j, p)
+            zero = [monomial_name(PLUS, k, *s) for s, row in rows.items() if row is None]
             assert zero == kernel_basis(k, j, p)
-            assert len(tab.rows) == 2 * k + 1
+            assert len(rows) == 2 * k + 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_table_kernel_is_act_stable(p):
-    # a kernel is a submodule: every operator image of a monomial the table
-    # sends to 0 is again one, so a wrongly zeroed row shows
+    # a kernel is a submodule: every operator image of a monomial the rows
+    # send to 0 is again one, so a wrongly zeroed row shows
     for k in range(1, 60):
         for j in admissible_js(k, p):
-            kernel = {s for s, row in psi_table(k, j, p).rows.items() if row is None}
+            kernel = {s for s, row in _table(k, j, p).items() if row is None}
             for mono in kernel:
-                images = [act("y", mono, p), act("x", mono, p)]
+                images = [act("y", k, *mono, p), act("x", k, *mono, p)]
                 for t in range(1, k + 1):
-                    images += [act("e", mono, p, t), act("f", mono, p, t)]
+                    images += [act("e", k, *mono, p, t), act("f", k, *mono, p, t)]
                 for img in images:
                     assert img is None or img[0] in kernel, (k, j, mono, img)
 
@@ -173,20 +183,22 @@ def test_psi_equivariance_on_odd_sources():
     for p in (3, 5):
         for k in range(1, 201):
             for j in admissible_js(k, p):
-                tab = psi_table(k, j, p)
+                l, rows = k - 1 - 2 * j, _table(k, j, p)
                 for i in range(j, min(k, j + 6)):
-                    src = {Monomial(PLUS, k, i, 1): 1}
-                    lhs_vec = _linear(lambda m: act("e", m, p, t=i - j), src, p) if i > j else src
-                    lhs = _linear(lambda m: tab.rows[m], lhs_vec, p)
-                    rhs = _linear(lambda m: tab.rows[m], src, p)
+                    src = {(i, 1): 1}
+                    lhs_vec = src
                     if i > j:
-                        rhs = _linear(lambda m: act("e", m, p, t=i - j), rhs, p)
+                        lhs_vec = _linear(lambda m: act("e", k, *m, p, t=i - j), src, p)
+                    lhs = _linear(lambda m: rows[m], lhs_vec, p)
+                    rhs = _linear(lambda m: rows[m], src, p)
+                    if i > j:
+                        rhs = _linear(lambda m: act("e", l, *m, p, t=i - j), rhs, p)
                     assert lhs == rhs, (k, j, i, p)
 
 
 def _linear(image, vec, p):
-    """Extend a map on basis monomials, m -> (target, coeff) or None, linearly
-    to a vector {monomial: coeff}, coefficients mod p."""
+    """Extend a map on basis pairs, m -> (target, coeff) or None, linearly
+    to a vector {pair: coeff}, coefficients mod p."""
     out: dict = {}
     for src, c in vec.items():
         if img := image(src):

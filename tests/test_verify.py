@@ -1,5 +1,6 @@
-"""The memoised oracle sweeps still catch a wrong closed form: drop one factor
-at one weight and the matching check fails, naming that weight.  Each check
+"""The memoised oracle sweeps still catch a wrong closed form: drop one factor,
+basis pair or image at one weight, or flip one parity, and the matching check
+fails, naming that weight.  Each check
 keeps its own memo of simple characters, so no fault can hide behind an
 answer cached by another check or another prime."""
 
@@ -7,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from spolink import linkage, sl2, spo21, verify
+from spolink import frobenius, linkage, sl2, spo21, verify
 from spolink.characters import ch_L_spo
 
 PRIMES = (3, 5, 7)
@@ -63,22 +64,57 @@ def test_psi_tables_catch_a_dropped_factor(monkeypatch, part, message):
     assert not ok and detail == f"{message} at (k={k}, j={j}, p={p})"
 
 
+def _zeroing_first_image(fn, at):
+    """A row producer fn with its first nonzero coefficient set to 0 at the
+    arguments ``at`` only."""
+    def mutant(*args):
+        head, rows = fn(*args)
+        if args == at:
+            n = next(n for n, row in enumerate(rows) if row[4])
+            rows = rows[:n] + [rows[n][:4] + (0,)] + rows[n + 1:]
+        return head, rows
+    return mutant
+
+
 def test_psi_tables_catch_a_zeroed_row(monkeypatch):
-    # the table's image then is no sum of simple characters: peel raises, and
+    # the rows' image then is no sum of simple characters: peel raises, and
     # the check reports it rather than letting it out
     k, j, p = 39, 3, 3
-    true = spo21.psi_table
-
-    def mutant(*args):
-        tab = true(*args)
-        if args == (k, j, p):
-            src = next(s for s, row in tab.rows.items() if row)
-            tab = spo21.MorphismTable({**tab.rows, src: None})
-        return tab
-
-    monkeypatch.setattr(spo21, "psi_table", mutant)
+    monkeypatch.setattr(spo21, "psi_rows", _zeroing_first_image(spo21.psi_rows, (k, j, p)))
     ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
     assert (ok, detail) == (False, f"image factors mismatch at (k={k}, j={j}, p={p})")
+
+
+def test_grt_catches_a_zeroed_row(monkeypatch):
+    k, r, p = 4, 1, 3
+    mutant = _zeroing_first_image(frobenius.psi_r_rows, (k, r, p))
+    monkeypatch.setattr(frobenius, "psi_r_rows", mutant)
+    ok, detail = verify.check_grt(rs=(r,), primes=(p,))
+    assert (ok, detail) == (False, f"image is not the single simple at k={k}, r={r}, p={p}")
+
+
+def test_hom_oracle_catches_a_dropped_rad_pair(monkeypatch):
+    k, p = 10, 3
+    true = spo21.rad_basis
+    monkeypatch.setattr(spo21, "rad_basis", lambda *a: true(*a)[:-1] if a == (k, p) else true(*a))
+    ok, detail = verify.check_hom_oracle(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"rad_basis mismatch at k={k}, p={p}")
+
+
+@pytest.mark.parametrize("k, l, p", [(9, 9, 3), (3, 2, 3), (12, 5, 3)])  # even, j = 0, j = 3
+def test_hom_oracle_catches_a_flipped_parity(monkeypatch, k, l, p):
+    true = spo21.hom_dim
+    assert true(k, l, p)[0] == 1
+
+    def mutant(*args):
+        dim, parity = true(*args)
+        if args == (k, l, p):
+            parity = "odd" if parity == "even" else "even"
+        return dim, parity
+
+    monkeypatch.setattr(spo21, "hom_dim", mutant)
+    ok, detail = verify.check_hom_oracle(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"hom mismatch at k={k}, l={l}, p={p}")
 
 
 def test_linkage_rank1_catches_a_dropped_target(monkeypatch):
