@@ -10,8 +10,6 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product, repeat
 from math import gcd, inf, prod
@@ -153,37 +151,23 @@ def _even(lam: Weight, i0: int, plan: tuple, dst, code) -> None:
             code.extend(repeat(k, n))
 
 
-class Edges(Sequence):
-    """A graph's edges as id columns, source, target and a code into moves, a tuple of
-    (kind, alpha, r); read-only, each LinkageMove built from the graph's nodes when read.
-    A plain slotted class: a dataclass would add a millisecond to every CLI import."""
+class LinkageGraph(NamedTuple):
+    """A box's nodes and its edges as id columns: source, target, and a code into moves,
+    a tuple of (kind, alpha, r).  Iterating edges builds each LinkageMove from the nodes
+    as it is read, anew on every pass."""
 
-    __slots__ = ("nodes", "src", "dst", "code", "moves")
+    nodes: tuple[Weight, ...]
+    src: array
+    dst: array
+    code: array
+    moves: tuple[tuple[str, Weight, int], ...]
 
-    def __init__(self, nodes: tuple, src: array, dst: array, code: array, moves: tuple):
-        self.nodes, self.src, self.dst, self.code, self.moves = nodes, src, dst, code, moves
-
-    def __len__(self) -> int:
-        return len(self.src)
-
-    def __getitem__(self, i: int) -> LinkageMove:
-        kind, alpha, r = self.moves[self.code[i]]
-        return _move((kind, alpha, self.nodes[self.src[i]], self.nodes[self.dst[i]], r))
-
-    def __iter__(self):
+    @property
+    def edges(self):
         nodes, moves = self.nodes, self.moves
         for s, t, c in zip(self.src, self.dst, self.code):
             kind, alpha, r = moves[c]
             yield _move((kind, alpha, nodes[s], nodes[t], r))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True, slots=True)
-class LinkageGraph:
-    nodes: tuple[Weight, ...]
-    edges: Edges
 
 
 def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> LinkageGraph:
@@ -203,7 +187,7 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     the noniso moves.  A node's id, its position in nodes, is mixed radix with coordinate
     0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i.
     Each root's pairing lam.v is read from one column per graph, and the edges are
-    stored as id columns (see Edges).  Raises TooManyEdges past MAX_EDGES."""
+    stored as id columns (see LinkageGraph).  Raises TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
@@ -227,7 +211,7 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
         src.extend(repeat(i0, len(dst) - len(src)))
         if len(src) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
-    return LinkageGraph(nodes, Edges(nodes, src, dst, code, tuple(moves)))
+    return LinkageGraph(nodes, src, dst, code, tuple(moves))
 
 
 def connected_components(nodes, pairs) -> list[list]:
@@ -254,4 +238,4 @@ def connected_components(nodes, pairs) -> list[list]:
 def components(graph: LinkageGraph) -> list[list[Weight]]:
     """Connected components under the symmetrised move relation, each sorted,
     listed by smallest member; node ids ascend with the nodes."""
-    return connected_components(graph.nodes, zip(graph.edges.src, graph.edges.dst))
+    return connected_components(graph.nodes, zip(graph.src, graph.dst))

@@ -7,7 +7,7 @@ is rejected up front: the rank-one formulas downstream divide by 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def is_odd_prime(p: int) -> bool:
@@ -25,18 +25,18 @@ def is_odd_prime(p: int) -> bool:
 MAX_PRIME = 2**31  # trial division takes a few milliseconds at most below this
 
 
-@dataclass(frozen=True, slots=True)
-class Prime:
+class Prime(namedtuple("Prime", "p")):
     """A validated odd prime below MAX_PRIME, the characteristic used by
     every module."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p >= MAX_PRIME:
-            raise ValueError(f"p must be below 2^31 = {MAX_PRIME}, got {self.p!r}")
-        if not is_odd_prime(self.p):
-            raise ValueError(f"need an odd prime >= 3, got {self.p!r}")
+    def __new__(cls, p: int) -> Prime:
+        if p >= MAX_PRIME:
+            raise ValueError(f"p must be below 2^31 = {MAX_PRIME}, got {p!r}")
+        if not is_odd_prime(p):
+            raise ValueError(f"need an odd prime >= 3, got {p!r}")
+        return tuple.__new__(cls, (p,))
 
 
 def digits(n: int, p: int) -> list[int]:

@@ -10,10 +10,11 @@ returns them doubled: 2 rho is an integer tuple like every other vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from .characters import PolyN, ch_product_Zr
 
@@ -27,25 +28,25 @@ Label = tuple[str, int]
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class GroupShape:
-    n: int  # symplectic rank
-    m: int  # orthogonal rank
-    parity_type: str
+class GroupShape(namedtuple("GroupShape", "n m parity_type")):
+    """Symplectic rank n, orthogonal rank m, and the orthogonal dimension's
+    parity_type: odd 2m + 1 or even 2m."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0 or self.n + self.m == 0:
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, parity_type: str) -> GroupShape:
+        if n < 0 or m < 0 or n + m == 0:
             raise ValueError("need n, m >= 0 with n + m >= 1")
-        if self.parity_type not in (ODD, EVEN):
+        if parity_type not in (ODD, EVEN):
             raise ValueError(f"parity_type must be {ODD!r} or {EVEN!r}")
+        return tuple.__new__(cls, (n, m, parity_type))
 
     @property
     def rank(self) -> int:
         return self.n + self.m
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(NamedTuple):
     vec: Vec
     parity: str  # "even" / "odd"
     isotropic: bool | None  # set for odd roots only
@@ -154,15 +155,14 @@ def phi_plus_vecs(flag: tuple[Label, ...], shape: GroupShape) -> set[Vec]:
     return {r.vec for r in phi_plus(flag, shape)}
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     kind: str  # transpose / flip_symplectic / flip_orthogonal / relabel_orthogonal
     pos: int | None = None  # left position of a transposition
 
 
-@dataclass(frozen=True, slots=True)
-class ChainStep:
-    """One elementary flag move with the positive roots it removes and adds."""
+class ChainStep(NamedTuple):
+    """One elementary flag move with the positive roots it removes; it adds
+    their negatives."""
 
     flag_from: tuple[Label, ...]
     move: Move
@@ -170,7 +170,6 @@ class ChainStep:
     alpha: Vec | None
     levi: str | None
     removed: frozenset[Vec]
-    added: frozenset[Vec]
 
 
 def apply_move(flag: tuple[Label, ...], move: Move, shape: GroupShape) -> ChainStep:
@@ -217,8 +216,7 @@ def apply_move(flag: tuple[Label, ...], move: Move, shape: GroupShape) -> ChainS
         new, alpha, levi, removed = flipped, None, None, ()
     else:
         raise ValueError(f"unknown move kind {move.kind!r}")
-    added = frozenset(map(vneg, removed))
-    return ChainStep(flag, move, new, alpha, levi, frozenset(removed), added)
+    return ChainStep(flag, move, new, alpha, levi, frozenset(removed))
 
 
 def chain_of_borels(shape: GroupShape) -> list[ChainStep]:

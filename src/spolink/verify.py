@@ -131,7 +131,7 @@ def check_hom_oracle(kmax: int = 300, primes=(3, 5, 7)) -> Check:
                     return False, f"quotient weight clash at k={k}, p={p}"
                 by_weight[k - 2 * i - eps] = eps
             basis = {(i, eps) for eps in (0, 1) for i in range(k + 1 - eps)}
-            if set(spo21.rad_basis(k, p)) != basis - set(quotient):
+            if sorted(spo21.rad_basis(k, p)) != sorted(basis - set(quotient)):
                 return False, f"rad_basis mismatch at k={k}, p={p}"
             if any(w < 0 for w in by_weight):
                 return False, f"negative quotient weight at k={k}, p={p}"
@@ -289,7 +289,8 @@ def check_rootdata(rank_max: int = 4) -> Check:
                 return False, f"chain step does not replay for {shape}"
             before = rootdata.phi_plus_vecs(step.flag_from, shape)
             after = rootdata.phi_plus_vecs(step.flag_to, shape)
-            if before - after != step.removed or after - before != step.added:
+            added = {rootdata.vneg(v) for v in step.removed}
+            if before - after != step.removed or after - before != added:
                 return False, f"declared delta wrong for {shape} step {step.move}"
             if step.move.kind != "relabel_orthogonal":
                 moves += 1
@@ -346,7 +347,8 @@ def check_flag_independence(p: int = 3, r: int = 1) -> Check:
 def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
     """Criterion 11: rank-one linkage graphs on [-2p^2, 4p^2] reproduce the
     block partition, and the odd non-isotropic targets of each source are
-    exactly its non-head constituents (all of them lie in the box)."""
+    exactly its non-head constituents (all of them lie in the box), peeled as
+    in criterion 7."""
     shape = rootdata.GroupShape(1, 0, rootdata.ODD)
     for p in primes:
         lo, hi = -2 * p * p, 4 * p * p
@@ -360,9 +362,11 @@ def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
             if mv.kind == linkage.NONISO_ODD:
                 targets.setdefault((mv.source[0], mv.r), set()).add(mv.target[0])
         for r in (1, 2):
+            simple = _memo(oracle_simple_r, r, p)
             for c in range(0, 3 * p * p + 1, 3):
                 l = c % p**r
-                expect = {c - (l - lp) for lp in frobenius.comp_factors_r(l, r, p) if lp != l}
+                factors = peel(frobenius.ch_h0_r(l, r, p), simple)
+                expect = {c - (l - lp) for lp in factors if lp != l}
                 if targets.get((c, r), set()) != expect:
                     return False, f"noniso targets wrong at lam={c}, r={r}, p={p}"
     return True, f"block partition and noniso targets, p in {tuple(primes)}"

@@ -8,8 +8,8 @@ list as built: no weight repeats and none is negative.
 
 A word is held as an int code with two bits per position, position i in bits
 2i and 2i + 1, and the symbol SYMBOLS[s] at code s: < = 0, ≤ = 1, ≥ = 2,
-> = 3.  build_words holds codes, generations and weights in parallel lists of
-a Words sequence, which spells a word only when it is read.
+> = 3.  build_words holds codes and weights in parallel lists of a Words
+sequence, which spells a word only when it is read.
 """
 
 from __future__ import annotations
@@ -34,26 +34,22 @@ MAX_DIGITS = 20  # live words grow exponentially with the digit count
 
 class PrunedWord(NamedTuple):
     word: str
-    gen: int
     ell: int
 
 
 class Words(Sequence):
-    """Live words of width positions as parallel lists of codes, generations
-    and weights; item i is spelled into a PrunedWord when it is read."""
+    """Live words of width positions as parallel lists of codes and weights;
+    item i is spelled into a PrunedWord when it is read."""
 
-    def __init__(self, codes: list[int], gens: list[int], ells: list[int], width: int) -> None:
-        self.codes, self.gens, self.ells, self.width = codes, gens, ells, width
+    def __init__(self, codes: list[int], ells: list[int], width: int) -> None:
+        self.codes, self.ells, self.width = codes, ells, width
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, i: int) -> PrunedWord:
         word = "".join([SYMBOLS[self.codes[i] >> s & 3] for s in range(0, 2 * self.width, 2)])
-        return PrunedWord(word, self.gens[i], self.ells[i])
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (list, Words)) else NotImplemented
+        return PrunedWord(word, self.ells[i])
 
 
 def build_words(k: int, p: int) -> Words:
@@ -83,7 +79,6 @@ def build_words(k: int, p: int) -> Words:
     base = sum(1 << 2 * i for i in range(1, u + 1))  # < ≤ ... ≤
     prev, prev_ells = [base], [k]  # generation j - 1, all live before position j
     codes, ells = ([base], [k]) if a[0] else ([], [])
-    gens = [-1] * len(codes)
     earlier, earlier_ells = [], []  # live words of generations -1, ..., j - 2
     q = 1
     for j in range(u):
@@ -102,7 +97,6 @@ def build_words(k: int, p: int) -> Words:
         if a[j + 1]:
             codes += gen
             ells += gen_ells
-            gens += [j] * len(gen)
         prev, prev_ells = gen, gen_ells
         q *= p
-    return Words(codes, gens, ells, u + 1)
+    return Words(codes, ells, u + 1)

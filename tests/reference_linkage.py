@@ -19,7 +19,6 @@ from spolink.linkage import (
     MAX_EDGES,
     NONISO_ODD,
     Box,
-    LinkageGraph,
     LinkageMove,
     TooManyEdges,
     Weight,
@@ -119,8 +118,8 @@ def moves_even(lam: Weight, table: RootTable, r: int, p: int, box: Box) -> list[
     return out
 
 
-def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> LinkageGraph:
-    """All moves from every integral weight in the box, kept when the target
+def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> tuple[tuple, tuple]:
+    """The box's nodes and all moves from each of them, kept when the target
     also lies in the box.  The relation is used symmetrically: enumerating
     from every node covers the reversed residue convention for the odd
     non-isotropic moves as well.  Raises TooManyEdges past MAX_EDGES."""
@@ -137,4 +136,4 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
             edges.extend(moves_even(lam, table, r, p, box))
         if len(edges) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
-    return LinkageGraph(nodes, tuple(edges))
+    return nodes, tuple(edges)

@@ -87,19 +87,20 @@ def is_dead(word: str, a: list[int], p: int) -> bool:
     )
 
 
-def prune(entries: list[WordEntry], k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
-    """Remove dead words, deduplicate equal weights, optionally drop negatives.
+def prune(words: list[str], k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
+    """Remove dead words, weigh the rest, deduplicate equal weights, optionally
+    drop negatives.
 
     When several surviving words share a weight, the latest-listed one is
     kept.
     """
     a = digits(k + 1, p)
     kept: dict[int, tuple[int, PrunedWord]] = {}
-    for idx, (word, gen) in enumerate(entries):
+    for idx, word in enumerate(words):
         if is_dead(word, a, p):
             continue
         e = ell(k, word, p)
-        kept[e] = (idx, PrunedWord(word, gen, e))
+        kept[e] = (idx, PrunedWord(word, e))
     out = [pw for _, pw in sorted(kept.values())]
     if drop_negative:
         out = [pw for pw in out if pw.ell >= 0]
@@ -109,7 +110,7 @@ def prune(entries: list[WordEntry], k: int, p: int, drop_negative: bool = True) 
 def pruned_words(k: int, p: int, drop_negative: bool = True) -> list[PrunedWord]:
     """All surviving words for weight k, from the full 2^u listing."""
     u = max(len(digits(k + 1, p)) - 1, 0)
-    return prune(build_words(u + 1, u), k, p, drop_negative)
+    return prune([w for w, _ in build_words(u + 1, u)], k, p, drop_negative)
 
 
 def s_set(k: int, word: str, p: int) -> set[int]:

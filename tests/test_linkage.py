@@ -142,16 +142,16 @@ def test_rank2_graph_stays_inside_iso_blocks():
     shape = GroupShape(1, 1, ODD)
     box = [(-8, 8), (-8, 8)]
     graph = build_graph(box, shape, {1}, 3)
-    assert graph.edges  # the box is large enough to produce moves
+    assert graph.src  # the box is large enough to produce moves
     comps = components(graph)
     assert sum(len(c) for c in comps) == len(graph.nodes)
 
 
 def test_edge_cap_stops_the_build(monkeypatch):
     box, shape = [(0, 36)], GroupShape(1, 0, ODD)
-    n_edges = len(build_graph(box, shape, {1, 2}, 3).edges)
+    n_edges = len(build_graph(box, shape, {1, 2}, 3).src)
     monkeypatch.setattr(linkage, "MAX_EDGES", n_edges)
-    assert len(build_graph(box, shape, {1, 2}, 3).edges) == n_edges
+    assert len(build_graph(box, shape, {1, 2}, 3).src) == n_edges
     monkeypatch.setattr(linkage, "MAX_EDGES", n_edges - 1)
     with pytest.raises(TooManyEdges, match=f"MAX_EDGES = {n_edges - 1:,}"):
         build_graph(box, shape, {1, 2}, 3)

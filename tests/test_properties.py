@@ -226,25 +226,19 @@ def _edge_set(graph):
 @given(graph_inputs())
 def test_build_graph_equals_the_reference_in_order(inputs):
     shape, box, p, r_set = inputs
-    got, want = build_graph(box, shape, r_set, p), ref.build_graph(box, shape, r_set, p)
-    assert got.nodes == want.nodes
-    assert repr(got.edges) == repr(want.edges)
+    got = build_graph(box, shape, r_set, p)
+    assert (got.nodes, tuple(got.edges)) == ref.build_graph(box, shape, r_set, p)
 
 
 @settings(max_examples=150, deadline=None)
-@given(graph_inputs(), st.data())
-def test_the_edge_view_reads_as_the_reference_edges(inputs, data):
-    # graph.edges keeps id columns and builds each move when it is read
+@given(graph_inputs())
+def test_the_edge_view_reads_as_the_reference_edges(inputs):
+    # the graph keeps id columns, and graph.edges builds each move when it is read
     shape, box, p, r_set = inputs
     graph = build_graph(box, shape, r_set, p)
     edges = tuple(graph.edges)
-    assert edges == ref.build_graph(box, shape, r_set, p).edges
-    assert len(graph.edges) == len(edges)
-    if edges:
-        for i in (0, -1, data.draw(st.integers(-len(edges), len(edges) - 1))):
-            assert type(graph.edges[i]) is LinkageMove and graph.edges[i] == edges[i]
-    with pytest.raises(IndexError):
-        graph.edges[len(edges)]
+    assert edges == ref.build_graph(box, shape, r_set, p)[1]
+    assert all(type(mv) is LinkageMove for mv in edges) and tuple(graph.edges) == edges
     position = {w: i for i, w in enumerate(graph.nodes)}
     pairs = [(position[mv.source], position[mv.target]) for mv in edges]
     assert components(graph) == connected_components(graph.nodes, pairs)

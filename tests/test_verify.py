@@ -101,6 +101,16 @@ def test_hom_oracle_catches_a_dropped_rad_pair(monkeypatch):
     assert (ok, detail) == (False, f"rad_basis mismatch at k={k}, p={p}")
 
 
+def test_hom_oracle_catches_a_duplicated_rad_pair(monkeypatch):
+    # the same set of pairs, one listed twice: only a comparison of lists sees it
+    k, p = 10, 3
+    true = spo21.rad_basis
+    monkeypatch.setattr(spo21, "rad_basis",
+                        lambda *a: true(*a) + true(*a)[:1] if a == (k, p) else true(*a))
+    ok, detail = verify.check_hom_oracle(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"rad_basis mismatch at k={k}, p={p}")
+
+
 @pytest.mark.parametrize("k, l, p", [(9, 9, 3), (3, 2, 3), (12, 5, 3)])  # even, j = 0, j = 3
 def test_hom_oracle_catches_a_flipped_parity(monkeypatch, k, l, p):
     true = spo21.hom_dim
@@ -124,6 +134,18 @@ def test_linkage_rank1_catches_a_dropped_target(monkeypatch):
     monkeypatch.setattr(linkage, "comp_factors_r", _dropping(linkage.comp_factors_r, (0, 2, 3)))
     ok, detail = verify.check_linkage_rank1(primes=(3,))
     assert (ok, detail) == (False, "noniso targets wrong at lam=0, r=2, p=3")
+
+
+def test_linkage_rank1_takes_its_targets_from_the_oracle(monkeypatch):
+    # the same wrong factors in the closed form and in the graph's moves: the
+    # expected targets must come from the peel, not from comp_factors_r
+    l, r, p = 3, 2, 3
+    assert min(frobenius.comp_factors_r(l, r, p)) == -9  # the lowest, not the head
+    mutant = _dropping(frobenius.comp_factors_r, (l, r, p))
+    monkeypatch.setattr(frobenius, "comp_factors_r", mutant)
+    monkeypatch.setattr(linkage, "comp_factors_r", mutant)
+    ok, detail = verify.check_linkage_rank1(primes=(p,))
+    assert (ok, detail) == (False, f"noniso targets wrong at lam={l}, r={r}, p={p}")
 
 
 def test_each_memo_is_its_own():

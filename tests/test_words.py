@@ -28,8 +28,8 @@ def test_build_words_first_generations():
     assert ref.build_words(0, 0) == [(LT, -1)]
     assert ref.build_words(1, 0) == [(LT, -1)]  # no room for generation 0
     # digits(k + 1, 7) = [1, 2]: the base word and generation 0, both live
-    assert build_words(14, 7) == [(LT + LE, -1, 14), (GE + LT, 0, 12)]
-    assert build_words(0, 3) == [(LT, -1, 0)]
+    assert list(build_words(14, 7)) == [(LT + LE, 14), (GE + LT, 12)]
+    assert list(build_words(0, 3)) == [(LT, 0)]
 
 
 def test_build_words_sizes():
@@ -74,27 +74,26 @@ def test_s_set_known():
 
 
 def _lists(live):
-    return live.codes, live.gens, live.ells
+    return live.codes, live.ells
 
 
 def test_codes_known():
     # two bits per position, position 0 lowest: < = 0, ≤ = 1, ≥ = 2, > = 3
     assert SYMBOLS == (LT, LE, GE, GT)
-    assert _lists(build_words(14, 7)) == ([0b0100, 0b0010], [-1, 0], [14, 12])
-    assert _lists(build_words(0, 3)) == ([0], [-1], [0])
+    assert _lists(build_words(14, 7)) == ([0b0100, 0b0010], [14, 12])
+    assert _lists(build_words(0, 3)) == ([0], [0])
     # digits(12, 3) = [0, 1, 1]: the base word is dead, ≥<≤ and ≥≥< live
     live = build_words(11, 3)
-    assert _lists(live) == ([0b010010, 0b001010], [0, 1], [11, 5])
+    assert _lists(live) == ([0b010010, 0b001010], [11, 5])
     assert [pw.word for pw in live] == [GE + LT + LE, GE + GE + LT]
 
 
 def test_words_read_as_a_list():
     live = build_words(11, 3)
-    spelled = [PrunedWord(GE + LT + LE, 0, 11), PrunedWord(GE + GE + LT, 1, 5)]
+    spelled = [PrunedWord(GE + LT + LE, 11), PrunedWord(GE + GE + LT, 5)]
     assert len(live) == 2 and live[-1] == spelled[-1]
-    assert list(live) == spelled and live == spelled and spelled == live
-    assert live == build_words(11, 3) and live != build_words(11, 5)
-    assert live != tuple(spelled)  # equal only to lists, as a list is
+    assert list(live) == spelled and type(live[0]) is PrunedWord
+    assert list(live) == list(build_words(11, 3)) and list(live) != list(build_words(11, 5))
 
 
 def test_prune_known():
@@ -135,8 +134,8 @@ def _reference_live(k: int, p: int) -> list[PrunedWord]:
     word at a time."""
     a = digits(k + 1, p)
     return [
-        PrunedWord(w, g, ref.ell(k, w, p))
-        for w, g in ref.build_words(len(a), len(a) - 1)
+        PrunedWord(w, ref.ell(k, w, p))
+        for w, _ in ref.build_words(len(a), len(a) - 1)
         if not ref.is_dead(w, a, p)
     ]
 
@@ -148,7 +147,7 @@ def test_pruned_words_match_reference_exhaustively(p):
     for k in range(0, 2001):
         live = build_words(k, p)
         for drop_negative in (True, False):
-            assert live == ref.pruned_words(k, p, drop_negative), (k, p, drop_negative)
+            assert list(live) == ref.pruned_words(k, p, drop_negative), (k, p, drop_negative)
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,12 +155,11 @@ def test_pruned_words_match_reference_exhaustively(p):
 def test_live_words_match_reference_at_random_k(p, n_digits, data):
     # k + 1 has exactly n_digits base-p digits
     k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
-    live = build_words(k, p)
+    live = list(build_words(k, p))
     want = _reference_live(k, p)
     assert live == want
-    entries = [ref.WordEntry(w, g) for w, g, _ in want]
     for drop_negative in (True, False):
-        assert live == ref.prune(entries, k, p, drop_negative)
+        assert live == ref.prune([pw.word for pw in want], k, p, drop_negative)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,11 +177,11 @@ def test_code_filters_match_spelled_words(p, n_digits, data):
     k = data.draw(st.integers(p ** (n_digits - 1) - 1, p**n_digits - 2), label="k")
     live = build_words(k, p)
     codes, spelled = live.codes, list(live)
-    assert [(pw.gen, pw.ell) for pw in spelled] == list(zip(live.gens, live.ells))
+    assert [pw.ell for pw in spelled] == live.ells
     # a code's low two bits are the spelled first symbol, and every word but
-    # the base opens with ≥ (first kind) or < (second kind)
+    # the base (< ≤ ... ≤) opens with ≥ (first kind) or < (second kind)
     assert [SYMBOLS[c & 3] for c in codes] == [pw.word[0] for pw in spelled]
-    assert all(pw.word[0] in (GE, LT) for pw in spelled if pw.gen != -1)
+    assert all(pw.word[0] in (GE, LT) for pw in spelled)
     # the head is the word of weight k: the base word, or its bump when a_0 = 0
     rest = [pw for pw in spelled if pw.ell != k]
     assert _branch(k, p, FIRST) == [pw.ell for pw in rest if pw.word[0] == GE]
