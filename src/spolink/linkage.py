@@ -10,8 +10,8 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 from __future__ import annotations
 
 from array import array
-from functools import cache, partial
-from itertools import product, repeat
+from functools import partial
+from itertools import count, product, repeat
 from math import gcd, inf, prod
 from operator import mul
 from typing import NamedTuple
@@ -43,32 +43,6 @@ class LinkageMove(NamedTuple):
     r: int
 
 
-class RootTable(NamedTuple):
-    """The standard flag's positive roots, each family sorted, as immutable
-    records of the constants build_graph's moves read; lam.folded is the
-    pairing (lam, alpha)."""
-
-    iso: tuple[tuple[Weight, Weight, int], ...]  # odd isotropic: (alpha, folded, 2 rho.folded)
-    noniso: tuple[tuple[Weight, Weight, int], ...]  # the same, odd non-isotropic (odd type only)
-    even: tuple[tuple[Weight, int, int], ...]  # (alpha, alpha.alpha, 2 rho.alpha)
-
-
-def root_table(shape: GroupShape) -> RootTable:
-    """The root records against the standard flag's 2 rho; build_graph makes one per graph."""
-    flag = standard_flag(shape)
-    rho2 = rho_parts(flag, shape)[2]
-    families = {("odd", True): [], ("odd", False): [], ("even", None): []}
-    for root in sorted(phi_plus(flag, shape), key=lambda root: root.vec):
-        alpha = root.vec
-        if root.parity == "odd":
-            folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
-            record = alpha, folded, sum(map(mul, rho2, folded))
-        else:
-            record = alpha, sum(a * a for a in alpha), sum(map(mul, rho2, alpha))
-        families[root.parity, root.isotropic].append(record)
-    return RootTable(*map(tuple, families.values()))
-
-
 _move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
 
 
@@ -80,13 +54,42 @@ def _column(v: Weight, box: Box) -> list[int]:
     return col
 
 
-def _odd_plan(records: tuple, box: Box, strides: list[int], column) -> tuple:
-    """Each odd root's alpha, 2 rho.folded, pairing column lam.folded, id offset off and nonzero
-    coordinates (i, alpha_i, lo, hi): lam - s alpha has id i0 - s off and is in the box iff
-    lo <= lam_i - s alpha_i <= hi at each."""
-    return tuple((alpha, c, column(folded), sum(map(mul, alpha, strides)),
-                  tuple((i, a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a))
-                 for alpha, folded, c in records)
+def _plans(box: Box, shape: GroupShape, r_set: set[int], p: int) -> tuple[tuple, list[tuple]]:
+    """The moves tuple of (kind, alpha, r) and, per r in r_set ascending, the plan
+    (r, iso, noniso, even) of records the per-node routines unpack, each ending with its
+    move code k, an index into moves; one pass over the standard flag's positive roots,
+    sorted by family and vector, the order of the codes within each r.  An odd record is
+    (alpha, c = 2 rho.folded, the column lam.folded = (lam, alpha), alpha's id offset off,
+    its nonzero coordinates (i, alpha_i, lo, hi), k): lam - s alpha has id i0 - s off and
+    is in the box iff lo <= lam_i - s alpha_i <= hi at each.  An even record holds the wall
+    constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha, g = gcd(alpha), q d, q g,
+    the id offsets of alpha / g and of q alpha, the nonzero coordinates (i, alpha_i / g,
+    q alpha_i, near edge, far edge; ordered by sign), the column lam.alpha and k.  A zero
+    coordinate needs no test: nodes are in the box, and the move keeps it."""
+    flag = standard_flag(shape)
+    rho2 = rho_parts(flag, shape)[2]
+    strides = [prod(hi - lo + 1 for lo, hi in box[i + 1:]) for i in range(len(box))]
+    roots = sorted((2 if root.parity == "even" else 0 if root.isotropic else 1, root.vec)
+                   for root in phi_plus(flag, shape))  # families 0 iso, 1 noniso, 2 even
+    plans = [(r, [], [], []) for r in sorted(r_set)]
+    for k, (family, alpha) in enumerate(roots):
+        off, codes = sum(map(mul, alpha, strides)), count(k, len(roots))  # its code at each r
+        if family < 2:
+            folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
+            c, col = sum(map(mul, rho2, folded)), _column(folded, box)
+            moving = tuple((i, a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a)
+            for plan, code in zip(plans, codes):
+                plan[1 + family].append((alpha, c, col, off, moving, code))
+            continue
+        c, d, g = sum(map(mul, rho2, alpha)), sum(a * a for a in alpha), gcd(*alpha)
+        col = _column(alpha, box)
+        for (r, _, _, even), code in zip(plans, codes):
+            q = p**r
+            moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
+                      for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
+            even.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving, col, code))
+    kinds = ISO_ODD, NONISO_ODD, EVEN_MOVE
+    return tuple((kinds[family], alpha, r) for r, *_ in plans for family, alpha in roots), plans
 
 
 def _iso_odd(lam: Weight, i0: int, plan: tuple, p: int, dst, code) -> None:
@@ -115,21 +118,6 @@ def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, c
                     break
             else:
                 dst.append(i0 - s * off), code.append(k)
-
-
-def _even_plan(table: RootTable, q: int, box: Box, strides: list[int], column) -> list[tuple]:
-    """Each even root's wall constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha,
-    g = gcd(alpha), q d, q g, the id offsets of alpha / g and of q alpha, the nonzero
-    coordinates (i, alpha_i / g, q alpha_i, near edge, far edge; ordered by sign), column lam.alpha.
-    A zero coordinate needs no test: nodes are in the box, and the move keeps it."""
-    plan = []
-    for alpha, d, c in table.even:
-        g = gcd(*alpha)
-        off = sum(map(mul, alpha, strides))
-        moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
-                  for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
-        plan.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving, column(alpha)))
-    return plan
 
 
 def _even(lam: Weight, i0: int, plan: tuple, dst, code) -> None:
@@ -191,17 +179,7 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
-    strides = [prod(hi - lo + 1 for lo, hi in box[i + 1:]) for i in range(len(box))]
-    table, column = root_table(shape), cache(lambda v: _column(v, box))
-    iso = _odd_plan(table.iso, box, strides, column)
-    noniso = _odd_plan(table.noniso, box, strides, column)
-    moves, plans = [], []  # each plan record ends with its move code, an index into moves
-    for r in sorted(r_set):
-        even, coded = _even_plan(table, p**r, box, strides, column), [r]
-        for kind, plan in (ISO_ODD, iso), (NONISO_ODD, noniso), (EVEN_MOVE, even):
-            coded.append(tuple((*rec, len(moves) + k) for k, rec in enumerate(plan)))
-            moves += [(kind, rec[0], r) for rec in plan]
-        plans.append(coded)
+    moves, plans = _plans(box, shape, r_set, p)
     src, dst, code, steps = array("q"), array("q"), array("q"), {}
     for i0, lam in enumerate(nodes):
         for r, iso_r, noniso_r, even_r in plans:
@@ -211,7 +189,7 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
         src.extend(repeat(i0, len(dst) - len(src)))
         if len(src) > MAX_EDGES:
             raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
-    return LinkageGraph(nodes, src, dst, code, tuple(moves))
+    return LinkageGraph(nodes, src, dst, code, moves)
 
 
 def connected_components(nodes, pairs) -> list[list]:

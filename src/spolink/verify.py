@@ -9,6 +9,7 @@ both drive these functions.
 from __future__ import annotations
 
 from collections import Counter
+from operator import sub
 from typing import Callable
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
@@ -200,8 +201,9 @@ def oracle_simple_r(hw: int, r: int, p: int) -> dict:
 
 def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
     """Criterion 7: thickened decompositions equal truncated-character peels,
-    dimension 2p^r is conserved, shifts act on factors, and every thickened
-    morphism image is the single expected simple."""
+    dimension 2p^r is conserved, shifts act on factors, every thickened
+    morphism image is the single expected simple, and its kernel, image and
+    cokernel factors equal the peels of the rows' image and of what it leaves."""
     for p in primes:
         for r in rs:
             q = p**r
@@ -227,6 +229,15 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
                 ker, im, coker = frobenius.psi_r_ker_im_coker(k, r, p)
                 if im != Counter({lt: 1}) or ker != coker:
                     return False, f"ker/im/coker inconsistency at k={k}, r={r}, p={p}"
+                # the domain's character is ch_h0_r(lt) too: kernel and cokernel are what im leaves
+                im_char = dict.fromkeys(im_weights, 1)
+                try:
+                    rest = peel(_char_minus(frobenius.ch_h0_r(lt, r, p), im_char), simple)
+                    peels = rest, peel(im_char, simple), rest
+                except NegativeResidualError:  # no sum of simples
+                    peels = None
+                if im_weights != set(simple(lt)) or peels != (ker, im, coker):
+                    return False, f"ker/im/coker differ from oracle peels at k={k}, r={r}, p={p}"
                 if len(rows) != 2 * q:
                     return False, f"rank-nullity broken at k={k}, r={r}, p={p}"
     return True, f"r in {tuple(rs)}, p in {tuple(primes)}, two periods of l"
@@ -268,9 +279,9 @@ def _shapes(rank_max: int = 4):
 
 def check_rootdata(rank_max: int = 4) -> Check:
     """Criterion 9: positive systems halve the root count on every chain flag,
-    every chain step replays as the same record and its delta matches a
-    recomputation, chain lengths and endpoints are right, and the four
-    normative pairings of 2 rho0 and 2 rho1 come out exactly."""
+    every chain step's root is in its delta and simple in the Borel it leaves,
+    its delta matches a recomputation, chain lengths and endpoints are right,
+    and the four normative pairings of 2 rho0 and 2 rho1 come out exactly."""
     for shape in _shapes(rank_max):
         all_roots = rootdata.roots(shape)
         if len(set(r.vec for r in all_roots)) != len(all_roots):
@@ -285,9 +296,11 @@ def check_rootdata(rank_max: int = 4) -> Check:
                 return False, f"positive system meets its negative for {shape}"
         moves = 0
         for step in steps:
-            if rootdata.apply_move(step.flag_from, step.move, shape) != step:
-                return False, f"chain step does not replay for {shape}"
             before = rootdata.phi_plus_vecs(step.flag_from, shape)
+            # adjacent Borels differ by a simple root: alpha - beta is positive for no positive beta
+            if (alpha := step.alpha) is not None and (alpha not in step.removed or any(
+                    tuple(map(sub, alpha, beta)) in before for beta in before)):
+                return False, f"chain step {step.move} removes no simple root for {shape}"
             after = rootdata.phi_plus_vecs(step.flag_to, shape)
             added = {rootdata.vneg(v) for v in step.removed}
             if before - after != step.removed or after - before != added:

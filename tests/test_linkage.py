@@ -10,13 +10,13 @@ from spolink.linkage import (
     EVEN_MOVE,
     ISO_ODD,
     NONISO_ODD,
-    RootTable,
     TooManyEdges,
     build_graph,
     components,
-    root_table,
 )
-from spolink.rootdata import EVEN, ODD, GroupShape, pairing, phi_plus, rho_parts, standard_flag
+from spolink.rootdata import (
+    EVEN, ODD, GroupShape, Root, pairing, phi_plus, rho_parts, standard_flag,
+)
 from spolink.spo21 import block_of
 
 
@@ -55,7 +55,8 @@ def test_iso_odd_pairings_are_integral():
 
 def test_noniso_odd_even_type_is_empty():
     shape = GroupShape(2, 1, EVEN)
-    assert root_table(shape).noniso == ()
+    roots = phi_plus(standard_flag(shape), shape)
+    assert not any(root.parity == "odd" and not root.isotropic for root in roots)
     graph = build_graph([(0, 4), (0, 2), (-1, 1)], shape, {1, 2}, 3)
     assert (3, 1, 0) in graph.nodes
     assert not any(m.kind == NONISO_ODD for m in graph.edges)
@@ -160,8 +161,8 @@ def test_edge_cap_stops_the_build(monkeypatch):
 def test_even_integrality_assert_fires(monkeypatch):
     # 2 rho.alpha = 1 is odd, so v = 2 (lam + rho).alpha is odd at every lam
     # and v alpha_i / alpha.alpha is never an integer
-    table = RootTable((), (), (((1, 1), 2, 1),))
-    monkeypatch.setattr(linkage, "root_table", lambda shape: table)
+    monkeypatch.setattr(linkage, "phi_plus", lambda flag, shape: {Root((1, 1), "even", None)})
+    monkeypatch.setattr(linkage, "rho_parts", lambda flag, shape: ((0, 0), (0, 0), (1, 0)))
     with pytest.raises(AssertionError):
         build_graph([(0, 2), (0, 2)], GroupShape(1, 1, ODD), {1}, 3)
 
@@ -171,7 +172,10 @@ def test_gcd_integrality_equals_the_per_coordinate_check():
     shapes = [GroupShape(n, m, t) for n in range(5) for m in range(5 - n) if n + m
               for t in (ODD, EVEN)]
     for shape in shapes:
-        for alpha, d, _ in root_table(shape).even:
-            g = gcd(*alpha)
+        for root in phi_plus(standard_flag(shape), shape):
+            if root.parity != "even":
+                continue
+            alpha = root.vec
+            d, g = sum(a * a for a in alpha), gcd(*alpha)
             for v in range(-50, 50):
                 assert (v * g % d == 0) == all(v * a % d == 0 for a in alpha), (alpha, v)

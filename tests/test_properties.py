@@ -203,13 +203,13 @@ def test_odd_moves_match_the_pairing(inputs):
 
 @st.composite
 def graph_inputs(draw):
-    """A shape of rank <= 3, a small box, a prime and an r-set inside {1, 2, 3}.  At
+    """A shape of rank <= 4, a small box, a prime and an r-set inside {1, 2, 3}.  At
     r = 3, q = p^3 >= 27 is about as wide as the widest box, so the even wall range is
     often empty, and the node ids are exercised at every stride."""
-    n = draw(st.integers(0, 3))
-    m = draw(st.integers(1 if n == 0 else 0, 3 - n))
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1 if n == 0 else 0, 4 - n))
     shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
-    width = {1: 30, 2: 8, 3: 4}[shape.rank]
+    width = {1: 30, 2: 8, 3: 4, 4: 3}[shape.rank]
     box = []
     for _ in range(shape.rank):
         lo = draw(st.integers(-20, 20))

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from spolink import frobenius, linkage, sl2, spo21, verify
+from spolink import frobenius, linkage, rootdata, sl2, spo21, verify
 from spolink.characters import ch_L_spo
 
 PRIMES = (3, 5, 7)
@@ -93,6 +93,23 @@ def test_grt_catches_a_zeroed_row(monkeypatch):
     assert (ok, detail) == (False, f"image is not the single simple at k={k}, r={r}, p={p}")
 
 
+def test_grt_catches_kernel_and_cokernel_factors_dropped_alike(monkeypatch):
+    # both lose their highest factor, so they still equal each other; only the
+    # peel of what the rows' image leaves of the domain sees it
+    k, r, p = 4, 1, 3
+    true = frobenius.psi_r_ker_im_coker
+
+    def mutant(*args):
+        ker, im, coker = true(*args)
+        if args == (k, r, p):
+            del ker[max(ker)], coker[max(coker)]
+        return ker, im, coker
+
+    monkeypatch.setattr(frobenius, "psi_r_ker_im_coker", mutant)
+    ok, detail = verify.check_grt(rs=(r,), primes=(p,))
+    assert (ok, detail) == (False, f"ker/im/coker differ from oracle peels at k={k}, r={r}, p={p}")
+
+
 def test_hom_oracle_catches_a_dropped_rad_pair(monkeypatch):
     k, p = 10, 3
     true = spo21.rad_basis
@@ -125,6 +142,24 @@ def test_hom_oracle_catches_a_flipped_parity(monkeypatch, k, l, p):
     monkeypatch.setattr(spo21, "hom_dim", mutant)
     ok, detail = verify.check_hom_oracle(kmax=k + 2, primes=(p,))
     assert (ok, detail) == (False, f"hom mismatch at k={k}, l={l}, p={p}")
+
+
+def test_rootdata_catches_a_chain_step_with_a_non_simple_root(monkeypatch):
+    # odd-type symplectic flips report 2v, which the flip removes but which is
+    # v + v; the chain is built by the same apply_move, so a replay of each step
+    # would pass it
+    true = rootdata.apply_move
+
+    def mutant(flag, move, shape):
+        step = true(flag, move, shape)
+        if move.kind == "flip_symplectic" and shape.parity_type == rootdata.ODD:
+            step = step._replace(alpha=tuple(2 * a for a in step.alpha))
+        return step
+
+    monkeypatch.setattr(rootdata, "apply_move", mutant)
+    ok, detail = verify.check_rootdata(3)
+    flip, shape = rootdata.Move("flip_symplectic"), rootdata.GroupShape(1, 0, rootdata.ODD)
+    assert (ok, detail) == (False, f"chain step {flip} removes no simple root for {shape}")
 
 
 def test_linkage_rank1_catches_a_dropped_target(monkeypatch):
