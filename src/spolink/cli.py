@@ -14,39 +14,25 @@ import argparse
 import contextlib
 import json
 import sys
-from collections import Counter
 
 from . import frobenius, linkage, rootdata, sl2, spo21, verify
-from .characters import TooManyTerms
+from .characters import TooManyTerms, check_terms
 from .padic import Prime
 from .rootdata import GroupShape
 from .words import MAX_DIGITS
 
 
-def _descending(factors: Counter):
-    """(hw, mult) pairs, highest weight first.  Sorting the weights alone, and
-    skipping the lookups when every mult is 1 (every decomposition here is
-    multiplicity-free), costs a fraction of sorting the items."""
+def _factors_out(factors: frozenset[int], fmt: str) -> str:
+    """A multiplicity-free constituent set, highest weight first."""
     hws = sorted(factors, reverse=True)
-    mults = [1] * len(hws) if set(factors.values()) <= {1} else [factors[hw] for hw in hws]
-    return zip(hws, mults)
-
-
-def _factors_json(factors: Counter) -> str:
-    # json.dumps of {"factors": [{"hw": hw, "mult": m}, ...]}: every entry is
-    # an int, so joining f-strings gives the same bytes
-    rows = ", ".join([f'{{"hw": {hw}, "mult": {m}}}' for hw, m in _descending(factors)])
-    return f'{{"factors": [{rows}]}}'
-
-
-def _factors_out(factors: Counter, fmt: str) -> str:
     if fmt == "tsv":
-        return "\n".join(["hw\tmult", *(f"{hw}\t{m}" for hw, m in _descending(factors))])
+        return "\n".join(["hw\tmult", *(f"{hw}\t1" for hw in hws)])
     if fmt == "text":
-        return " + ".join(
-            f"L({hw})" if m == 1 else f"{m}*L({hw})" for hw, m in _descending(factors)
-        ) or "0"
-    return _factors_json(factors)
+        return " + ".join([f"L({hw})" for hw in hws]) or "0"
+    # json.dumps of {"factors": [{"hw": hw, "mult": 1}, ...]}: every entry is
+    # an int, so joining f-strings gives the same bytes
+    rows = ", ".join([f'{{"hw": {hw}, "mult": 1}}' for hw in hws])
+    return f'{{"factors": [{rows}]}}'
 
 
 def _names_out(names: list[str], fmt: str) -> str:
@@ -169,14 +155,15 @@ def _psi_table(args, p):
 
 def _ker_im_coker(args, p):
     if args.grt:
-        ker, im, coker = frobenius.psi_r_ker_im_coker(args.k, args.r, p)
+        parts = frobenius.psi_r_ker_im_coker(args.k, args.r, p)
     else:
-        ker, im, coker = spo21.ker_im_coker_factors(args.k, _need_j(args), p)
-    return (f'{{"kernel": {_factors_json(ker)}, "image": {_factors_json(im)}, '
-            f'"cokernel": {_factors_json(coker)}}}')
+        parts = spo21.ker_im_coker_factors(args.k, _need_j(args), p)
+    ker, im, coker = (_factors_out(part, "json") for part in parts)
+    return f'{{"kernel": {ker}, "image": {im}, "cokernel": {coker}}}'
 
 
 def _blocks_out(lo: int, hi: int, p: int) -> str:
+    check_terms(hi - lo + 1)
     rows = [f"{l}\t{spo21.block_of(l, p)}" for l in range(lo, hi + 1)]
     return "\n".join(["weight\tblock"] + rows)
 
@@ -410,6 +397,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+# The option sizing each listing MAX_TERMS caps, where that is not --r (thickened
+# listings and product characters): a rank-one weight, a window or a linkage box.
+_SIZED_BY = {"socle": "--l", "psi-table": "--k", "kernel": "--k", "blocks": "--window",
+             "blocks-grt": "--window", "linkage-graph": "--box", "components": "--box"}
+
+
 def run(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     p = Prime(args.p).p if hasattr(args, "p") else None
@@ -420,7 +413,9 @@ def run(argv=None) -> int:
     except linkage.TooManyEdges as exc:
         raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
     except TooManyTerms as exc:
-        raise ValueError(f"--r {args.r} {exc}; lower it") from None
+        option = "--r" if getattr(args, "grt", False) else _SIZED_BY.get(args.command, "--r")
+        fix = "narrow" if option in ("--window", "--box") else "lower"
+        raise ValueError(f"{option} {getattr(args, option[2:])} {exc}; {fix} it") from None
     if isinstance(out, bool):
         return 0 if out else 1
     print(out)

@@ -16,11 +16,9 @@ becomes text only through grt_name.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .characters import Poly1, check_terms
 from .padic import binom_mod
-from .spo21 import MINUS, PLUS, branch_parts, render, socle_indices, _sub_multiset, _tsv
+from .spo21 import MINUS, PLUS, branch_parts, render, socle_indices, _tsv
 from .words import MAX_DIGITS
 
 
@@ -102,10 +100,10 @@ def psi_r_tsv(k: int, r: int, p: int) -> str:
     )
 
 
-def comp_factors_r(l: int, r: int, p: int) -> Counter:
-    """Composition factor multiset of the minus induced module of any integer
-    head l: normalise into [p^r, 2p^r), run the residue branches there,
-    shift back.  The branches build words of r + 1 digits, so r < MAX_DIGITS."""
+def comp_factors_r(l: int, r: int, p: int) -> frozenset[int]:
+    """Composition factors of the minus induced module of any integer head l,
+    as a set of highest weights: normalise into [p^r, 2p^r), run the residue
+    branches there, shift back.  The branches build words of r + 1 digits."""
     if r + 1 > MAX_DIGITS:
         raise ValueError(f"r = {r} needs words of {r + 1} base-{p} digits; "
                          f"they are built for at most {MAX_DIGITS}")
@@ -113,12 +111,12 @@ def comp_factors_r(l: int, r: int, p: int) -> Counter:
     lt = (l - q) % q + q
     shift = l - lt
     parts = branch_parts(lt, p)
-    out = Counter({e + shift: 1 for e in parts})
-    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {out}"
+    out = frozenset([e + shift for e in parts])
+    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {sorted(parts)}"
     return out
 
 
-def psi_r_ker_im_coker(k: int, r: int, p: int) -> tuple[Counter, Counter, Counter]:
+def psi_r_ker_im_coker(k: int, r: int, p: int) -> tuple[frozenset[int], ...]:
     """Kernel, image, cokernel factors of the thickened morphism at head k.
 
     The image is the single simple of highest weight 2p^r - k - 1; domain and
@@ -126,6 +124,6 @@ def psi_r_ker_im_coker(k: int, r: int, p: int) -> tuple[Counter, Counter, Counte
     factor of the codomain.
     """
     lt = 2 * p**r - k - 1
-    im = Counter({lt: 1})
-    rest = _sub_multiset(comp_factors_r(lt, r, p), im)
-    return Counter(rest), im, Counter(rest)
+    im, cod = frozenset({lt}), comp_factors_r(lt, r, p)
+    assert im <= cod, (k, r, p)
+    return cod - im, im, cod - im

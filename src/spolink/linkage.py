@@ -16,6 +16,7 @@ from math import gcd, inf, prod
 from operator import mul
 from typing import NamedTuple
 
+from .characters import check_terms
 from .frobenius import comp_factors_r
 from .rootdata import GroupShape, phi_plus, rho_parts, standard_flag
 
@@ -175,9 +176,11 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     the noniso moves.  A node's id, its position in nodes, is mixed radix with coordinate
     0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i.
     Each root's pairing lam.v is read from one column per graph, and the edges are
-    stored as id columns (see LinkageGraph).  Raises TooManyEdges past MAX_EDGES."""
+    stored as id columns (see LinkageGraph).  Raises TooManyTerms past MAX_TERMS nodes,
+    before any is built, and TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
+    check_terms(prod(hi - lo + 1 for lo, hi in box))
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     moves, plans = _plans(box, shape, r_set, p)
     src, dst, code, steps = array("q"), array("q"), array("q"), {}

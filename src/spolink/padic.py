@@ -79,6 +79,12 @@ def lucas_support(n: int, p: int) -> list[int]:
     return out
 
 
+def lucas_count(n: int, p: int) -> int:
+    """len(lucas_support(n, p)) without the listing: the product of n's
+    base-p digits plus one; 0 for n < 0."""
+    return math.prod(d + 1 for d in digits(n, p)) if n >= 0 else 0
+
+
 def a_val(l: int, p: int) -> int:
     """Exponent of the exact power of p dividing l != 0."""
     if l == 0:

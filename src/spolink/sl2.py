@@ -3,24 +3,20 @@ linkage predicate."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .padic import defect
 from .words import build_words
 
 
-def decompose_sl2(k: int, p: int) -> Counter:
-    """Simple constituents of the induced module of highest weight k >= 0.
-
-    One factor per live word; weights are pairwise distinct, so every
-    multiplicity is 1.
-    """
+def decompose_sl2(k: int, p: int) -> frozenset[int]:
+    """Highest weights of the simple constituents of the induced module of
+    highest weight k >= 0: one per live word, the words' weights asserted
+    pairwise distinct, so every multiplicity is 1."""
     if k < 0:
         raise ValueError("decompose_sl2() needs k >= 0")
     ells = build_words(k, p).ells
-    out = Counter(ells)
-    assert len(out) == len(ells), f"multiplicity > 1 at k={k}: {out}"
-    assert out[k] == 1, f"head weight {k} missing from its own decomposition"
+    out = frozenset(ells)
+    assert len(out) == len(ells), f"multiplicity > 1 at k={k}: {sorted(ells)}"
+    assert k in out, f"head weight {k} missing from its own decomposition"
     return out
 
 

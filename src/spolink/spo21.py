@@ -19,9 +19,8 @@ and a monomial becomes text only through monomial_name.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .padic import all_divisible, binom_mod, digits, lucas_support
+from .characters import check_terms
+from .padic import all_divisible, binom_mod, digits, lucas_count, lucas_support
 from .words import FIRST, SECOND, build_words
 
 MINUS = "minus"
@@ -68,9 +67,10 @@ def socle_indices(l: int, p: int) -> list[tuple[int, int]]:
 
 def socle_basis(l: int, p: int, side: str) -> list[str]:
     """Names of the simple socle's basis monomials, one per socle_indices
-    entry."""
+    entry; their count is checked against MAX_TERMS before any is listed."""
     if l < 0:
         raise ValueError("socle_basis() needs l >= 0")
+    check_terms(lucas_count(l, p) + (lucas_count(l - 1, p) if l % p else 0))
     return [monomial_name(side, l, i, eps) for i, eps in socle_indices(l, p)]
 
 
@@ -185,9 +185,10 @@ def psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int
     normalised so the odd source with i = j maps to the target highest even
     monomial with coefficient 1.  c lives mod p; c = 0 marks a kernel source,
     whose (ti, teps) need not name a monomial.  Every image is asserted to be
-    a target basis index of its source's weight.
+    a target basis index of its source's weight; MAX_TERMS caps the 2k + 1 rows.
     """
     _need_admissible(k, j, p)
+    check_terms(2 * k + 1)
     l = k - 1 - 2 * j
     rows = []
     for eps in (0, 1):
@@ -244,16 +245,16 @@ def branch_parts(l: int, p: int) -> list[int]:
     return parts
 
 
-def comp_factors_h0(l: int, p: int) -> Counter:
-    """Composition factor multiset of the minus induced module of head l >= 0;
-    always multiplicity-free."""
+def comp_factors_h0(l: int, p: int) -> frozenset[int]:
+    """Highest weights of the composition factors of the minus induced module
+    of head l >= 0, each of multiplicity 1 (asserted)."""
     if l < 0:
         raise ValueError("comp_factors_h0() needs l >= 0")
     if l == 0:
-        return Counter({0: 1})
+        return frozenset({0})
     parts = branch_parts(l, p)
-    out = Counter(parts)
-    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {out}"
+    out = frozenset(parts)
+    assert len(out) == len(parts), f"multiplicity > 1 at l={l}: {sorted(parts)}"
     return out
 
 
@@ -265,33 +266,22 @@ def block_of(l: int, p: int) -> int:
     return m if m < p else 2 * p - 1 - m
 
 
-def _sub_multiset(a: Counter, b: Counter) -> Counter:
-    out = Counter(a)
-    for key, mult in b.items():
-        out[key] -= mult
-        if out[key] < 0:
-            raise ValueError(f"multiset subtraction went negative at {key}")
-        if out[key] == 0:
-            del out[key]
-    return out
-
-
-def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[Counter, Counter, Counter]:
+def ker_im_coker_factors(k: int, j: int, p: int) -> tuple[frozenset[int], ...]:
     """Composition factors of the kernel, image and cokernel of the (k, j)
-    morphism.
+    morphism, as sets of highest weights.
 
     Only the image has a case for j = 0.  j = 0 (so p | k): k - 1 and the
     first-kind word weights of k - 1.  j > 0: the first-kind word list cut to
     words opening with t 'greater-or-equal' symbols, t the digit length of j.
-    Kernel and cokernel follow by multiset subtraction from the ends.
+    Kernel and cokernel are what the image leaves of the two ends.
     """
     _need_admissible(k, j, p)
     if j == 0:
-        im = Counter([k - 1] + _branch(k - 1, p, FIRST))
+        im = frozenset([k - 1, *_branch(k - 1, p, FIRST)])
     else:
         # the image's weights are at most k - 1 - 2j < k - 1, so dropping the
         # head k - 1 in _branch drops no factor of the image
-        im = Counter(_branch(k - 1, p, FIRST, len(digits(j, p))))
-    ker = _sub_multiset(comp_factors_h0(k, p), im)
-    coker = _sub_multiset(comp_factors_h0(k - 1 - 2 * j, p), im)
-    return ker, im, coker
+        im = frozenset(_branch(k - 1, p, FIRST, len(digits(j, p))))
+    dom, cod = comp_factors_h0(k, p), comp_factors_h0(k - 1 - 2 * j, p)
+    assert im <= dom and im <= cod, (k, j, p)
+    return dom - im, im, cod - im

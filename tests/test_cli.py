@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spolink import cli, rootdata, verify
+from spolink import characters, cli, rootdata, verify
 from spolink.cli import COMMANDS, build_parser, main
 
 
@@ -221,7 +221,19 @@ NAMED = {
 # characters.MAX_TERMS: the error names the option.
 CAPPED = {
     "--box": [["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
-               "--box", "0:20000"]],
+               "--box", "0:20000"],
+              # no roots, so no edges: only the node count stops it
+              ["components", "--n", "0", "--m", "1", "--type", "even", "--p", "3",
+               "--box", "0:99999999"],
+              ["linkage-graph", "--n", "1", "--m", "1", "--type", "even", "--p", "101",
+               "--rset", "1", "--box", "0:1999,0:1999"]],
+    # Lucas counts of 3,486,784,401 and 2,657,205 socle monomials
+    "--l": [["socle", "--p", "3", "--l", "3486784399"],
+            ["socle", "--p", "3", "--l", "1594322", "--side", "plus"]],
+    "--k": [["psi-table", "--p", "3", "--k", "729000", "--j", "0"],
+            ["kernel", "--p", "3", "--k", "729000", "--j", "0"]],
+    "--window": [["blocks", "--p", "3", "--window", "0:2000000"],
+                 ["blocks-grt", "--p", "3", "--window=-1000000:1"]],
     "--r": [["socle", "--p", "3", "--l", "1", "--grt", "--r", "12"],
             ["psi-table", "--p", "3", "--k", "1", "--grt", "--r", "12"],
             ["char-z", "--n", "1", "--m", "0", "--type", "odd", "--weight", "0", "--r", "12",
@@ -282,6 +294,28 @@ def test_ranges_rejected_before_any_output(capsys, argv):
 def test_max_terms_refusals_name_what_they_count(capsys, argv, counted):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {counted}, more than MAX_TERMS = 1,000,000; lower it\n"
+
+
+@pytest.mark.parametrize("argv,given,size", [
+    (["socle", "--p", "3", "--l", "10"], "--l 10", 6),  # 101 and 100 in base 3: 4 + 2
+    (["socle", "--p", "3", "--l", "1743392199"], "--l 1743392199", 524_288),  # 0, then 1s
+    (["psi-table", "--p", "3", "--k", "9", "--j", "0"], "--k 9", 19),
+    (["kernel", "--p", "3", "--k", "9", "--j", "0"], "--k 9", 19),
+    (["blocks", "--p", "3", "--window", "0:9"], "--window 0:9", 10),
+    (["blocks-grt", "--p", "3", "--window=-9:0"], "--window -9:0", 10),
+    (["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--box", "0:3,0:4"],
+     "--box 0:3,0:4", 20),
+])
+def test_listing_caps_sit_at_each_listing_size(monkeypatch, capsys, argv, given, size):
+    # accepted at MAX_TERMS = size, refused one below, before any output
+    monkeypatch.setattr(characters, "MAX_TERMS", size)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(characters, "MAX_TERMS", size - 1)
+    assert main(argv) == 2
+    fix = "narrow" if given.startswith(("--window", "--box")) else "lower"
+    assert capsys.readouterr() == ("", f"error: {given} lists up to {size:,} rows or terms, "
+                                   f"more than MAX_TERMS = {size - 1:,}; {fix} it\n")
 
 
 # Parser tokens: every subcommand and option, a few abbreviations and near

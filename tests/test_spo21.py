@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from spolink import frobenius, sl2, spo21
 from spolink.characters import ch_H0_spo, ch_L_spo, peel
 from spolink.padic import binom_mod, digits
 from spolink.spo21 import (
@@ -20,6 +21,7 @@ from spolink.spo21 import (
     socle_basis,
     socle_indices,
 )
+from spolink.words import Words, build_words
 
 PRIMES = (3, 5, 7)
 
@@ -208,18 +210,44 @@ def _linear(image, vec, p):
 
 
 def test_comp_factors_known():
-    assert dict(comp_factors_h0(3, 3)) == {3: 1, 2: 1}
-    assert dict(comp_factors_h0(5, 3)) == {5: 1, 0: 1}
-    assert dict(comp_factors_h0(9, 3)) == {9: 1, 8: 1, 3: 1}
+    assert comp_factors_h0(3, 3) == {3, 2}
+    assert comp_factors_h0(5, 3) == {5, 0}
+    assert comp_factors_h0(9, 3) == {9, 8, 3}
     for p in PRIMES:
         for l in range(p - 1):
-            assert dict(comp_factors_h0(l, p)) == {l: 1}
+            assert comp_factors_h0(l, p) == {l}
+
+
+def _doubled_words(k, p):
+    """build_words with its last live word listed twice."""
+    w = build_words(k, p)
+    return Words(w.codes + w.codes[-1:], w.ells + w.ells[-1:], w.width)
+
+
+def _doubled_parts(l, p, real=spo21.branch_parts):
+    """branch_parts with its last weight listed twice."""
+    parts = real(l, p)
+    return parts + parts[-1:]
+
+
+@pytest.mark.parametrize("module, name, fake, produce", [
+    (sl2, "build_words", _doubled_words, lambda: sl2.decompose_sl2(9, 3)),
+    (spo21, "branch_parts", _doubled_parts, lambda: spo21.comp_factors_h0(9, 3)),
+    (frobenius, "branch_parts", _doubled_parts, lambda: frobenius.comp_factors_r(-5, 2, 3)),
+], ids=["decompose_sl2", "comp_factors_h0", "comp_factors_r"])
+def test_a_repeated_weight_raises(monkeypatch, module, name, fake, produce):
+    # the constituents are a frozenset, which would merge a repeated weight
+    # silently; each producer's length assert is what refuses it
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(AssertionError, match="multiplicity > 1"):
+        produce()
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_comp_factors_equal_peel(p):
     for l in range(0, 400):
-        assert comp_factors_h0(l, p) == peel(ch_H0_spo(l), lambda w: ch_L_spo(w, p))
+        want = peel(ch_H0_spo(l), lambda w: ch_L_spo(w, p))
+        assert dict.fromkeys(comp_factors_h0(l, p), 1) == want
 
 
 def test_block_of_known():
@@ -240,14 +268,8 @@ def test_factors_stay_in_block(p):
 
 
 def test_ker_im_coker_j0():
-    ker, im, coker = ker_im_coker_factors(3, 0, 3)
-    assert dict(ker) == {3: 1}
-    assert dict(im) == {2: 1}
-    assert dict(coker) == {}
-    ker, im, coker = ker_im_coker_factors(6, 0, 3)
-    assert dict(ker) == {6: 1}
-    assert dict(im) == {5: 1}
-    assert dict(coker) == {0: 1}
+    assert ker_im_coker_factors(3, 0, 3) == ({3}, {2}, set())
+    assert ker_im_coker_factors(6, 0, 3) == ({6}, {5}, {0})
 
 
 # Every k < 2000 that p divides, and 10- to 13-digit multiples of p (10 digits
@@ -261,7 +283,7 @@ J0_HEADS = {
 
 def test_ker_im_coker_j0_unchanged():
     # recorded when j = 0 still had its own closed-form word lists
-    lines = [f"{p} {k} " + " | ".join(str(sorted(part.items()))
+    lines = [f"{p} {k} " + " | ".join(str(sorted((hw, 1) for hw in part))
                                       for part in ker_im_coker_factors(k, 0, p))
              for p, heads in J0_HEADS.items() for k in heads]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
@@ -269,10 +291,7 @@ def test_ker_im_coker_j0_unchanged():
 
 
 def test_ker_im_coker_j_positive():
-    ker, im, coker = ker_im_coker_factors(10, 1, 3)
-    assert dict(im) == {7: 1}
-    assert dict(ker) == {10: 1, 4: 1}
-    assert dict(coker) == {4: 1}
+    assert ker_im_coker_factors(10, 1, 3) == ({10, 4}, {7}, {4})
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -291,14 +310,12 @@ def test_admissible_head_never_opens_the_image(p):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_ker_plus_im_is_domain(p):
-    from collections import Counter
-
     for k in range(1, 200):
         for j in admissible_js(k, p):
             ker, im, coker = ker_im_coker_factors(k, j, p)
-            assert ker + im == comp_factors_h0(k, p)
-            assert coker + im == comp_factors_h0(k - 1 - 2 * j, p)
-            assert isinstance(ker, Counter)
+            assert ker.isdisjoint(im) and ker | im == comp_factors_h0(k, p)
+            assert coker.isdisjoint(im) and coker | im == comp_factors_h0(k - 1 - 2 * j, p)
+            assert all(isinstance(part, frozenset) for part in (ker, im, coker))
 
 
 def test_image_reindexing_claim():
