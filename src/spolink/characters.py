@@ -27,10 +27,11 @@ class TooManyTerms(ValueError):
     """A listing or expansion that could pass MAX_TERMS, refused before any of the work."""
 
 
-def check_terms(bound: int) -> None:
-    """Raise TooManyTerms when a listing of up to bound rows or terms passes MAX_TERMS."""
+def check_terms(bound: int, counted: str = "lists up to {:,} rows or terms") -> None:
+    """Raise TooManyTerms when bound, the size of a listing or of some work
+    that counted describes, passes MAX_TERMS."""
     if bound > MAX_TERMS:
-        raise TooManyTerms(f"lists up to {bound:,} rows or terms, more than MAX_TERMS = {MAX_TERMS:,}")
+        raise TooManyTerms(f"{counted.format(bound)}, more than MAX_TERMS = {MAX_TERMS:,}")
 
 
 class NegativeResidualError(ValueError):
@@ -156,9 +157,7 @@ def ch_product_Zr(
         work += size * len(ts)
         span = [s + ts[-1] * abs(a) for s, a in zip(span, alpha)]
         size = min(size * len(ts), prod(span))
-    if work > MAX_TERMS:
-        raise TooManyTerms(f"expands its product in up to {work:,} term updates, "
-                           f"more than MAX_TERMS = {MAX_TERMS:,}")
+    check_terms(work, "expands its product in up to {:,} term updates")
     radix = [2 * s - 1 for s in span]
     place = [prod(radix[i + 1:]) for i in range(len(radix))]
     acc = {sum((s - 1) * pl for s, pl in zip(span, place)): 1}

@@ -19,6 +19,7 @@ from . import frobenius, linkage, rootdata, sl2, spo21, verify
 from .characters import TooManyTerms, check_terms
 from .padic import Prime
 from .rootdata import GroupShape
+from .spo21 import MINUS, PLUS
 from .words import MAX_DIGITS
 
 
@@ -33,6 +34,29 @@ def _factors_out(factors: frozenset[int], fmt: str) -> str:
     # an int, so joining f-strings gives the same bytes
     rows = ", ".join([f'{{"hw": {hw}, "mult": 1}}' for hw in hws])
     return f'{{"factors": [{rows}]}}'
+
+
+# The even generators x(s,s), x(s,-s) and the odd one x(s,0') of each side s.
+_GENERATORS = {
+    MINUS: ("x(1,1)", "x(1,-1)", "x(1,0')"),
+    PLUS: ("x(-1,-1)", "x(-1,1)", "x(-1,0')"),
+}
+
+
+def _monomial(side: str, head: int, i: int, eps: int, grt: bool = False) -> str:
+    """The printed form of the basis pair (i, eps) of the module of the given
+    head and side: rank one puts i on x(1,-1) and on x(-1,-1), a thickening
+    puts it on the second generator of both sides (see spo21 and frobenius).
+    Exponent 0 is left out, exponent 1 prints bare, the empty product is 1."""
+    a, b, c = _GENERATORS[side]
+    first, second = (i, head - i - eps) if side == PLUS and not grt else (head - i - eps, i)
+    out = "" if first == 0 else a if first == 1 else f"{a}^{first}"
+    if second:
+        b = b if second == 1 else f"{b}^{second}"
+        out = f"{out} {b}" if out else b
+    if eps:  # 0 or 1
+        out = f"{out} {c}" if out else c
+    return out or "1"
 
 
 def _names_out(names: list[str], fmt: str) -> str:
@@ -131,10 +155,11 @@ def _need_j(args) -> int:
 
 def _socle(args, p):
     if args.grt:
-        names = frobenius.socle_basis_r(args.l, args.r, p, args.side)
+        pairs = frobenius.socle_basis_r(args.l, args.r, p)
     else:
-        names = spo21.socle_basis(args.l, p, args.side)
-    return _names_out(names, args.format)
+        pairs = spo21.socle_basis(args.l, p)
+    return _names_out([_monomial(args.side, args.l, i, eps, args.grt) for i, eps in pairs],
+                      args.format)
 
 
 def _hom(args, p):
@@ -146,11 +171,23 @@ def _hom(args, p):
 
 
 def _psi_table(args, p):
+    """The morphism's rows as source/target/coeff lines; a killed source has
+    target and coeff 0."""
     if args.grt:
-        tsv = frobenius.psi_r_tsv(args.k, args.r, p)
+        head, rows = frobenius.psi_r_rows(args.k, args.r, p)
     else:
-        tsv = spo21.psi_tsv(args.k, _need_j(args), p)
-    return tsv.removesuffix("\n")
+        head, rows = spo21.psi_rows(args.k, _need_j(args), p)
+    lines = [f"{_monomial(PLUS, args.k, i, eps, args.grt)}\t"
+             f"{_monomial(MINUS, head, ti, teps, args.grt) if c else 0}\t{c}"
+             for i, eps, ti, teps, c in rows]
+    return "\n".join(["source\ttarget\tcoeff", *lines])
+
+
+def _kernel(args, p):
+    """The plus-side names of the sources the (k, j) rows send to 0, in row order."""
+    rows = spo21.psi_rows(args.k, args.j, p)[1]
+    return _names_out([_monomial(PLUS, args.k, i, eps) for i, eps, _, _, c in rows if not c],
+                      args.format)
 
 
 def _ker_im_coker(args, p):
@@ -274,12 +311,12 @@ COMMANDS = {
                       lambda args, p: _factors_out(frobenius.comp_factors_r(args.l, args.r, p),
                                                    args.format)),
     "socle": ("socle monomial basis",
-              [P, L, ("--side", {"choices": ("minus", "plus"), "default": "minus"}), *GRT],
+              [P, L, ("--side", {"choices": (MINUS, PLUS), "default": MINUS}), *GRT],
               _socle),
     "hom": ("Hom dimension between induced modules", [P, K, L, *GRT], _hom),
     "psi-table": ("morphism table on basis monomials", [P, K, J, *GRT], _psi_table),
     "kernel": ("closed-form kernel basis of a morphism", [P, K, _int("--j", required=True)],
-               lambda args, p: _names_out(spo21.kernel_basis(args.k, args.j, p), args.format)),
+               _kernel),
     "ker-im-coker": ("kernel/image/cokernel constituents", [P, K, J, *GRT], _ker_im_coker),
     "blocks": ("block ids over a weight window", [P, WINDOW], _blocks),
     "blocks-grt": ("thickening block ids over a weight window", [P, WINDOW],

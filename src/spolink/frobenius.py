@@ -9,38 +9,30 @@ exponents.  Monomials are indexed by (head, idx, eps) with 0 <= idx < p^r:
     plus side,  head k     x(-1,-1)^(k-idx-eps) x(-1,1)^idx x(-1,0')^eps
     (module of lowest weight -k)
 
-with torus weights l - 2 idx - eps and 2 idx + eps - k respectively.  As in
-spo21, a morphism is handed out as one integer row per source, and a monomial
-becomes text only through grt_name.
+with torus weights l - 2 idx - eps and 2 idx + eps - k respectively; unlike
+spo21's plus side, idx is the exponent of the second generator on both sides.
+As in spo21, socles and morphisms are handed out only as integers (a morphism
+as one integer row per source), and spolink.cli spells them.
 """
 
 from __future__ import annotations
 
 from .characters import Poly1, check_terms
 from .padic import binom_mod
-from .spo21 import MINUS, PLUS, branch_parts, render, socle_indices, _tsv
+from .spo21 import branch_parts, socle_basis
 from .words import MAX_DIGITS
 
 
-def grt_name(side: str, head: int, idx: int, eps: int) -> str:
-    """The printed form of the thickened monomial (side, head, idx, eps)."""
-    return render(side, head - idx - eps, idx, eps)
-
-
-def _socle_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
-    # the socle's (idx, eps): C(l, idx) and C(l-1, idx) for idx < p^r depend
-    # only on the digits of l below p^r, so the rank-one listing of l mod p^r
-    # serves; this is what makes the p^r-shift isomorphisms work
+def socle_basis_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
+    """(idx, eps) of the socle of the minus module of head l: the even idx
+    with C(l, idx) nonzero mod p, then (when p does not divide l) the odd idx
+    with C(l-1, idx) nonzero; idx < p^r, and MAX_TERMS caps the 2p^r pairs."""
+    # C(l, idx) and C(l-1, idx) for idx < p^r depend only on the digits of l
+    # below p^r, so the rank-one listing of l mod p^r serves; this is what
+    # makes the p^r-shift isomorphisms work
     q = p**r
     check_terms(2 * q)
-    return socle_indices(l % q, p)
-
-
-def socle_basis_r(l: int, r: int, p: int, side: str) -> list[str]:
-    """Names of the socle basis: even monomials with C(l, idx) nonzero mod p,
-    plus (when p does not divide l) odd monomials with C(l-1, idx) nonzero;
-    idx < p^r."""
-    return [grt_name(side, l, idx, eps) for idx, eps in _socle_r(l, r, p)]
+    return socle_basis(l % q, p)
 
 
 def ch_h0_r(l: int, r: int, p: int) -> Poly1:
@@ -49,8 +41,8 @@ def ch_h0_r(l: int, r: int, p: int) -> Poly1:
 
 
 def ch_l_r(l: int, r: int, p: int) -> Poly1:
-    """Minus-side simple character, from the socle index sets."""
-    return {l - 2 * idx - eps: 1 for idx, eps in _socle_r(l, r, p)}
+    """Minus-side simple character, from the socle pairs."""
+    return {l - 2 * idx - eps: 1 for idx, eps in socle_basis_r(l, r, p)}
 
 
 def hom_r(k: int, l: int, r: int, p: int) -> tuple[int, str | None]:
@@ -88,16 +80,6 @@ def psi_r_rows(k: int, r: int, p: int) -> tuple[int, list[tuple[int, int, int, i
             assert not c or 0 <= ti < q and lt - 2 * ti - teps == 2 * i + eps - k, (k, r, p, i, eps)
             rows.append((i, eps, ti, teps, c))
     return lt, rows
-
-
-def psi_r_tsv(k: int, r: int, p: int) -> str:
-    """The thickened morphism's rows as _tsv text, each index spelled by
-    grt_name."""
-    lt, rows = psi_r_rows(k, r, p)
-    return _tsv(
-        (grt_name(PLUS, k, i, eps), grt_name(MINUS, lt, ti, teps) if c else 0, c)
-        for i, eps, ti, teps, c in rows
-    )
 
 
 def comp_factors_r(l: int, r: int, p: int) -> frozenset[int]:

@@ -105,7 +105,9 @@ def _iso_odd(lam: Weight, i0: int, plan: tuple, p: int, dst, code) -> None:
                 dst.append(i0 - off), code.append(k)
 
 
-def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, code) -> None:
+def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, code,
+                tested: int) -> int:
+    # tested: the steps tested against the box so far; returned with lam's added
     for alpha, c, col, off, moving, k in plan:
         val = 2 * col[i0] + c - 1
         assert val % 2 == 0, (lam, alpha)
@@ -113,12 +115,15 @@ def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, c
         ks = steps.get((l, r))
         if ks is None:
             ks = steps[l, r] = [l - lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+        tested += len(ks)
+        check_terms(tested, "tests at least {:,} non-isotropic steps against the box")
         for s in ks:
             for i, a, lo, hi in moving:
                 if not lo <= lam[i] - s * a <= hi:
                     break
             else:
                 dst.append(i0 - s * off), code.append(k)
+    return tested
 
 
 def _even(lam: Weight, i0: int, plan: tuple, dst, code) -> None:
@@ -166,7 +171,8 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     - iso_odd: lam -> lam - alpha for each odd isotropic alpha with p | (lam + rho, alpha).
     - noniso_odd (odd type): with l = (lam + rho, alpha) - 1/2 mod q, step down by
       l - l' for each thickened constituent l' != l of the head-l module, in order
-      of l'; the steps are memoised per (l, r) for this graph.
+      of l'; the steps are memoised per (l, r) for this graph, and every node's
+      tests of them against the box count towards MAX_TERMS.
     - even: lam -> lam - ((lam + rho, alpha^vee) - w q) alpha at every wall w with a
       positive step, alpha^vee normalised by the positive-definite form, rho the supersymmetric
       one (which keeps rank-one components inside the block classes).  The box
@@ -177,17 +183,18 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
     0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i.
     Each root's pairing lam.v is read from one column per graph, and the edges are
     stored as id columns (see LinkageGraph).  Raises TooManyTerms past MAX_TERMS nodes,
-    before any is built, and TooManyEdges past MAX_EDGES."""
+    before any is built, or past MAX_TERMS noniso step tests, before the tests that
+    pass it; and TooManyEdges past MAX_EDGES."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     check_terms(prod(hi - lo + 1 for lo, hi in box))
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
     moves, plans = _plans(box, shape, r_set, p)
-    src, dst, code, steps = array("q"), array("q"), array("q"), {}
+    src, dst, code, steps, tested = array("q"), array("q"), array("q"), {}, 0
     for i0, lam in enumerate(nodes):
         for r, iso_r, noniso_r, even_r in plans:
             _iso_odd(lam, i0, iso_r, p, dst, code)
-            _noniso_odd(lam, i0, noniso_r, r, p, steps, dst, code)
+            tested = _noniso_odd(lam, i0, noniso_r, r, p, steps, dst, code, tested)
             _even(lam, i0, even_r, dst, code)
         src.extend(repeat(i0, len(dst) - len(src)))
         if len(src) > MAX_EDGES:

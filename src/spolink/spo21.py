@@ -13,8 +13,8 @@ weight head - 2i - eps, and every weight space of a module here is
 one-dimensional, so an operator or a morphism sends a basis pair to a multiple
 of at most one pair.  Operators return that image as ((i, eps), coefficient
 mod p), or None when the coefficient vanishes.  Socles, radicals and morphisms
-are handed out as these integers (a morphism as one integer row per source),
-and a monomial becomes text only through monomial_name.
+are handed out only as these integers (a morphism as one integer row per
+source); the table above is how spolink.cli spells a pair.
 """
 
 from __future__ import annotations
@@ -26,52 +26,19 @@ from .words import FIRST, SECOND, build_words
 MINUS = "minus"
 PLUS = "plus"
 
-# The even generators x(s,s), x(s,-s) and the odd one x(s,0') of each side s.
-_GENERATORS = {
-    MINUS: ("x(1,1)", "x(1,-1)", "x(1,0')"),
-    PLUS: ("x(-1,-1)", "x(-1,1)", "x(-1,0')"),
-}
 
-
-def render(side: str, first: int, second: int, eps: int) -> str:
-    """Print a monomial from the exponents of its side's three generators:
-    exponent 0 is left out, exponent 1 prints bare, the empty product is 1."""
-    a, b, c = _GENERATORS[side]
-    out = "" if first == 0 else a if first == 1 else f"{a}^{first}"
-    if second:
-        b = b if second == 1 else f"{b}^{second}"
-        out = f"{out} {b}" if out else b
-    if eps:
-        c = c if eps == 1 else f"{c}^{eps}"
-        out = f"{out} {c}" if out else c
-    return out or "1"
-
-
-def monomial_name(side: str, head: int, i: int, eps: int) -> str:
-    """The printed form of the monomial (side, head, i, eps)."""
-    rest = head - i - eps
-    if side == MINUS:
-        return render(MINUS, rest, i, eps)
-    return render(PLUS, i, rest, eps)
-
-
-def socle_indices(l: int, p: int) -> list[tuple[int, int]]:
+def socle_basis(l: int, p: int) -> list[tuple[int, int]]:
     """(i, eps) of the simple socle of head l >= 0, in basis order: the even
     i with C(l, i) nonzero mod p, then (only when p does not divide l) the
-    odd i with C(l-1, i) nonzero, both listed by their base-p digits."""
+    odd i with C(l-1, i) nonzero, both listed by their base-p digits.  Their
+    count is checked against MAX_TERMS before any is listed."""
+    if l < 0:
+        raise ValueError("socle_basis() needs l >= 0")
+    check_terms(lucas_count(l, p) + (lucas_count(l - 1, p) if l % p else 0))
     out = [(i, 0) for i in lucas_support(l, p)]
     if l % p != 0:
         out += [(i, 1) for i in lucas_support(l - 1, p)]
     return out
-
-
-def socle_basis(l: int, p: int, side: str) -> list[str]:
-    """Names of the simple socle's basis monomials, one per socle_indices
-    entry; their count is checked against MAX_TERMS before any is listed."""
-    if l < 0:
-        raise ValueError("socle_basis() needs l >= 0")
-    check_terms(lucas_count(l, p) + (lucas_count(l - 1, p) if l % p else 0))
-    return [monomial_name(side, l, i, eps) for i, eps in socle_indices(l, p)]
 
 
 def act(op: str, head: int, i: int, eps: int, p: int,
@@ -163,12 +130,6 @@ def admissible_js(k: int, p: int) -> list[int]:
     return [j for j in range((k + 1) // 2) if is_admissible_psi(k, j, p)]
 
 
-def _tsv(rows) -> str:
-    """A table as source/target/coeff lines from (source, target, coeff)
-    rows; a killed source has target and coeff 0."""
-    return "".join(["source\ttarget\tcoeff\n", *(f"{s}\t{t}\t{c}\n" for s, t, c in rows)])
-
-
 def _need_admissible(k: int, j: int, p: int) -> None:
     if not is_admissible_psi(k, j, p):
         raise ValueError(f"(k={k}, j={j}) is not admissible at p={p}")
@@ -199,22 +160,6 @@ def psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int
                 k, j, i, eps)
             rows.append((i, eps, ti, teps, c))
     return l, rows
-
-
-def psi_tsv(k: int, j: int, p: int) -> str:
-    """The (k, j) morphism's rows as _tsv text, each index spelled by
-    monomial_name."""
-    l, rows = psi_rows(k, j, p)
-    return _tsv(
-        (monomial_name(PLUS, k, i, eps), monomial_name(MINUS, l, ti, teps) if c else 0, c)
-        for i, eps, ti, teps, c in rows
-    )
-
-
-def kernel_basis(k: int, j: int, p: int) -> list[str]:
-    """Names of the kernel of the (k, j) morphism: the sources psi_rows sends
-    to 0, in row order."""
-    return [monomial_name(PLUS, k, i, eps) for i, eps, _, _, c in psi_rows(k, j, p)[1] if not c]
 
 
 def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:

@@ -333,9 +333,10 @@ def check_rootdata(rank_max: int = 4) -> Check:
     return True, f"all shapes with rank <= {rank_max}, both types"
 
 
-def check_flag_independence(p: int = 3, r: int = 1) -> Check:
-    """Criterion 10: the flag-normalised product characters agree term by term
-    across every chain flag, for both rank-(1,1) shapes and a 3x3 weight grid."""
+def check_flag_independence(p: int = 3) -> Check:
+    """Criterion 10: the flag-normalised product characters at r = 1 agree term
+    by term across every chain flag, for both rank-(1,1) shapes and a 3x3
+    weight grid."""
     for t in (rootdata.ODD, rootdata.EVEN):
         shape = rootdata.GroupShape(1, 1, t)
         steps = rootdata.chain_of_borels(shape)
@@ -346,7 +347,7 @@ def check_flag_independence(p: int = 3, r: int = 1) -> Check:
                 reference = None
                 for fl in flags:
                     ch = rootdata.ch_z_flag(
-                        rootdata.lambda_bracket(lam, fl, shape, r, p), fl, shape, r, p
+                        rootdata.lambda_bracket(lam, fl, shape, 1, p), fl, shape, 1, p
                     )
                     if reference is None:
                         reference = ch

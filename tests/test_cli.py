@@ -226,7 +226,12 @@ CAPPED = {
               ["components", "--n", "0", "--m", "1", "--type", "even", "--p", "3",
                "--box", "0:99999999"],
               ["linkage-graph", "--n", "1", "--m", "1", "--type", "even", "--p", "101",
-               "--rset", "1", "--box", "0:1999,0:1999"]],
+               "--rset", "1", "--box", "0:1999,0:1999"],
+              # few nodes, but each tests up to 2^19 noniso steps against the box
+              ["components", "--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--rset", "19",
+               "--box", "1743392100:1743392199"],
+              ["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--rset", "19",
+               "--box", "1743392190:1743392190,0:39"]],
     # Lucas counts of 3,486,784,401 and 2,657,205 socle monomials
     "--l": [["socle", "--p", "3", "--l", "3486784399"],
             ["socle", "--p", "3", "--l", "1594322", "--side", "plus"]],
@@ -303,7 +308,8 @@ def test_max_terms_refusals_name_what_they_count(capsys, argv, counted):
     (["kernel", "--p", "3", "--k", "9", "--j", "0"], "--k 9", 19),
     (["blocks", "--p", "3", "--window", "0:9"], "--window 0:9", 10),
     (["blocks-grt", "--p", "3", "--window=-9:0"], "--window -9:0", 10),
-    (["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--box", "0:3,0:4"],
+    # even type: no noniso steps, so the node count sizes the box
+    (["components", "--n", "1", "--m", "1", "--type", "even", "--p", "3", "--box", "0:3,0:4"],
      "--box 0:3,0:4", 20),
 ])
 def test_listing_caps_sit_at_each_listing_size(monkeypatch, capsys, argv, given, size):
@@ -316,6 +322,18 @@ def test_listing_caps_sit_at_each_listing_size(monkeypatch, capsys, argv, given,
     fix = "narrow" if given.startswith(("--window", "--box")) else "lower"
     assert capsys.readouterr() == ("", f"error: {given} lists up to {size:,} rows or terms, "
                                    f"more than MAX_TERMS = {size - 1:,}; {fix} it\n")
+
+
+def test_the_step_cap_sits_at_the_step_count(monkeypatch, capsys):
+    # the odd box's 20 nodes test 60 noniso steps against it at r in {1, 2}
+    argv = ["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--box", "0:3,0:4"]
+    monkeypatch.setattr(characters, "MAX_TERMS", 60)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(characters, "MAX_TERMS", 59)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --box 0:3,0:4 tests at least 60 non-isotropic "
+                                   "steps against the box, more than MAX_TERMS = 59; narrow it\n")
 
 
 # Parser tokens: every subcommand and option, a few abbreviations and near

@@ -1,15 +1,14 @@
 import pytest
 
+from spolink import cli
 from spolink.characters import MAX_TERMS, TooManyTerms, ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
     ch_h0_r,
     ch_l_r,
     comp_factors_r,
-    grt_name,
     hom_r,
     psi_r_ker_im_coker,
     psi_r_rows,
-    psi_r_tsv,
     socle_basis_r,
 )
 from spolink.spo21 import MINUS, block_of
@@ -43,8 +42,9 @@ def test_plus_side_weights_mirror_minus():
 
 
 def test_socle_basis_r_known():
-    assert socle_basis_r(3, 1, 3, MINUS) == [grt_name(MINUS, 3, 0, 0)] == ["x(1,1)^3"]
-    assert len(socle_basis_r(2, 1, 3, MINUS)) == 5
+    assert socle_basis_r(3, 1, 3) == [(0, 0)]
+    assert cli._monomial(MINUS, 3, 0, 0, grt=True) == "x(1,1)^3"
+    assert len(socle_basis_r(2, 1, 3)) == 5
     assert ch_l_r(2, 1, 3) == ch_L_spo(2, 3)  # small simple survives truncation
 
 
@@ -52,10 +52,9 @@ def test_listings_past_max_terms_are_refused():
     # 2 * 3^12 = 1,062,882 candidate monomials
     assert 2 * 3**12 > MAX_TERMS > 2 * 3**11
     with pytest.raises(TooManyTerms, match="MAX_TERMS"):
-        socle_basis_r(1, 12, 3, MINUS)
-    for table in (psi_r_rows, psi_r_tsv):
-        with pytest.raises(TooManyTerms):
-            table(1, 12, 3)
+        socle_basis_r(1, 12, 3)
+    with pytest.raises(TooManyTerms):
+        psi_r_rows(1, 12, 3)
 
 
 def test_socle_shift_invariance():

@@ -1,30 +1,41 @@
 """The monomials of the rank-one tables as index tuples (side, head, i, eps):
-their names, their weights, and the tables read from the integer rows.
+their names as the command line spells them, their weights, and the tables
+and kernels the command line writes from the integer rows.
 
 The digests below were recorded when monomials were still objects of their
-own, so they pin that handing out index tuples and names changed no output.
+own, so they pin that handing out index tuples, and spelling them only in
+the command line, changed no output.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
-from spolink import frobenius, spo21
-from spolink.frobenius import grt_name
-from spolink.spo21 import MINUS, PLUS, monomial_name
+from spolink import cli, frobenius, spo21
+from spolink.spo21 import MINUS, PLUS
 
 PRIMES = (3, 5, 7)
 
 
 def _row(side: str, head: int, i: int, eps: int) -> str:
     """A rank-one monomial as its fields, name and weight."""
-    return f"{(side, head, i, eps)}|{monomial_name(side, head, i, eps)}|{head - 2 * i - eps}"
+    return f"{(side, head, i, eps)}|{cli._monomial(side, head, i, eps)}|{head - 2 * i - eps}"
 
 
 def _row_r(side: str, head: int, idx: int, eps: int) -> str:
     """A thickened monomial likewise; a plus weight counts up from -head."""
     weight = head - 2 * idx - eps if side == MINUS else 2 * idx + eps - head
-    return f"{(side, head, idx, eps)}|{grt_name(side, head, idx, eps)}|{weight}"
+    return f"{(side, head, idx, eps)}|{cli._monomial(side, head, idx, eps, grt=True)}|{weight}"
+
+
+def _printed(*argv) -> str:
+    """What the command line prints for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(a) for a in argv]) == 0
+    return out.getvalue()
 
 
 def _digest(lines) -> str:
@@ -62,7 +73,7 @@ def psi_table_lines() -> list[str]:
                 out += [f"{_row(PLUS, k, i, eps)} -> "
                         + (f"{_row(MINUS, l, ti, teps)}*{c}" if c else "")
                         for i, eps, ti, teps, c in rows]
-                out.append(spo21.psi_tsv(k, j, p))
+                out.append(_printed("psi-table", "--p", p, "--k", k, "--j", j))
     return out
 
 
@@ -77,7 +88,7 @@ def psi_r_table_lines() -> list[str]:
                 out += [f"{_row_r(PLUS, k, i, eps)} -> "
                         + (f"{_row_r(MINUS, lt, ti, teps)}*{c}" if c else "")
                         for i, eps, ti, teps, c in rows]
-                out.append(frobenius.psi_r_tsv(k, r, p))
+                out.append(_printed("psi-table", "--p", p, f"--k={k}", "--grt", "--r", r))
     return out
 
 
@@ -87,7 +98,8 @@ def kernel_basis_lines() -> list[str]:
         for k in range(1, 60):
             for j in spo21.admissible_js(k, p):
                 zero = [(i, eps) for i, eps, _, _, c in spo21.psi_rows(k, j, p)[1] if not c]
-                names = spo21.kernel_basis(k, j, p)
+                names = _printed("kernel", "--p", p, "--k", k, "--j", j, "--format", "tsv")
+                names = names.splitlines()
                 out.append(f"{p} {k} {j} " + ";".join(
                     f"{(PLUS, k, i, eps)}|{name}|{k - 2 * i - eps}"
                     for (i, eps), name in zip(zero, names, strict=True)))
@@ -111,8 +123,8 @@ def test_tables_unchanged(name, lines):
 
 
 def test_known_strings():
-    assert monomial_name(MINUS, 5, 2, 1) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
-    assert monomial_name(PLUS, 5, 2, 0) == "x(-1,-1)^2 x(-1,1)^3"
-    assert monomial_name(PLUS, 0, 0, 0) == "1"
-    assert grt_name(MINUS, -2, 1, 1) == "x(1,1)^-4 x(1,-1) x(1,0')"
-    assert grt_name(PLUS, 3, 2, 0) == "x(-1,-1) x(-1,1)^2"
+    assert cli._monomial(MINUS, 5, 2, 1) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
+    assert cli._monomial(PLUS, 5, 2, 0) == "x(-1,-1)^2 x(-1,1)^3"
+    assert cli._monomial(PLUS, 0, 0, 0) == "1"
+    assert cli._monomial(MINUS, -2, 1, 1, grt=True) == "x(1,1)^-4 x(1,-1) x(1,0')"
+    assert cli._monomial(PLUS, 3, 2, 0, grt=True) == "x(-1,-1) x(-1,1)^2"

@@ -1,8 +1,11 @@
 """Integer rows to text: the Lucas digit listings of socles against scans
-over every index, and each text writer, byte for byte, against the json form
-it replaced or digests recorded while it matched the object form."""
+over every index, the command line's monomial names, and each text writer,
+byte for byte, against the json form it replaced or digests recorded while
+it matched the object form."""
 
+import contextlib
 import hashlib
+import io
 import json
 from collections import Counter
 
@@ -13,11 +16,9 @@ from hypothesis import strategies as st
 
 from spolink import cli, spo21
 from spolink.characters import MAX_TERMS
-from spolink.frobenius import (
-    ch_l_r, grt_name, psi_r_ker_im_coker, psi_r_rows, psi_r_tsv, socle_basis_r,
-)
+from spolink.frobenius import ch_l_r, psi_r_ker_im_coker, psi_r_rows, socle_basis_r
 from spolink.padic import lucas_count, lucas_support
-from spolink.spo21 import MINUS, PLUS, monomial_name, socle_basis, socle_indices
+from spolink.spo21 import MINUS, PLUS, socle_basis
 
 primes = st.sampled_from((3, 5, 7, 11))
 sides = st.sampled_from((MINUS, PLUS))
@@ -30,25 +31,52 @@ def test_lucas_support_is_the_binomial_scan(n, p):
     assert lucas_count(n, p) == len(ref.support_scan(n, p))  # what socle_basis caps
 
 
+def _printed(*argv) -> str:
+    """What the command line prints for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 5_000), primes, sides)
-def test_socle_basis_is_the_scan(l, p, side):
-    scan = ref.socle_scan(l, p)
-    assert socle_indices(l, p) == scan
-    assert socle_basis(l, p, side) == [monomial_name(side, l, i, eps) for i, eps in scan]
+@given(st.integers(0, 5_000), primes)
+def test_socle_basis_is_the_scan(l, p):
+    assert socle_basis(l, p) == ref.socle_scan(l, p)
 
 
 def test_socle_basis_refuses_a_negative_head():
     with pytest.raises(ValueError, match="socle_basis"):
-        socle_basis(-1, 3, MINUS)
+        socle_basis(-1, 3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(1, 3), primes, sides)
-def test_socle_basis_r_is_the_scan(l, r, p, side):
+@given(st.integers(-10**6, 10**6), st.integers(1, 3), primes)
+def test_socle_basis_r_is_the_scan(l, r, p):
     scan = ref.socle_scan_r(l, r, p)
-    assert socle_basis_r(l, r, p, side) == [grt_name(side, l, idx, eps) for idx, eps in scan]
+    assert socle_basis_r(l, r, p) == scan
     assert ch_l_r(l, r, p) == {l - 2 * idx - eps: 1 for idx, eps in scan}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 400), st.integers(-10**6, 10**6), st.integers(1, 2), primes, sides)
+def test_spelled_bases_are_injective(head, head_r, r, p, side):
+    # a whole module's basis gets pairwise distinct names, so a printed
+    # socle names its pairs one to one
+    basis = [(i, eps) for eps in (0, 1) for i in range(head + 1 - eps)]
+    names = {cli._monomial(side, head, i, eps) for i, eps in basis}
+    assert len(names) == len(basis) == 2 * head + 1
+    q = p**r
+    names_r = {cli._monomial(side, head_r, idx, eps, grt=True)
+               for eps in (0, 1) for idx in range(q)}
+    assert len(names_r) == 2 * q
+    printed = _printed("socle", "--p", p, "--l", head, "--side", side, "--format", "tsv")
+    assert printed.splitlines() == [cli._monomial(side, head, i, eps)
+                                    for i, eps in socle_basis(head, p)]
+    printed = _printed("socle", "--p", p, f"--l={head_r}", "--side", side, "--grt", "--r", r,
+                       "--format", "tsv")
+    assert printed.splitlines() == [cli._monomial(side, head_r, idx, eps, grt=True)
+                                    for idx, eps in socle_basis_r(head_r, r, p)]
 
 
 # ------------------------------------------------------------ text writers
@@ -74,8 +102,10 @@ def test_factor_text_is_the_old_form(factors, fmt):
 
 
 def test_basis_text_is_json_dumps():
-    lists = [[], ["1"], socle_basis(3, 3, MINUS), socle_basis_r(-7, 2, 3, PLUS),
-             spo21.kernel_basis(39, 3, 3)]
+    queries = [("socle", "--p", 3, "--l", 3),
+               ("socle", "--p", 3, "--l=-7", "--side", "plus", "--grt", "--r", 2),
+               ("kernel", "--p", 3, "--k", 39, "--j", 3)]
+    lists = [[], ["1"], *(_printed(*q, "--format", "tsv").splitlines() for q in queries)]
     for names in lists:
         assert cli._names_out(names, "json") == json.dumps({"basis": names})
         assert cli._names_out(names, "tsv") == "\n".join(names)
@@ -107,15 +137,19 @@ PSI_R_TEXT = {
 
 def test_psi_text_and_kernel_names_are_the_table_forms():
     adm = _admissible()
-    assert _sha(f"{k} {j} {p}\n" + spo21.psi_tsv(k, j, p) for k, j, p in adm) == PSI_TEXT
-    assert _sha(f"{k} {j} {p}\t" + "\t".join(spo21.kernel_basis(k, j, p)) + "\n"
-                for k, j, p in adm) == KERNEL_NAMES
+    assert _sha(f"{k} {j} {p}\n" + _printed("psi-table", "--p", p, "--k", k, "--j", j)
+                for k, j, p in adm) == PSI_TEXT
+    kernels = (_printed("kernel", "--p", p, "--k", k, "--j", j, "--format", "tsv")
+               for k, j, p in adm)
+    assert _sha(f"{k} {j} {p}\t" + names.replace("\n", "\t")[:-1] + "\n"
+                for (k, j, p), names in zip(adm, kernels)) == KERNEL_NAMES
 
 
 @pytest.mark.parametrize("p, r", list(PSI_R_TEXT))
 def test_psi_r_text_is_the_table_form(p, r):
     q = p**r
-    assert _sha(f"{k}\n" + psi_r_tsv(k, r, p) for k in range(-2 * q, 3 * q)) == PSI_R_TEXT[p, r]
+    assert _sha(f"{k}\n" + _printed("psi-table", "--p", p, f"--k={k}", "--grt", "--r", r)
+                for k in range(-2 * q, 3 * q)) == PSI_R_TEXT[p, r]
 
 
 def _old_kic(ker, im, coker) -> str:

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from spolink import frobenius, sl2, spo21
+from spolink import cli, frobenius, sl2, spo21
 from spolink.characters import ch_H0_spo, ch_L_spo, peel
 from spolink.padic import binom_mod, digits
 from spolink.spo21 import (
@@ -14,12 +14,9 @@ from spolink.spo21 import (
     comp_factors_h0,
     hom_dim,
     ker_im_coker_factors,
-    kernel_basis,
-    monomial_name,
     psi_rows,
     rad_basis,
     socle_basis,
-    socle_indices,
 )
 from spolink.words import Words, build_words
 
@@ -38,10 +35,10 @@ def _weight(head: int, pair: tuple[int, int]) -> int:
 
 def test_monomial_weights_and_strings():
     assert _weight(5, (2, 1)) == 0
-    assert monomial_name(MINUS, 5, 2, 1) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
+    assert cli._monomial(MINUS, 5, 2, 1) == "x(1,1)^2 x(1,-1)^2 x(1,0')"
     assert _weight(5, (2, 0)) == 1
-    assert monomial_name(PLUS, 5, 2, 0) == "x(-1,-1)^2 x(-1,1)^3"
-    assert monomial_name(MINUS, 0, 0, 0) == "1"
+    assert cli._monomial(PLUS, 5, 2, 0) == "x(-1,-1)^2 x(-1,1)^3"
+    assert cli._monomial(MINUS, 0, 0, 0) == "1"
 
 
 def test_basis_h0_counts():
@@ -57,18 +54,17 @@ def test_basis_h0_counts():
 
 
 def test_socle_basis_known():
-    assert socle_indices(3, 3) == [(0, 0), (3, 0)]
-    assert socle_basis(3, 3, MINUS) == ["x(1,1)^3", "x(1,-1)^3"]
-    assert len(socle_basis(2, 3, MINUS)) == 5
+    assert socle_basis(3, 3) == [(0, 0), (3, 0)]
+    assert [cli._monomial(MINUS, 3, *m) for m in socle_basis(3, 3)] == ["x(1,1)^3", "x(1,-1)^3"]
+    assert len(socle_basis(2, 3)) == 5
     for p in PRIMES:
-        assert socle_indices(0, p) == [(0, 0)]
-        assert socle_basis(0, p, MINUS) == ["1"]
+        assert socle_basis(0, p) == [(0, 0)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_socle_matches_simple_character(p):
     for l in range(0, 120):
-        assert {_weight(l, m): 1 for m in socle_indices(l, p)} == ch_L_spo(l, p)
+        assert {_weight(l, m): 1 for m in socle_basis(l, p)} == ch_L_spo(l, p)
 
 
 def test_act_known():
@@ -148,20 +144,26 @@ def test_psi_table_odd_sources_below_j_vanish():
         assert rows[i, 1] is None
 
 
-def test_kernel_basis_known():
-    assert set(kernel_basis(3, 0, 3)) == {"x(-1,1)^3", "x(-1,-1)^3"}
+def _kernel_names(k, j, p, capsys) -> list[str]:
+    """The names the kernel subcommand prints, one a line."""
+    assert cli.main(["kernel", "--p", str(p), "--k", str(k), "--j", str(j), "--format", "tsv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_kernel_basis_known(capsys):
+    assert set(_kernel_names(3, 0, 3, capsys)) == {"x(-1,1)^3", "x(-1,-1)^3"}
     for k, j in ((4, 0), (3, 5)):
         with pytest.raises(ValueError, match=f"^\\(k={k}, j={j}\\) is not admissible at p=3$"):
-            kernel_basis(k, j, 3)
+            cli.run(["kernel", "--p", "3", "--k", str(k), "--j", str(j)])
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_kernel_matches_table_zero_rows(p):
+def test_kernel_matches_table_zero_rows(p, capsys):
     for k in range(1, 120):
         for j in admissible_js(k, p):
             rows = _table(k, j, p)
-            zero = [monomial_name(PLUS, k, *s) for s, row in rows.items() if row is None]
-            assert zero == kernel_basis(k, j, p)
+            zero = [cli._monomial(PLUS, k, *s) for s, row in rows.items() if row is None]
+            assert zero == _kernel_names(k, j, p, capsys)
             assert len(rows) == 2 * k + 1
 
 
