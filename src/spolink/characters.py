@@ -1,37 +1,21 @@
-"""Formal characters as dict Laurent polynomials, plus the greedy peel oracle.
+"""The oracle side: formal characters as dict Laurent polynomials, and the
+greedy peel that decomposes them.
 
-Rank-one characters are dicts {weight: coefficient} with int weights; the
-multivariate characters used for flag comparisons are dicts keyed by integer
-coordinate tuples.  Zero coefficients are never stored.  Internally the peel
-keeps its residual in a list indexed down from the top weight, and the product
-expansion keys its terms by one mixed-radix int per coordinate tuple.
+Characters are dicts {weight: coefficient} with int weights, and zero
+coefficients are never stored.  Internally the peel keeps its residual in a
+list indexed down from the top weight.  Only spolink.verify imports this
+module, and it imports nothing from spolink but padic, the layer both sides
+share; a CI step checks both.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import prod
 from typing import Callable
 
-from .padic import digits
+from .padic import check_terms, digits
 
 Poly1 = dict[int, int]
-PolyN = dict[tuple[int, ...], int]
-
-# Rows or terms a listing may hold (thickened ones grow like p^r), and term
-# updates a product character's expansion may make.
-MAX_TERMS = 1_000_000
-
-
-class TooManyTerms(ValueError):
-    """A listing or expansion that could pass MAX_TERMS, refused before any of the work."""
-
-
-def check_terms(bound: int, counted: str = "lists up to {:,} rows or terms") -> None:
-    """Raise TooManyTerms when bound, the size of a listing or of some work
-    that counted describes, passes MAX_TERMS."""
-    if bound > MAX_TERMS:
-        raise TooManyTerms(f"{counted.format(bound)}, more than MAX_TERMS = {MAX_TERMS:,}")
 
 
 class NegativeResidualError(ValueError):
@@ -130,47 +114,3 @@ def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:
 
 def poly_shift(a: Poly1, offset: int) -> Poly1:
     return {w + offset: c for w, c in a.items()}
-
-
-def ch_product_Zr(
-    lam: tuple[int, ...],
-    even_pos: list[tuple[int, ...]],
-    odd_pos: list[tuple[int, ...]],
-    r: int,
-    p: int,
-) -> PolyN:
-    """Product character e^lam * prod_even (1 + e^-a + ... + e^-(p^r-1)a)
-    * prod_odd (1 + e^-a), all in integer coordinate tuples, expanded factor
-    by factor.  A partial product has at most the previous one's bound times
-    the factor's length terms, and at most 1 + sum of max(t) |a_i| values in
-    coordinate i; the cap counts the updates those bounds allow, which is at
-    least the term count.
-
-    Coordinate i of every term lies within span_i - 1 of lam_i, so a term is
-    keyed by one int whose mixed-radix digits, radix 2 span_i - 1, are those
-    offsets shifted by span_i - 1, coordinate 0 most significant; multiplying
-    by e^-ta subtracts t times a's key.  Keys are decoded once at the end, in
-    insertion order."""
-    steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
-    span, size, work = [1] * len(lam), 1, 0
-    for alpha, ts in steps:
-        work += size * len(ts)
-        span = [s + ts[-1] * abs(a) for s, a in zip(span, alpha)]
-        size = min(size * len(ts), prod(span))
-    check_terms(work, "expands its product in up to {:,} term updates")
-    radix = [2 * s - 1 for s in span]
-    place = [prod(radix[i + 1:]) for i in range(len(radix))]
-    acc = {sum((s - 1) * pl for s, pl in zip(span, place)): 1}
-    for alpha, ts in steps:
-        a = sum(x * pl for x, pl in zip(alpha, place))
-        offsets = [t * a for t in ts]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, c in acc.items():
-            for off in offsets:
-                k = key - off
-                nxt[k] = get(k, 0) + c
-        acc = nxt
-    cols = [[x - s + 1 + key // pl % rd for key in acc]
-            for x, s, pl, rd in zip(lam, span, place, radix)]
-    return dict(zip(zip(*cols) if cols else [()], acc.values()))  # rank 0: one key, ()

@@ -16,8 +16,7 @@ import json
 import sys
 
 from . import frobenius, linkage, rootdata, sl2, spo21, verify
-from .characters import TooManyTerms, check_terms
-from .padic import Prime
+from .padic import Prime, TooManyTerms, check_terms
 from .rootdata import GroupShape
 from .spo21 import MINUS, PLUS
 from .words import MAX_DIGITS

@@ -17,8 +17,7 @@ as one integer row per source), and spolink.cli spells them.
 
 from __future__ import annotations
 
-from .characters import Poly1, check_terms
-from .padic import binom_mod
+from .padic import binom_mod, check_terms
 from .spo21 import branch_parts, socle_basis
 from .words import MAX_DIGITS
 
@@ -35,12 +34,12 @@ def socle_basis_r(l: int, r: int, p: int) -> list[tuple[int, int]]:
     return socle_basis(l % q, p)
 
 
-def ch_h0_r(l: int, r: int, p: int) -> Poly1:
+def ch_h0_r(l: int, r: int, p: int) -> dict[int, int]:
     """Minus-side induced character: weights l, l-1, ..., l - 2p^r + 1."""
     return dict.fromkeys(range(l, l - 2 * p**r, -1), 1)
 
 
-def ch_l_r(l: int, r: int, p: int) -> Poly1:
+def ch_l_r(l: int, r: int, p: int) -> dict[int, int]:
     """Minus-side simple character, from the socle pairs."""
     return {l - 2 * idx - eps: 1 for idx, eps in socle_basis_r(l, r, p)}
 

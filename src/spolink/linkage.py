@@ -16,8 +16,8 @@ from math import gcd, inf, prod
 from operator import mul
 from typing import NamedTuple
 
-from .characters import check_terms
 from .frobenius import comp_factors_r
+from .padic import check_terms
 from .rootdata import GroupShape, phi_plus, rho_parts, standard_flag
 
 ISO_ODD = "iso_odd"

@@ -1,7 +1,11 @@
-"""Exact base-p digit arithmetic: expansions, binomial residues, valuations.
+"""Exact base-p digit arithmetic: expansions, binomial residues, valuations,
+and the two size caps, MAX_PRIME and MAX_TERMS.
 
 Everything here is integer-exact at a fixed odd prime p >= 3.  Characteristic 2
 is rejected up front: the rank-one formulas downstream divide by 2.
+
+This is the one module both sides share: the closed forms and the oracles
+(the characters module) import it, and it imports neither.
 """
 
 from __future__ import annotations
@@ -37,6 +41,22 @@ class Prime(namedtuple("Prime", "p")):
         if not is_odd_prime(p):
             raise ValueError(f"need an odd prime >= 3, got {p!r}")
         return tuple.__new__(cls, (p,))
+
+
+# Rows or terms a listing may hold (thickened ones grow like p^r), and term
+# updates a product character's expansion may make.
+MAX_TERMS = 1_000_000
+
+
+class TooManyTerms(ValueError):
+    """A listing or expansion that could pass MAX_TERMS, refused before any of the work."""
+
+
+def check_terms(bound: int, counted: str = "lists up to {:,} rows or terms") -> None:
+    """Raise TooManyTerms when bound, the size of a listing or of some work
+    that counted describes, passes MAX_TERMS."""
+    if bound > MAX_TERMS:
+        raise TooManyTerms(f"{counted.format(bound)}, more than MAX_TERMS = {MAX_TERMS:,}")
 
 
 def digits(n: int, p: int) -> list[int]:

@@ -6,6 +6,10 @@ form, flag-normalised weights, and product characters.
 Roots and weights are integer tuples in the basis (delta_1..delta_n,
 eps_1..eps_m).  Only the rho vectors can be half-integral, so rho_parts
 returns them doubled: 2 rho is an integer tuple like every other vector.
+
+This module is on the closed-form side, product characters included: it
+never imports the oracle module, characters.  verify checks its root data and
+chain (criterion 9) and its flag-normalised product characters (criterion 10).
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import combinations, product
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
-from .characters import PolyN, ch_product_Zr
+from . import padic
+from .padic import check_terms
 
 ODD = "odd"
 EVEN = "even"
@@ -26,6 +32,7 @@ OR = "o"  # orthogonal label kind (epsilon block)
 
 Label = tuple[str, int]
 Vec = tuple[int, ...]
+PolyN = dict[tuple[int, ...], int]
 
 
 class GroupShape(namedtuple("GroupShape", "n m parity_type")):
@@ -121,9 +128,25 @@ def _signed_sums(pairs, parity: str, isotropic: bool | None) -> list[Root]:
     ]
 
 
+def _check_size(shape: GroupShape) -> None:
+    """Refuse a shape whose roots, rank integers each, pass MAX_TERMS integers
+    in all.  There are 2 rank^2 + 2n roots in the odd type and 2 rank^2 - 2m in
+    the even type, so every shape of rank <= 79 passes and none of rank >= 80.
+    The error is a plain ValueError: only n and m size it, while the CLI reads
+    a TooManyTerms as the fault of --r or of a listing's own option."""
+    n, m, rk = shape.n, shape.m, shape.rank
+    count = 2 * rk * rk + (2 * n if shape.parity_type == ODD else -2 * m)
+    if count * rk > padic.MAX_TERMS:
+        raise ValueError(f"the {shape.parity_type}-type shape n = {n}, m = {m} has {count:,} "
+                         f"roots of {rk} coordinates, {count * rk:,} integers in all, "
+                         f"more than MAX_TERMS = {padic.MAX_TERMS:,}; lower n + m")
+
+
 @cache
 def roots(shape: GroupShape) -> tuple[Root, ...]:
-    """The full root list: even part, then odd part; built once per shape."""
+    """The full root list: even part, then odd part; built once per shape,
+    after _check_size."""
+    _check_size(shape)
     ds = [delta(i, shape) for i in range(1, shape.n + 1)]
     es = [eps(j, shape) for j in range(1, shape.m + 1)]
     out = _signed_sums(combinations(ds, 2), "even", None)
@@ -229,6 +252,7 @@ def chain_of_borels(shape: GroupShape) -> list[ChainStep]:
     (m flips -- zero-delta relabels in the even type -- and m(m-1)
     transpositions).
     """
+    _check_size(shape)
     flag = standard_flag(shape)
     steps: list[ChainStep] = []
 
@@ -300,3 +324,47 @@ def ch_z_flag(lam: Vec, flag: tuple[Label, ...], shape: GroupShape, r: int, p: i
     for root in phi_plus(flag, shape):
         (ev if root.parity == "even" else od).append(root.vec)
     return ch_product_Zr(lam, sorted(ev), sorted(od), r, p)
+
+
+def ch_product_Zr(
+    lam: tuple[int, ...],
+    even_pos: list[tuple[int, ...]],
+    odd_pos: list[tuple[int, ...]],
+    r: int,
+    p: int,
+) -> PolyN:
+    """Product character e^lam * prod_even (1 + e^-a + ... + e^-(p^r-1)a)
+    * prod_odd (1 + e^-a), all in integer coordinate tuples, expanded factor
+    by factor.  A partial product has at most the previous one's bound times
+    the factor's length terms, and at most 1 + sum of max(t) |a_i| values in
+    coordinate i; the cap counts the updates those bounds allow, which is at
+    least the term count.
+
+    Coordinate i of every term lies within span_i - 1 of lam_i, so a term is
+    keyed by one int whose mixed-radix digits, radix 2 span_i - 1, are those
+    offsets shifted by span_i - 1, coordinate 0 most significant; multiplying
+    by e^-ta subtracts t times a's key.  Keys are decoded once at the end, in
+    insertion order."""
+    steps = [(alpha, range(p**r)) for alpha in even_pos] + [(alpha, (0, 1)) for alpha in odd_pos]
+    span, size, work = [1] * len(lam), 1, 0
+    for alpha, ts in steps:
+        work += size * len(ts)
+        span = [s + ts[-1] * abs(a) for s, a in zip(span, alpha)]
+        size = min(size * len(ts), prod(span))
+    check_terms(work, "expands its product in up to {:,} term updates")
+    radix = [2 * s - 1 for s in span]
+    place = [prod(radix[i + 1:]) for i in range(len(radix))]
+    acc = {sum((s - 1) * pl for s, pl in zip(span, place)): 1}
+    for alpha, ts in steps:
+        a = sum(x * pl for x, pl in zip(alpha, place))
+        offsets = [t * a for t in ts]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, c in acc.items():
+            for off in offsets:
+                k = key - off
+                nxt[k] = get(k, 0) + c
+        acc = nxt
+    cols = [[x - s + 1 + key // pl % rd for key in acc]
+            for x, s, pl, rd in zip(lam, span, place, radix)]
+    return dict(zip(zip(*cols) if cols else [()], acc.values()))  # rank 0: one key, ()

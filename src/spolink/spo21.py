@@ -19,8 +19,7 @@ source); the table above is how spolink.cli spells a pair.
 
 from __future__ import annotations
 
-from .characters import check_terms
-from .padic import all_divisible, binom_mod, digits, lucas_count, lucas_support
+from .padic import all_divisible, binom_mod, check_terms, digits, lucas_count, lucas_support
 from .words import FIRST, SECOND, build_words
 
 MINUS = "minus"

@@ -1,6 +1,10 @@
 """Oracle-equivalence sweeps: every closed form replayed against an
 independent brute-force route, at fixed desk-scale bounds.
 
+This module joins the two sides: it is the one module that imports both the
+closed forms and the oracle module, characters.  Its own oracles,
+rad_oracle_quotient and oracle_simple_r, call no closed form they check.
+
 Each check returns (ok, detail).  run_all() executes the lot and prints one
 line per check; the CLI's verify-all subcommand and the acceptance test module
 both drive these functions.

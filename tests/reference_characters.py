@@ -1,8 +1,9 @@
 """Reference characters: the tuple-keyed product expansion and the
 dict-residual greedy peel.
 
-These are the forms spolink.characters replaced with an int-keyed expansion
-and a dense list residual; the tests replay the library against them.
+These are the forms the library replaced with an int-keyed expansion
+(spolink.rootdata) and a dense list residual (spolink.characters); the tests
+replay the library against them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from collections import Counter
 from math import prod
 from typing import Callable
 
-from spolink.characters import MAX_TERMS, NegativeResidualError, Poly1, PolyN, TooManyTerms
+from spolink.characters import NegativeResidualError, Poly1
+from spolink.padic import MAX_TERMS, TooManyTerms
+from spolink.rootdata import PolyN
 
 
 def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:

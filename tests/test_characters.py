@@ -7,22 +7,27 @@ import reference_characters as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spolink import characters
+from spolink import padic
 from spolink.characters import (
-    MAX_TERMS,
     NegativeResidualError,
-    TooManyTerms,
     ch_H0_sl2,
     ch_H0_spo,
     ch_L_sl2,
     ch_L_spo,
-    ch_product_Zr,
     ch_truncate,
     peel,
     poly_shift,
 )
-from spolink.padic import binom_mod, digits
-from spolink.rootdata import EVEN, ODD, GroupShape, chain_of_borels, phi_plus, standard_flag
+from spolink.padic import MAX_TERMS, TooManyTerms, binom_mod, digits
+from spolink.rootdata import (
+    EVEN,
+    ODD,
+    GroupShape,
+    chain_of_borels,
+    ch_product_Zr,
+    phi_plus,
+    standard_flag,
+)
 
 PRIMES = (3, 5, 7)
 
@@ -130,8 +135,8 @@ def test_ch_product_term_bound_is_an_upper_bound(monkeypatch):
         for p, r in ((3, 1), (3, 2), (5, 1)):
             terms = len(ch_product_Zr(lam, even, odd, r, p))
             with monkeypatch.context() as patch:
-                patch.setattr(characters, "MAX_TERMS", terms - 1)
-                with pytest.raises(characters.TooManyTerms):
+                patch.setattr(padic, "MAX_TERMS", terms - 1)
+                with pytest.raises(padic.TooManyTerms):
                     ch_product_Zr(lam, even, odd, r, p)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spolink import characters, cli, rootdata, verify
+from spolink import cli, padic, rootdata, verify
 from spolink.cli import COMMANDS, build_parser, main
 
 
@@ -218,7 +218,7 @@ NAMED = {
                 "--rset", "100000000", "--box", "0:1,0:1"]],
 }
 # Boxes whose graph passes linkage.MAX_EDGES, and listings that could pass
-# characters.MAX_TERMS: the error names the option.
+# padic.MAX_TERMS: the error names the option.
 CAPPED = {
     "--box": [["linkage-graph", "--n", "1", "--m", "0", "--type", "odd", "--p", "3",
                "--box", "0:20000"],
@@ -314,10 +314,10 @@ def test_max_terms_refusals_name_what_they_count(capsys, argv, counted):
 ])
 def test_listing_caps_sit_at_each_listing_size(monkeypatch, capsys, argv, given, size):
     # accepted at MAX_TERMS = size, refused one below, before any output
-    monkeypatch.setattr(characters, "MAX_TERMS", size)
+    monkeypatch.setattr(padic, "MAX_TERMS", size)
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(characters, "MAX_TERMS", size - 1)
+    monkeypatch.setattr(padic, "MAX_TERMS", size - 1)
     assert main(argv) == 2
     fix = "narrow" if given.startswith(("--window", "--box")) else "lower"
     assert capsys.readouterr() == ("", f"error: {given} lists up to {size:,} rows or terms, "
@@ -327,13 +327,39 @@ def test_listing_caps_sit_at_each_listing_size(monkeypatch, capsys, argv, given,
 def test_the_step_cap_sits_at_the_step_count(monkeypatch, capsys):
     # the odd box's 20 nodes test 60 noniso steps against it at r in {1, 2}
     argv = ["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--box", "0:3,0:4"]
-    monkeypatch.setattr(characters, "MAX_TERMS", 60)
+    monkeypatch.setattr(padic, "MAX_TERMS", 60)
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(characters, "MAX_TERMS", 59)
+    monkeypatch.setattr(padic, "MAX_TERMS", 59)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: --box 0:3,0:4 tests at least 60 non-isotropic "
                                    "steps against the box, more than MAX_TERMS = 59; narrow it\n")
+
+
+# Every command that takes a shape, at rank 80: the root-data cap refuses it
+# before any root is built, with no option of the query to blame but n and m.
+RANK_80 = ["--n", "80", "--m", "0", "--type", "odd"]
+FLAG_80 = ",".join(str(i) for i in range(1, 81))
+WEIGHT_80 = ",".join(["0"] * 80)
+BOX_80 = ",".join(["0:0"] * 80)
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", *RANK_80],
+    ["phiplus", *RANK_80],
+    ["chain", *RANK_80],
+    ["rho", *RANK_80],
+    ["lambda-bracket", *RANK_80, "--flag", FLAG_80, "--weight", WEIGHT_80, "--r", "1",
+     "--p", "3"],
+    ["char-z", *RANK_80, "--weight", WEIGHT_80, "--r", "1", "--p", "3"],
+    ["linkage-graph", *RANK_80, "--p", "3", "--box", BOX_80],
+    ["components", *RANK_80, "--p", "3", "--box", BOX_80],
+], ids=lambda argv: argv[0])
+def test_rank_taking_commands_refuse_rank_80(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the odd-type shape n = 80, m = 0 has 12,960 roots "
+                                   "of 80 coordinates, 1,036,800 integers in all, more than "
+                                   "MAX_TERMS = 1,000,000; lower n + m\n")
 
 
 # Parser tokens: every subcommand and option, a few abbreviations and near

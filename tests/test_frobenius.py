@@ -1,7 +1,7 @@
 import pytest
 
 from spolink import cli
-from spolink.characters import MAX_TERMS, TooManyTerms, ch_L_spo, ch_truncate, peel, poly_shift
+from spolink.characters import ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
     ch_h0_r,
     ch_l_r,
@@ -11,6 +11,7 @@ from spolink.frobenius import (
     psi_r_rows,
     socle_basis_r,
 )
+from spolink.padic import MAX_TERMS, TooManyTerms
 from spolink.spo21 import MINUS, block_of
 
 PRIMES = (3, 5)

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spolink import cli, spo21
-from spolink.characters import MAX_TERMS
 from spolink.frobenius import ch_l_r, psi_r_ker_im_coker, psi_r_rows, socle_basis_r
-from spolink.padic import lucas_count, lucas_support
+from spolink.padic import MAX_TERMS, lucas_count, lucas_support
 from spolink.spo21 import MINUS, PLUS, socle_basis
 
 primes = st.sampled_from((3, 5, 7, 11))

@@ -13,7 +13,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from spolink import verify
-from spolink.characters import TooManyTerms, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
+from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
 from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
@@ -24,6 +24,7 @@ from spolink.linkage import (
     components,
     connected_components,
 )
+from spolink.padic import TooManyTerms
 from spolink.rootdata import (
     EVEN,
     ODD,

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 import reference_rootdata as ref
 
+from spolink import padic, rootdata
 from spolink.rootdata import (
     EVEN,
     ODD,
@@ -293,3 +294,38 @@ def test_ch_z_flag_independence_small():
         for fl in flags
     ]
     assert all(c == chars[0] for c in chars)
+
+
+def test_the_size_cap_sits_at_the_root_integer_count(monkeypatch):
+    # the closed-form count times the rank is what roots lists: admitted at
+    # MAX_TERMS = that size, refused one below by roots and chain_of_borels alike
+    sizes = {shape: len(roots(shape)) * shape.rank for shape in SHAPES}
+    for shape, size in sizes.items():
+        monkeypatch.setattr(padic, "MAX_TERMS", size - 1)
+        roots.cache_clear()
+        for build in (roots, chain_of_borels):
+            with pytest.raises(ValueError, match=f"{size:,} integers in all") as exc:
+                build(shape)
+            assert type(exc.value) is ValueError  # not TooManyTerms, which the CLI pins on --r
+        monkeypatch.setattr(padic, "MAX_TERMS", size)
+        assert len(roots(shape)) * shape.rank == size
+        chain_of_borels(shape)
+
+
+def test_the_largest_rank_79_shape_is_admitted():
+    shape = GroupShape(79, 0, ODD)  # 12,640 roots: 998,560 integers, the most at rank 79
+    assert len(roots(shape)) * shape.rank == 998_560
+    assert len(chain_of_borels(shape)) == 79 * 79
+
+
+@pytest.mark.parametrize("shape", [GroupShape(80, 0, ODD), GroupShape(0, 80, EVEN),
+                                   GroupShape(40, 40, ODD), GroupShape(1000, 0, ODD)])
+def test_rank_80_is_refused_before_any_root_is_built(monkeypatch, shape):
+    def built(*args):
+        raise AssertionError("root data built before the size check")
+
+    monkeypatch.setattr(rootdata, "delta", built)  # roots' first step
+    monkeypatch.setattr(rootdata, "standard_flag", built)  # chain_of_borels' first step
+    for build in (roots, chain_of_borels):
+        with pytest.raises(ValueError, match="more than MAX_TERMS = 1,000,000; lower n [+] m"):
+            build(shape)
