@@ -3,7 +3,8 @@ greedy peel that decomposes them.
 
 Characters are dicts {weight: coefficient} with int weights, and zero
 coefficients are never stored.  Internally the peel keeps its residual in a
-list indexed down from the top weight.  Only spolink.verify imports this
+list indexed down from the top weight; pack reads a 0/1 character down from
+its top weight into the bits of an int.  Only spolink.verify imports this
 module, and it imports nothing from spolink but padic, the layer both sides
 share; a CI step checks both.
 """
@@ -114,3 +115,15 @@ def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:
 
 def poly_shift(a: Poly1, offset: int) -> Poly1:
     return {w + offset: c for w, c in a.items()}
+
+
+def pack(ch: Poly1, top: int) -> int:
+    """A 0/1 character as an int with bit top - w set for each weight w, so
+    weights read down from the top.  Raises ValueError on a coefficient other
+    than 1 or a weight above top."""
+    bits = 0
+    for w, c in ch.items():
+        if c != 1 or w > top:
+            raise ValueError(f"pack() needs coefficients 1 at weights <= {top}, got {c} at {w}")
+        bits |= 1 << (top - w)
+    return bits

@@ -5,6 +5,12 @@ This module joins the two sides: it is the one module that imports both the
 closed forms and the oracle module, characters.  Its own oracles,
 rad_oracle_quotient and oracle_simple_r, call no closed form they check.
 
+Criteria 2 and 4 test each rank-one decomposition as an exact cover: the
+factors' simple characters, packed into the bits of an int, must hold the
+induced character's weights once each.  _cover_sweep shows this holds exactly
+when the greedy peel gives those factors; the peel runs there only at a
+failing weight, and stays the oracle of criteria 6, 7 and 11.
+
 Each check returns (ok, detail).  run_all() executes the lot and prints one
 line per check; the CLI's verify-all subcommand and the acceptance test module
 both drive these functions.
@@ -16,7 +22,9 @@ from operator import sub
 from typing import Callable
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
-from .characters import NegativeResidualError, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
+from .characters import (
+    NegativeResidualError, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, pack, peel,
+)
 from .padic import defect
 from .words import GE, GT, LE, LT, build_words
 
@@ -68,17 +76,55 @@ def _memo(simple: Callable[..., dict], *args) -> Callable[[int], dict]:
     return cached
 
 
-def check_sl2_oracle(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
-    """Criterion 2: closed-form rank-one decompositions equal greedy peels;
-    the peel consuming the character exactly is the conservation statement."""
+def _packed(w: int, simple: Callable[[int, int], dict], p: int) -> int:
+    return pack(simple(w, p), w)
+
+
+def _covers(factors, l: int, step: int, packed: Callable[[int], int]) -> bool:
+    """True when the simple characters of factors, as bitsets from packed
+    (bit f - w for each weight w of L(f)), cover the weights l, l - step, ...,
+    -l of the induced character exactly once: each factor lies in [0, l], no
+    two share a weight, and together they hold them all."""
+    union = 0
+    for f in factors:
+        if not 0 <= f <= l:
+            return False
+        bits = packed(f) << (l - f)
+        if union & bits:
+            return False
+        union |= bits
+    return union == ((1 << (2 * l + step)) - 1) // ((1 << step) - 1)
+
+
+def _cover_sweep(var: str, top: int, primes, factors_of, ch_H0, ch_L, step: int) -> Check:
+    """The closed form factors_of(l, p) against the characters of the induced
+    module ch_H0(l) and the simples ch_L(f, p), for all l <= top.
+
+    Every ch_L(f) has coefficient 1 at f, nonnegative coefficients and no
+    weight above f, so the simple characters are unitriangular and ch_H0(l)
+    has one decomposition into them; the greedy peel finds it.  The peel
+    returns the set F, each factor once, exactly when the sum of ch_L(f) over
+    F is ch_H0(l).  Each side is 0/1 (pack refuses any other coefficient),
+    so that sum holds exactly when the supports of the ch_L(f) are disjoint
+    and their union is the support of ch_H0(l), which _covers tests on
+    bitsets.  Only at a failing l is the character peeled, to name both
+    factor sets."""
     for p in primes:
-        simple = _memo(ch_L_sl2, p)
-        for k in range(kmax + 1):
-            got = dict.fromkeys(sl2.decompose_sl2(k, p), 1)
-            want = peel(ch_H0_sl2(k), simple)
-            if got != want:
-                return False, f"mismatch at k={k}, p={p}: {got} != {want}"
-    return True, f"all k <= {kmax}, p in {tuple(primes)}"
+        packed = _memo(_packed, ch_L, p)
+        for l in range(top + 1):
+            factors = factors_of(l, p)
+            if not _covers(factors, l, step, packed):
+                got, want = dict.fromkeys(factors, 1), peel(ch_H0(l), _memo(ch_L, p))
+                return False, f"mismatch at {var}={l}, p={p}: {got} != {want}"
+    return True, f"all {var} <= {top}, p in {tuple(primes)}"
+
+
+def check_sl2_oracle(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
+    """Criterion 2: closed-form rank-one decompositions equal greedy peels,
+    checked as an exact cover of ch H0(k)'s weights k, k - 2, ..., -k by the
+    factors' simple characters; the exact cover is the conservation
+    statement."""
+    return _cover_sweep("k", kmax, primes, sl2.decompose_sl2, ch_H0_sl2, ch_L_sl2, 2)
 
 
 def check_sl2_linkage(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
@@ -93,15 +139,9 @@ def check_sl2_linkage(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
 
 def check_spo_oracle(lmax: int = 1500, primes=(3, 5, 7)) -> Check:
     """Criterion 4: rank-one super decompositions equal greedy peels, so the
-    peels are multiplicity-free."""
-    for p in primes:
-        simple = _memo(ch_L_spo, p)
-        for l in range(lmax + 1):
-            got = dict.fromkeys(spo21.comp_factors_h0(l, p), 1)
-            want = peel(ch_H0_spo(l), simple)
-            if got != want:
-                return False, f"mismatch at l={l}, p={p}: {got} != {want}"
-    return True, f"all l <= {lmax}, p in {tuple(primes)}"
+    peels are multiplicity-free; checked as an exact cover of ch H0(l)'s
+    weights l, l - 1, ..., -l by the factors' simple characters."""
+    return _cover_sweep("l", lmax, primes, spo21.comp_factors_h0, ch_H0_spo, ch_L_spo, 1)
 
 
 def rad_oracle_quotient(k: int, p: int) -> list[tuple[int, int]]:

@@ -15,6 +15,7 @@ from spolink.characters import (
     ch_L_sl2,
     ch_L_spo,
     ch_truncate,
+    pack,
     peel,
     poly_shift,
 )
@@ -113,6 +114,20 @@ def test_peel_multiplicities():
 
 def test_poly_shift():
     assert poly_shift({2: 1, 0: 3}, -2) == {0: 1, -2: 3}
+
+
+def test_pack_reads_weights_down_from_the_top():
+    assert pack({3: 1, 1: 1, -3: 1}, 3) == 0b1000101
+    assert pack({-1: 1}, 2) == 0b1000
+    assert pack({}, 4) == 0
+    for l in (0, 1, 7, 40):
+        assert pack(ch_H0_spo(l), l) == 2 ** (2 * l + 1) - 1
+
+
+@pytest.mark.parametrize("ch, top", [({2: 1, 0: 2}, 2), ({2: 1, 0: 0}, 2), ({3: 1, 1: 1}, 2)])
+def test_pack_refuses_a_coefficient_other_than_one_or_a_weight_above_top(ch, top):
+    with pytest.raises(ValueError):
+        pack(ch, top)
 
 
 def test_ch_product_total_mass():

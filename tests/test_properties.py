@@ -111,6 +111,27 @@ def test_peels_equal_the_closed_forms_past_the_sweep_bounds(l, p):
     assert peel(ch_H0_sl2(l), verify._memo(ch_L_sl2, p)) == dict.fromkeys(decompose_sl2(l, p), 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(min_value=0, max_value=3000), st.data())
+def test_cover_verdicts_equal_the_peels(p, l, data):
+    # criteria 2 and 4 test an exact cover by bitsets in place of a peel, up to
+    # 1500; past that, the cover accepts both closed forms, and on a closed
+    # form with one factor dropped, added or replaced it agrees with the peel
+    for closed_form, ch_H0, ch_L, step in ((decompose_sl2, ch_H0_sl2, ch_L_sl2, 2),
+                                           (comp_factors_h0, ch_H0_spo, ch_L_spo, 1)):
+        factors = closed_form(l, p)
+        packed = verify._memo(verify._packed, ch_L, p)
+        assert verify._covers(factors, l, step, packed)
+        kind = data.draw(st.sampled_from(("drop", "add", "replace")))
+        mutant = set(factors)
+        if kind != "add":
+            mutant.discard(data.draw(st.sampled_from(sorted(factors))))
+        if kind != "drop":
+            mutant.add(data.draw(st.integers(0, l) | st.sampled_from((-2, -1, l + 1, l + 2))))
+        want = peel(ch_H0(l), verify._memo(ch_L, p)) == dict.fromkeys(mutant, 1)
+        assert verify._covers(mutant, l, step, packed) == want
+
+
 @given(weights, weights, st.integers(min_value=1, max_value=4), primes)
 def test_hom_r_is_one_dimensional_and_odd_or_zero(k, l, r, p):
     assert hom_r(k, l, r, p) in ((1, "odd"), (0, None))

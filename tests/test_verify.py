@@ -1,6 +1,6 @@
 """The memoised oracle sweeps still catch a wrong closed form: drop one factor,
-basis pair or image at one weight, or flip one parity, and the matching check
-fails, naming that weight.  Each check
+basis pair or image at one weight, add or replace one factor, or flip one
+parity, and the matching check fails, naming that weight.  Each check
 keeps its own memo of simple characters, so no fault can hide behind an
 answer cached by another check or another prime."""
 
@@ -41,6 +41,41 @@ def test_sl2_oracle_catches_a_dropped_factor(monkeypatch, p):
     monkeypatch.setattr(sl2, "decompose_sl2", _dropping(sl2.decompose_sl2, (k, p)))
     ok, detail = verify.check_sl2_oracle(kmax=k + 10, primes=tuple(sorted({3, p})))
     assert not ok and f"at k={k}, p={p}:" in detail
+
+
+# criteria 2 and 4: the check, its bound's keyword, the weight's name in the
+# message, the closed form's module and name, and the step between weights
+SWEEPS = [
+    (verify.check_sl2_oracle, "kmax", "k", sl2, "decompose_sl2", 2),
+    (verify.check_spo_oracle, "lmax", "l", spo21, "comp_factors_h0", 1),
+]
+
+
+def _add_lowest_missing(factors, l, step):
+    """factors with the lowest weight in [0, l] of l's parity (for step 2) that
+    is not one of them added."""
+    return factors | {next(w for w in range(l % step, l + 1, step) if w not in factors)}
+
+
+def _replace_lowest_by_a_neighbour(factors, l, step):
+    """factors with their lowest member f replaced by f + step, or f - step when
+    that is a factor already: a weight in [0, l] of l's parity still."""
+    f = min(factors)
+    near = next(w for w in (f + step, f - step) if 0 <= w <= l and w not in factors)
+    return factors - {f} | {near}
+
+
+@pytest.mark.parametrize("mutate", [_add_lowest_missing, _replace_lowest_by_a_neighbour])
+@pytest.mark.parametrize("check, bound, var, module, name, step", SWEEPS, ids=["sl2", "spo"])
+@pytest.mark.parametrize("p", PRIMES)
+def test_oracle_sweeps_catch_an_added_or_replaced_factor(
+        monkeypatch, mutate, check, bound, var, module, name, step, p):
+    true = getattr(module, name)
+    l = _first_with_two_factors(true, p)
+    monkeypatch.setattr(module, name,
+                        lambda *a: mutate(true(*a), l, step) if a == (l, p) else true(*a))
+    ok, detail = check(**{bound: l + 10, "primes": tuple(sorted({3, p}))})
+    assert not ok and f"at {var}={l}, p={p}:" in detail
 
 
 @pytest.mark.parametrize("part,message", [
