@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spolink import verify
 from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
-from spolink.frobenius import ch_l_r, comp_factors_r, hom_r
+from spolink.frobenius import ch_h0_r, ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
     ISO_ODD,
@@ -121,7 +121,8 @@ def test_cover_verdicts_equal_the_peels(p, l, data):
                                            (comp_factors_h0, ch_H0_spo, ch_L_spo, 1)):
         factors = closed_form(l, p)
         packed = verify._memo(verify._packed, ch_L, p)
-        assert verify._covers(factors, l, step, packed)
+        string = ((1 << (2 * l + step)) - 1) // ((1 << step) - 1)
+        assert verify._covers(factors, string, 0, l, packed)
         kind = data.draw(st.sampled_from(("drop", "add", "replace")))
         mutant = set(factors)
         if kind != "add":
@@ -129,7 +130,30 @@ def test_cover_verdicts_equal_the_peels(p, l, data):
         if kind != "drop":
             mutant.add(data.draw(st.integers(0, l) | st.sampled_from((-2, -1, l + 1, l + 2))))
         want = peel(ch_H0(l), verify._memo(ch_L, p)) == dict.fromkeys(mutant, 1)
-        assert verify._covers(mutant, l, step, packed) == want
+        assert verify._covers(mutant, string, 0, l, packed) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from((3, 5)), st.integers(-5000, 5000), st.data())
+def test_thickened_cover_verdicts_equal_the_peels(r, p, l, data):
+    # criterion 7 tests the thickened factors as an exact cover of the 2 p^r
+    # weights l, ..., lo by truncated simples over two periods of l; past them,
+    # the cover accepts comp_factors_r, and on one factor dropped, added or
+    # replaced, heads outside the window included, it agrees with the peel
+    q = p**r
+    lo, window = l - 2 * q + 1, (1 << 2 * q) - 1
+    packed = verify._memo(verify._packed, verify.oracle_simple_r, r, p)
+    factors = comp_factors_r(l, r, p)
+    assert verify._covers(factors, window, lo, l, packed)
+    kind = data.draw(st.sampled_from(("drop", "add", "replace")))
+    mutant = set(factors)
+    if kind != "add":
+        mutant.discard(data.draw(st.sampled_from(sorted(factors))))
+    if kind != "drop":
+        mutant.add(data.draw(st.integers(lo, l) | st.sampled_from((lo - 2, lo - 1, l + 1, l + 2))))
+    simple = verify._memo(verify.oracle_simple_r, r, p)
+    want = peel(ch_h0_r(l, r, p), simple) == dict.fromkeys(mutant, 1)
+    assert verify._covers(mutant, window, lo, l, packed) == want
 
 
 @given(weights, weights, st.integers(min_value=1, max_value=4), primes)

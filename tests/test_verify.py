@@ -97,6 +97,27 @@ def test_psi_tables_catch_a_dropped_factor(monkeypatch, part, message):
     assert not ok and detail == f"{message} at (k={k}, j={j}, p={p})"
 
 
+@pytest.mark.parametrize("part, extra, message", [
+    (0, lambda im: -1, "kernel characters mismatch"),
+    (2, lambda im: -1, "cokernel characters mismatch"),
+    (0, min, "kernel characters mismatch"),  # an image factor in the kernel too
+], ids=["negative-kernel", "negative-cokernel", "image-in-kernel"])
+def test_psi_tables_catch_an_added_factor(monkeypatch, part, extra, message):
+    # a negative weight has no simple character: the check must fail, not raise
+    k, j, p = 39, 3, 3
+    true = spo21.ker_im_coker_factors
+
+    def mutant(*args):
+        out = list(true(*args))
+        if args == (k, j, p):
+            out[part] = out[part] | {extra(out[1])}
+        return tuple(out)
+
+    monkeypatch.setattr(spo21, "ker_im_coker_factors", mutant)
+    ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"{message} at (k={k}, j={j}, p={p})")
+
+
 def _zeroing_first_image(fn, at):
     """A row producer fn with its first nonzero coefficient set to 0 at the
     arguments ``at`` only."""
@@ -110,10 +131,27 @@ def _zeroing_first_image(fn, at):
 
 
 def test_psi_tables_catch_a_zeroed_row(monkeypatch):
-    # the rows' image then is no sum of simple characters: peel raises, and
-    # the check reports it rather than letting it out
+    # the rows' image then is no sum of simple characters, so no factors
+    # cover it, and the check reports it rather than raising
     k, j, p = 39, 3, 3
     monkeypatch.setattr(spo21, "psi_rows", _zeroing_first_image(spo21.psi_rows, (k, j, p)))
+    ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
+    assert (ok, detail) == (False, f"image factors mismatch at (k={k}, j={j}, p={p})")
+
+
+def test_psi_tables_catch_an_image_above_the_head(monkeypatch):
+    # the row onto the head monomial moved one index up, out of the codomain:
+    # the check must fail, not raise while packing the image
+    k, j, p = 39, 3, 3
+    true = spo21.psi_rows
+
+    def mutant(*args):
+        head, rows = true(*args)
+        if args == (k, j, p):
+            rows = [(i, eps, ti - ((ti, teps) == (0, 0)), teps, c) for i, eps, ti, teps, c in rows]
+        return head, rows
+
+    monkeypatch.setattr(spo21, "psi_rows", mutant)
     ok, detail = verify.check_psi_tables(kmax=k + 2, primes=(p,))
     assert (ok, detail) == (False, f"image factors mismatch at (k={k}, j={j}, p={p})")
 
@@ -128,7 +166,7 @@ def test_grt_catches_a_zeroed_row(monkeypatch):
 
 def test_grt_catches_kernel_and_cokernel_factors_dropped_alike(monkeypatch):
     # both lose their highest factor, so they still equal each other; only the
-    # peel of what the rows' image leaves of the domain sees it
+    # cover of the domain's window by kernel and image sees it
     k, r, p = 4, 1, 3
     true = frobenius.psi_r_ker_im_coker
 
@@ -141,6 +179,25 @@ def test_grt_catches_kernel_and_cokernel_factors_dropped_alike(monkeypatch):
     monkeypatch.setattr(frobenius, "psi_r_ker_im_coker", mutant)
     ok, detail = verify.check_grt(rs=(r,), primes=(p,))
     assert (ok, detail) == (False, f"ker/im/coker differ from oracle peels at k={k}, r={r}, p={p}")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda factors, lo: _drop_smallest(factors),
+    lambda factors, lo: factors | {lo},  # the window's lowest weight, no factor
+    lambda factors, lo: _drop_smallest(factors) | {min(factors) - 1},
+], ids=["drop", "add", "replace"])
+@pytest.mark.parametrize("r, p", [(1, 3), (2, 3), (1, 5)])
+def test_grt_catches_a_dropped_added_or_replaced_factor(monkeypatch, mutate, r, p):
+    # l = -2 p^r is the first weight swept, so no shift check sees the mutant first
+    q = p**r
+    l, lo = -2 * q, -4 * q + 1
+    true = frobenius.comp_factors_r
+    mutant = mutate(true(l, r, p), lo)
+    assert lo not in true(l, r, p) and min(mutant) >= lo and mutant != true(l, r, p)
+    monkeypatch.setattr(frobenius, "comp_factors_r",
+                        lambda *a: mutant if a == (l, r, p) else true(*a))
+    ok, detail = verify.check_grt(rs=(r,), primes=(p,))
+    assert not ok and detail.startswith(f"mismatch at l={l}, r={r}, p={p}: {mutant} != ")
 
 
 def test_hom_oracle_catches_a_dropped_rad_pair(monkeypatch):
