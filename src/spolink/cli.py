@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import frobenius, linkage, rootdata, sl2, spo21, verify
+from . import frobenius, sl2, spo21
 from .padic import Prime, TooManyTerms, check_terms
-from .rootdata import GroupShape
 from .spo21 import MINUS, PLUS
 from .words import MAX_DIGITS
+
+if TYPE_CHECKING:  # run() binds each one here when a subcommand in _LAZY first needs it
+    from . import linkage, rootdata, verify
 
 
 def _factors_out(factors: frozenset[int], fmt: str) -> str:
@@ -84,7 +88,7 @@ def _malformed(option: str, value: str, form: str):
         raise ValueError(f"{option} needs {form}, got {value!r}") from None
 
 
-def _flag(args, shape: GroupShape):
+def _flag(args, shape: rootdata.GroupShape):
     """The --flag given, checked against the shape, or the standard flag."""
     if not args.flag:
         return rootdata.standard_flag(shape)
@@ -94,7 +98,7 @@ def _flag(args, shape: GroupShape):
     return flag
 
 
-def _parse_weight(s: str, shape: GroupShape) -> tuple[int, ...]:
+def _parse_weight(s: str, shape: rootdata.GroupShape) -> tuple[int, ...]:
     with _malformed("--weight", s, "comma-separated integers"):
         out = tuple(int(tok) for tok in s.split(","))
     if len(out) != shape.rank:
@@ -127,8 +131,8 @@ def _check_r(option: str, r: int, given) -> None:
                          f"{r + 1} digits, built for at most {MAX_DIGITS}")
 
 
-def _shape(args) -> GroupShape:
-    return GroupShape(args.n, args.m, args.type)
+def _shape(args) -> rootdata.GroupShape:
+    return rootdata.GroupShape(args.n, args.m, args.type)
 
 
 def _step_json(step: rootdata.ChainStep | None, flag) -> dict:
@@ -257,7 +261,10 @@ def _graph(args, p) -> linkage.LinkageGraph:
     r_set = _parse_rset(args.rset)
     if len(box) != shape.rank:
         raise ValueError(f"--box needs {shape.rank} ranges (the shape rank), got {len(box)}")
-    return linkage.build_graph(box, shape, r_set, p)
+    try:
+        return linkage.build_graph(box, shape, r_set, p)
+    except linkage.TooManyEdges as exc:
+        raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
 
 
 def _linkage_graph(args, p):
@@ -334,6 +341,12 @@ COMMANDS = {
                    [("--quick", {"action": "store_true", "help": "reduced sweep bounds"})],
                    lambda args, p: verify.run_all(quick=args.quick)),
 }
+
+# The modules each subcommand reads beyond those imported above, bound by run().
+_LAZY = {**dict.fromkeys(("roots", "phiplus", "chain", "rho", "lambda-bracket", "char-z"),
+                         ("rootdata",)),
+         **dict.fromkeys(("linkage-graph", "components"), ("rootdata", "linkage")),
+         "verify-all": ("verify",)}
 
 
 class _Unparsed(Exception):
@@ -430,6 +443,15 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if name in COMMANDS:
         with contextlib.suppress(_Unparsed):
             return build_parser([name], _PlainParser).parse_args(argv)
+        # argparse takes a spaced value like -1,2 for an option (a plain negative
+        # number it reads alike), so join --opt VALUE into --opt=VALUE
+        takes_value = {"--format", *(f for f, kw in COMMANDS[name][1] if "action" not in kw)}
+        joined = []
+        for a in argv:
+            if joined and joined[-1] in takes_value and a[:1] == "-" and a[1:2].isdigit():
+                a = joined.pop() + "=" + a
+            joined.append(a)
+        argv = joined
     return build_parser().parse_args(argv)
 
 
@@ -444,10 +466,11 @@ def run(argv=None) -> int:
     p = Prime(args.p).p if hasattr(args, "p") else None
     if hasattr(args, "r"):
         _check_r("--r", args.r, args.r)
+    for name in _LAZY.get(args.command, ()):
+        if name not in globals():
+            globals()[name] = importlib.import_module(f".{name}", __package__)
     try:
         out = COMMANDS[args.command][2](args, p)
-    except linkage.TooManyEdges as exc:
-        raise ValueError(f"--box {args.box} spans {exc}; narrow it") from None
     except TooManyTerms as exc:
         option = "--r" if getattr(args, "grt", False) else _SIZED_BY.get(args.command, "--r")
         fix = "narrow" if option in ("--window", "--box") else "lower"

@@ -2,7 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -373,7 +377,7 @@ TOKENS = [*COMMANDS, *OPTIONS, "--format", "--seed-irrelevant", "--seed", "--for
 # Option values by kind, each list split into values the option takes and
 # values it refuses: int spellings int() accepts and rejects, strings empty,
 # spaced or starting with a dash (taken only as --opt=VALUE by the plain
-# reader, and by argparse only that way or as a negative number).
+# reader; argparse also takes -4 and, once _parse joins it, -1,2 spaced, never -x).
 INT_VALUES = (["3", "+3", " 5", "1_0", "-4"], ["1.5", ""])
 TEXT_VALUES = (["1,2", "0:3", "a b", "", "-x", "-1,2"], [])
 
@@ -418,10 +422,53 @@ def _outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
+def _joined(argv):
+    """argv with each --opt VALUE made --opt=VALUE where --opt is spelled in
+    full, takes a value in the subcommand named by the first token without a
+    dash, and VALUE starts with a dash and a digit."""
+    name = next((a for a in argv if not a.startswith("-")), None)
+    if name not in COMMANDS:
+        return argv
+    takes_value = {"--format"} | {flag for flag, kw in COMMANDS[name][1] if "action" not in kw}
+    out = []
+    for a in argv:
+        if out and out[-1] in takes_value and len(a) > 1 and a[0] == "-" and a[1].isdigit():
+            out[-1] = f"{out[-1]}={a}"
+        else:
+            out.append(a)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_lean_parse_matches_the_full_parser(argv):
-    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, argv)
+    full = _outcome(build_parser().parse_args, _joined(argv))
+    assert _outcome(cli._parse, argv) == full
+    # the join only turns refusals into answers: what argparse reads as given,
+    # it reads alike joined
+    given = _outcome(build_parser().parse_args, argv)
+    assert given == full or isinstance(given, tuple)
+
+
+RHO = ["rho", "--n", "1", "--m", "1", "--type", "odd"]
+
+
+@pytest.mark.parametrize("argv, read", [
+    ([*RHO, "--flag", "-1,1bar"], [*RHO, "--flag=-1,1bar"]),
+    (["blocks", "--window", "-2:3", "--p", "3"], ["blocks", "--window=-2:3", "--p", "3"]),
+    (["decompose-grt", "--p", "3", "--r", "2", "--l", "-5", "--format", "-1"],
+     ["decompose-grt", "--p", "3", "--r", "2", "--l=-5", "--format=-1"]),
+    # left as given: a dash and no digit, an abbreviation (argparse's to resolve),
+    # a token after a joined one, a store_true flag, a value after a value
+    ([*RHO, "--flag", "-x"], None),
+    ([*RHO, "--fla", "-1,2"], None),
+    ([*RHO, "--flag=-1,2", "-3"], None),
+    (["hom", "--p", "3", "--k", "1", "--l", "1", "--grt", "-1"], None),
+    (["hom", "--p", "3", "--k", "1", "--l", "1", "--r", "2", "-1"], None),
+])
+def test_spaced_dash_values_are_joined_to_full_option_names(argv, read):
+    assert _joined(argv) == (read or argv)
+    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, read or argv)
 
 
 def test_only_the_named_subparser_is_built(monkeypatch, capsys):
@@ -445,7 +492,51 @@ def test_only_the_named_subparser_is_built(monkeypatch, capsys):
     calls.clear()
     assert main(["decompose-sl2", "--p", "3", "--k", "3", "--form", "tsv"]) == 0
     assert calls == [(["decompose-sl2"], cli._PlainParser), ()] and built == list(COMMANDS)
+    # so is a spaced dash value, which argparse reads joined to its option
+    calls.clear()
+    assert main(["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag", "-1,1bar"]) == 0
+    assert calls == [(["rho"], cli._PlainParser), ()]
     built.clear()
     with pytest.raises(SystemExit):
         main(["-h"])
     assert built == list(COMMANDS) and len(built) == 19
+
+
+# The spolink modules a fresh interpreter holds after `import spolink.cli` and
+# one cli.main(argv), with its exit code: rank-one queries, a refused one too,
+# load only the eager modules.  Every subcommand that loads more runs here, as
+# in process an earlier query may have bound what its _LAZY row leaves out.
+EAGER = {"cli", "padic", "words", "sl2", "spo21", "frobenius"}
+SHAPE_11 = ["--n", "1", "--m", "1", "--type", "odd"]
+BOX_9 = ["--n", "1", "--m", "0", "--type", "odd", "--p", "3", "--box", "0:9"]
+IMPORT_SETS = {
+    "bare import": ([], None, EAGER),
+    "decompose-sl2": (["decompose-sl2", "--p", "3", "--k", "3"], 0, EAGER),
+    **{name: ([name, *SHAPE_11, *extra], 0, EAGER | {"rootdata"}) for name, extra in [
+        ("roots", []), ("phiplus", []), ("chain", []), ("rho", []),
+        ("lambda-bracket", ["--flag", "1,1bar", "--weight", "2,1", "--r", "1", "--p", "3"]),
+        ("char-z", ["--weight", "0,0", "--r", "1", "--p", "3"])]},
+    "linkage-graph": (["linkage-graph", *BOX_9], 0, EAGER | {"rootdata", "linkage"}),
+    "components": (["components", *BOX_9], 0, EAGER | {"rootdata", "linkage"}),
+    "verify-all": (["verify-all", "--quick"], 0,
+                   EAGER | {"verify", "characters", "rootdata", "linkage"}),
+    "socle refused": (["socle", "--p", "3", "--l", "3486784399"], 2, EAGER),
+}
+LOADED = """
+import contextlib, io, json, sys
+from spolink import cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("spolink."))]))
+"""
+
+
+@pytest.mark.parametrize("case", list(IMPORT_SETS))
+def test_each_subcommand_imports_only_what_it_runs(case):
+    argv, code, modules = IMPORT_SETS[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [code, sorted(modules)]

@@ -196,7 +196,8 @@ PARSER_EDGES = [
 ]
 
 # Spellings at the edge of the plain reader (cli._PlainParser): --opt=VALUE
-# (a dash-leading value only this way), a repeated option (the last wins),
+# (a dash-leading value, which --opt VALUE reaches only through argparse once
+# cli._parse has joined it), a repeated option (the last wins),
 # --seed-irrelevant twice, a store_true flag twice or given a value, int
 # spellings int() accepts, an empty string value, and a stray "-".
 PLAIN_EDGES = [
@@ -210,6 +211,18 @@ PLAIN_EDGES = [
     ["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag="],
     ["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag", "-1,2"],
     ["decompose-sl2", "--p", "3", "--k", "3", "-"],
+]
+
+# Spaced values that begin with a dash and a digit, joined to their option
+# before argparse reads them (blocks --window -2:3 and rho --flag -1,2 above
+# are refused as values, not as options).
+DASH_VALUES = [
+    ["rho", "--n", "1", "--m", "1", "--type", "odd", "--flag", "-1,1bar"],
+    ["lambda-bracket", "--n", "1", "--m", "1", "--type", "odd", "--flag", "1,1bar",
+     "--weight", "-2,1", "--r", "1", "--p", "3"],
+    ["components", "--n", "1", "--m", "1", "--type", "odd", "--p", "3", "--rset", "1",
+     "--box", "-3:6,0:5"],
+    ["blocks-grt", "--p", "3", "--window", "-2:3"],
 ]
 
 # Weights near the 20-digit cap of the word builder: k + 1 = 3^20 - 1 has
@@ -229,6 +242,7 @@ CASES = (
     + HELP
     + PARSER_EDGES
     + PLAIN_EDGES
+    + DASH_VALUES
 )
 
 
