@@ -4,9 +4,10 @@ greedy peel that decomposes them.
 Characters are dicts {weight: coefficient} with int weights, and zero
 coefficients are never stored.  Internally the peel keeps its residual in a
 list indexed down from the top weight; pack reads a 0/1 character down from
-its top weight into the bits of an int.  Only spolink.verify imports this
-module, and it imports nothing from spolink but padic, the layer both sides
-share; a CI step checks both.
+its top weight into the bits of an int, and bits_L_sl2 and bits_L_spo build
+the simple characters in that form straight from base-p digits.  Only
+spolink.verify imports this module, and it imports nothing from spolink but
+padic, the layer both sides share; a CI step checks both.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def ch_L_sl2(k: int, p: int) -> Poly1:
     return {k - 2 * i: 1 for i in offs}
 
 
+def bits_L_sl2(k: int, p: int) -> int:
+    """ch_L_sl2(k, p) as bits, equal to pack(ch_L_sl2(k, p), k): bit 2i for each
+    i digit-dominated by k, built digit by digit (the Steinberg product).  The
+    copies OR-ed in for one digit are disjoint, since the lower digits reach
+    bit 2(p^t - 1) at most; the assert keeps every coefficient 1."""
+    if k < 0:
+        raise ValueError("bits_L_sl2() needs k >= 0")
+    bits = 1
+    for t, d in enumerate(digits(k, p)):
+        step, acc = 2 * p**t, bits
+        for c in range(1, d + 1):
+            shifted = bits << c * step
+            assert not acc & shifted
+            acc |= shifted
+        bits = acc
+    return bits
+
+
 def ch_H0_spo(l: int) -> Poly1:
     """Character of the rank-one super induced module: two interleaved strings,
     weights l, l-1, ..., -l, each once (dimension 2l + 1)."""
@@ -61,6 +80,19 @@ def ch_L_spo(l: int, p: int) -> Poly1:
     if l % p != 0:
         out.update(ch_L_sl2(l - 1, p))
     return out
+
+
+def bits_L_spo(l: int, p: int) -> int:
+    """ch_L_spo(l, p) as bits, equal to pack(ch_L_spo(l, p), l): the string of
+    l on the even bits and, when p does not divide l, that of l - 1 on the odd."""
+    if l < 0:
+        raise ValueError("bits_L_spo() needs l >= 0")
+    bits = bits_L_sl2(l, p)
+    if l % p != 0:
+        odd = bits_L_sl2(l - 1, p) << 1
+        assert not bits & odd
+        bits |= odd
+    return bits
 
 
 def ch_truncate(ch: Poly1, l: int, r: int, p: int) -> Poly1:

@@ -5,7 +5,8 @@ Each subcommand is one row of COMMANDS: its help line, its arguments and the
 handler that formats its result.  The maths lives in the library; this module
 parses, validates ranges before any output, and formats.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+Exit codes: 0 success, 1 verification mismatch or a reader that closed the
+output early, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import importlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -94,7 +96,12 @@ def _flag(args, shape: rootdata.GroupShape):
         return rootdata.standard_flag(shape)
     with _malformed("--flag", args.flag, "a comma list like 1,-2,1bar"):
         flag = tuple(rootdata.parse_label(tok.strip()) for tok in args.flag.split(","))
-    rootdata.check_flag(flag, shape)
+    try:
+        rootdata.check_flag(flag, shape)
+    except ValueError:
+        labels = ", ".join(map(rootdata.label_str, rootdata.standard_flag(shape)))
+        raise ValueError(f"--flag {args.flag} does not fit --n {shape.n} --m {shape.m}: it "
+                         f"needs each of {labels} once, with either sign, in any order") from None
     return flag
 
 
@@ -483,10 +490,17 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull, so that the
+        # flush at exit cannot raise again, and end with 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,14 +3,16 @@ independent brute-force route, at fixed desk-scale bounds.
 
 This module joins the two sides: it is the one module that imports both the
 closed forms and the oracle module, characters.  Its own oracles,
-rad_oracle_quotient and oracle_simple_r, call no closed form they check.
+rad_oracle_quotient, oracle_simple_r and oracle_bits_r, call no closed form
+they check.
 
 Criteria 2, 4, 6 and 7 test each decomposition as an exact cover: the
-factors' simple characters, packed into the bits of an int, must hold a 0/1
-character's weights once each.  _cover_sweep shows this holds exactly when
-the greedy peel gives those factors, and check_grt carries the argument to
-the truncated simples.  The peel runs only at a failing weight, to name both
-factor sets, and stays the oracle of criterion 11.
+factors' simple characters, built as the bits of an int from base-p digits,
+must hold a 0/1 character's weights once each.  _cover_sweep shows this
+holds exactly when the greedy peel gives those factors, and check_grt
+carries the argument to the truncated simples.  The peel runs only at a
+failing weight, to name both factor sets, and stays the oracle of
+criterion 11.
 
 Each check returns (ok, detail).  run_all() executes the lot and prints one
 line per check; the CLI's verify-all subcommand and the acceptance test module
@@ -20,14 +22,16 @@ both drive these functions.
 from __future__ import annotations
 
 from operator import sub
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
-from .characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, pack, peel
+from .characters import (bits_L_sl2, bits_L_spo, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo,
+                         pack, peel)
 from .padic import defect
 from .words import GE, GT, LE, LT, build_words
 
 Check = tuple[bool, str]
+T = TypeVar("T")
 
 # The normative 16-row word table with its symbolic weight offsets: entry
 # (i, 0) subtracts 2*a_i*p^i, entry (i, 1) subtracts 2*(a_i+1)*p^i.
@@ -66,17 +70,13 @@ def check_word_table() -> Check:
     return True, "16 words and all symbolic offsets reproduced"
 
 
-def _memo(simple: Callable[..., dict], *args) -> Callable[[int], dict]:
+def _memo(simple: Callable[..., T], *args) -> Callable[[int], T]:
     """w -> simple(w, *args), each built once.  The memo is the default of a
     function made anew per call, so each sweep owns one and no closed form sees
     it; a default, unlike a closure cell, leaves bench/tracer.py a hashable closure."""
-    def cached(w: int, memo: dict[int, dict] = {}) -> dict:
+    def cached(w: int, memo: dict[int, T] = {}) -> T:
         return memo[w] if w in memo else memo.setdefault(w, simple(w, *args))
     return cached
-
-
-def _packed(w: int, simple: Callable[..., dict], *args) -> int:
-    return pack(simple(w, *args), w)
 
 
 def _covers(factors, target: int, lo: int, top: int, packed: Callable[[int], int]) -> bool:
@@ -96,25 +96,33 @@ def _covers(factors, target: int, lo: int, top: int, packed: Callable[[int], int
 
 
 def _mismatch(where: str, got, ch: dict, simple: Callable[[int], dict]) -> Check:
-    """The closed form's factors got at where, against the greedy peel of ch."""
-    return False, f"mismatch at {where}: {got} != {peel(ch, simple)}"
+    """The closed form's factors got at where, against the greedy peel of ch.
+    A peel equal to got means the cover failed on the bits alone, so the line
+    names the bit builder, not the closed form."""
+    want = peel(ch, simple)
+    if want == dict.fromkeys(got, 1):
+        return False, (f"mismatch at {where}: the peel agrees with {got}, but the bit-built "
+                       "simples do not cover the character, so the bit builder is at fault")
+    return False, f"mismatch at {where}: {got} != {want}"
 
 
-def _cover_sweep(var: str, top: int, primes, factors_of, ch_H0, ch_L, step: int) -> Check:
+def _cover_sweep(var: str, top: int, primes, factors_of, ch_H0, ch_L, bits_L, step: int) -> Check:
     """The closed form factors_of(l, p) against the characters of the induced
-    module ch_H0(l) and the simples ch_L(f, p), for all l <= top.
+    module ch_H0(l) and the simples ch_L(f, p), as bits from bits_L(f, p), for
+    all l <= top.
 
     Every ch_L(f) has coefficient 1 at f, nonnegative coefficients and no
     weight above f, so the simple characters are unitriangular and ch_H0(l)
     has one decomposition into them; the greedy peel finds it.  The peel
     returns the set F, each factor once, exactly when the sum of ch_L(f) over
-    F is ch_H0(l).  Each side is 0/1 (pack refuses any other coefficient),
-    so that sum holds exactly when the supports of the ch_L(f) are disjoint
-    and their union is the support of ch_H0(l), which _covers tests on
-    bitsets.  Only at a failing l is the character peeled, to name both
-    factor sets."""
+    F is ch_H0(l).  Each side is 0/1: ch_H0(l) is a string of ones, and
+    bits_L asserts that every shifted copy it ORs in misses the bits it holds,
+    so a set bit is a coefficient 1.  Then that sum holds exactly when the
+    supports of the ch_L(f) are disjoint and their union is the support of
+    ch_H0(l), which _covers tests on bitsets.  Only at a failing l is the
+    character peeled, to name both factor sets."""
     for p in primes:
-        packed = _memo(_packed, ch_L, p)
+        packed = _memo(bits_L, p)
         for l in range(top + 1):
             factors = factors_of(l, p)
             string = ((1 << (2 * l + step)) - 1) // ((1 << step) - 1)  # l, l - step, ..., -l
@@ -129,7 +137,7 @@ def check_sl2_oracle(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
     checked as an exact cover of ch H0(k)'s weights k, k - 2, ..., -k by the
     factors' simple characters; the exact cover is the conservation
     statement."""
-    return _cover_sweep("k", kmax, primes, sl2.decompose_sl2, ch_H0_sl2, ch_L_sl2, 2)
+    return _cover_sweep("k", kmax, primes, sl2.decompose_sl2, ch_H0_sl2, ch_L_sl2, bits_L_sl2, 2)
 
 
 def check_sl2_linkage(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
@@ -146,7 +154,8 @@ def check_spo_oracle(lmax: int = 1500, primes=(3, 5, 7)) -> Check:
     """Criterion 4: rank-one super decompositions equal greedy peels, so the
     peels are multiplicity-free; checked as an exact cover of ch H0(l)'s
     weights l, l - 1, ..., -l by the factors' simple characters."""
-    return _cover_sweep("l", lmax, primes, spo21.comp_factors_h0, ch_H0_spo, ch_L_spo, 1)
+    return _cover_sweep("l", lmax, primes, spo21.comp_factors_h0, ch_H0_spo, ch_L_spo,
+                        bits_L_spo, 1)
 
 
 def rad_oracle_quotient(k: int, p: int) -> list[tuple[int, int]]:
@@ -200,7 +209,7 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
     Once the image cover holds, the other two say that kernel and cokernel
     are what the image leaves of each end."""
     for p in primes:
-        packed = _memo(_packed, ch_L_spo, p)
+        packed = _memo(bits_L_spo, p)
         for k in range(1, kmax + 1):
             for j in spo21.admissible_js(k, p):
                 l, rows = spo21.psi_rows(k, j, p)
@@ -229,6 +238,16 @@ def oracle_simple_r(hw: int, r: int, p: int) -> dict:
     return characters.poly_shift(base, hw - m)
 
 
+def oracle_bits_r(hw: int, r: int, p: int) -> int:
+    """oracle_simple_r(hw, r, p) as bits, equal to pack(it, hw): the same route,
+    truncate then shift, read in bits.  bits_L_spo(m) holds weight w at bit
+    m - w, the bit of weight w + hw - m at hw, so the shift leaves the bits as
+    they are, and the window keeps bits 0 .. 2p^r - 1."""
+    q = p**r
+    m = (hw - q) % q + q
+    return bits_L_spo(m, p) & ((1 << 2 * q) - 1)
+
+
 def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
     """Criterion 7: thickened factors cover the 2p^r-weight window of ch_h0_r,
     dimension 2p^r is conserved, shifts act on factors, every thickened
@@ -237,12 +256,12 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
 
     oracle_simple_r(f) truncates a simple below its head: coefficient 1 at f,
     nonnegative coefficients and no weight above f, so _cover_sweep's argument
-    holds and a cover is exactly a greedy peel of the window."""
+    holds and a cover by oracle_bits_r is exactly a greedy peel of the window."""
     for p in primes:
         for r in rs:
             q = p**r
             window = (1 << 2 * q) - 1
-            packed = _memo(_packed, oracle_simple_r, r, p)
+            packed = _memo(oracle_bits_r, r, p)
             for l in range(-2 * q, 4 * q + 1):
                 got = frobenius.comp_factors_r(l, r, p)
                 if not _covers(got, window, l - 2 * q + 1, l, packed):

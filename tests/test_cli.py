@@ -540,3 +540,32 @@ def test_each_subcommand_imports_only_what_it_runs(case):
     out = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert json.loads(out) == [code, sorted(modules)]
+
+
+def test_a_reader_that_closes_early_ends_the_query_quietly():
+    # k + 1 is eighteen base-3 ones: 2^17 factors, about 1.9 MB of JSON, more
+    # than a pipe holds, so the listing is still being written when the reader
+    # closes after 10 bytes, as `| head -c 10` would
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "spolink.cli", "decompose-sl2", "--p", "3",
+                             "--k", str((3**18 - 1) // 2 - 1)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"factors"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.parametrize("shape, flag, labels", [
+    (["--n", "1", "--m", "1"], "-1,2", "1, 1bar"),
+    (["--n", "2", "--m", "0"], "1", "1, 2"),
+    (["--n", "0", "--m", "2"], "1bar,1bar", "1bar, 2bar"),
+])
+def test_a_flag_that_misses_the_shape_is_refused_in_the_user_s_terms(capsys, shape, flag, labels):
+    code = main(["rho", *shape, "--type", "odd", f"--flag={flag}"])
+    n, m = shape[1], shape[3]
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --flag {flag} does not fit --n {n} --m {m}: it needs each of {labels} once, "
+        "with either sign, in any order\n")

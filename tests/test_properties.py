@@ -13,7 +13,16 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from spolink import verify
-from spolink.characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, peel
+from spolink.characters import (
+    bits_L_sl2,
+    bits_L_spo,
+    ch_H0_sl2,
+    ch_H0_spo,
+    ch_L_sl2,
+    ch_L_spo,
+    pack,
+    peel,
+)
 from spolink.frobenius import ch_h0_r, ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
@@ -111,16 +120,38 @@ def test_peels_equal_the_closed_forms_past_the_sweep_bounds(l, p):
     assert peel(ch_H0_sl2(l), verify._memo(ch_L_sl2, p)) == dict.fromkeys(decompose_sl2(l, p), 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=20000), st.sampled_from((3, 5, 7, 11, 101)))
+def test_digit_built_bits_equal_the_packed_simple_characters(w, p):
+    # the sweeps build each simple character's bits from w's base-p digits;
+    # pack reads the dict form, weight by weight
+    assert bits_L_sl2(w, p) == pack(ch_L_sl2(w, p), w)
+    assert bits_L_spo(w, p) == pack(ch_L_spo(w, p), w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.integers(-4, 3), st.data())
+def test_truncated_bits_equal_the_packed_truncated_simples(r, period, data):
+    # criterion 7's truncated simples, over several periods of hw, negative
+    # ones included: the bits against the dict route, truncate then shift.
+    # p = 101 stops at r = 2: at r = 3 one dict holds up to 101^3 weights
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 101) if r < 3 else (3, 5, 7, 11)))
+    q = p**r
+    hw = data.draw(st.integers(period * q, period * q + q - 1))
+    assert verify.oracle_bits_r(hw, r, p) == pack(verify.oracle_simple_r(hw, r, p), hw)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((3, 5, 7)), st.integers(min_value=0, max_value=3000), st.data())
 def test_cover_verdicts_equal_the_peels(p, l, data):
     # criteria 2 and 4 test an exact cover by bitsets in place of a peel, up to
     # 1500; past that, the cover accepts both closed forms, and on a closed
     # form with one factor dropped, added or replaced it agrees with the peel
-    for closed_form, ch_H0, ch_L, step in ((decompose_sl2, ch_H0_sl2, ch_L_sl2, 2),
-                                           (comp_factors_h0, ch_H0_spo, ch_L_spo, 1)):
+    for closed_form, ch_H0, ch_L, bits_L, step in (
+            (decompose_sl2, ch_H0_sl2, ch_L_sl2, bits_L_sl2, 2),
+            (comp_factors_h0, ch_H0_spo, ch_L_spo, bits_L_spo, 1)):
         factors = closed_form(l, p)
-        packed = verify._memo(verify._packed, ch_L, p)
+        packed = verify._memo(bits_L, p)
         string = ((1 << (2 * l + step)) - 1) // ((1 << step) - 1)
         assert verify._covers(factors, string, 0, l, packed)
         kind = data.draw(st.sampled_from(("drop", "add", "replace")))
@@ -142,7 +173,7 @@ def test_thickened_cover_verdicts_equal_the_peels(r, p, l, data):
     # replaced, heads outside the window included, it agrees with the peel
     q = p**r
     lo, window = l - 2 * q + 1, (1 << 2 * q) - 1
-    packed = verify._memo(verify._packed, verify.oracle_simple_r, r, p)
+    packed = verify._memo(verify.oracle_bits_r, r, p)
     factors = comp_factors_r(l, r, p)
     assert verify._covers(factors, window, lo, l, packed)
     kind = data.draw(st.sampled_from(("drop", "add", "replace")))

@@ -1,6 +1,7 @@
 """The memoised oracle sweeps still catch a wrong closed form: drop one factor,
-basis pair or image at one weight, add or replace one factor, or flip one
-parity, and the matching check fails, naming that weight.  Each check
+basis pair or image at one weight, add or replace one factor, flip one
+parity, or build the simple characters' bits wrong, and the matching check
+fails, naming that weight.  Each check
 keeps its own memo of simple characters, so no fault can hide behind an
 answer cached by another check or another prime."""
 
@@ -9,7 +10,8 @@ from collections import Counter
 import pytest
 
 from spolink import frobenius, linkage, rootdata, sl2, spo21, verify
-from spolink.characters import ch_L_spo
+from spolink.characters import bits_L_sl2, ch_L_spo
+from spolink.padic import digits
 
 PRIMES = (3, 5, 7)
 
@@ -271,6 +273,59 @@ def test_linkage_rank1_takes_its_targets_from_the_oracle(monkeypatch):
     monkeypatch.setattr(linkage, "comp_factors_r", mutant)
     ok, detail = verify.check_linkage_rank1(primes=(p,))
     assert (ok, detail) == (False, f"noniso targets wrong at lam={l}, r={r}, p={p}")
+
+
+def _digit_range_off_by(extra):
+    """bits_L_sl2 with c running to d + extra for each digit d, not to d, and
+    no assert on the copies it ORs in."""
+    def bits_L(k, p):
+        bits = 1
+        for t, d in enumerate(digits(k, p)):
+            acc = bits
+            for c in range(1, d + 1 + extra):
+                acc |= bits << 2 * c * p**t
+            bits = acc
+        return bits
+    return bits_L
+
+
+def _spo_of(bits_sl2, odd_shift):
+    """bits_L_spo from bits_sl2, with the string of l - 1 moved up odd_shift bits."""
+    return lambda l, p: bits_sl2(l, p) | (bits_sl2(l - 1, p) << odd_shift if l % p else 0)
+
+
+# builders put in for verify's bits_L_sl2 (criterion 2) and bits_L_spo
+# (criteria 4, 6 and 7): each is wrong from the first weight with two digits
+# or with an odd string, so every check fails at the first weight it sweeps there
+BAD_BUILDERS = {
+    "digit-range-short": {"bits_L_sl2": _digit_range_off_by(-1),
+                          "bits_L_spo": _spo_of(_digit_range_off_by(-1), 1)},
+    "digit-range-long": {"bits_L_sl2": _digit_range_off_by(1),
+                         "bits_L_spo": _spo_of(_digit_range_off_by(1), 1)},
+    "odd-string-unshifted": {"bits_L_spo": _spo_of(bits_L_sl2, 0)},
+}
+BUILDER_CHECKS = {
+    "sl2-oracle": ("bits_L_sl2", verify.check_sl2_oracle, {"kmax": 30}, "mismatch at k=1, p=3: "),
+    "spo-oracle": ("bits_L_spo", verify.check_spo_oracle, {"lmax": 30}, "mismatch at l=1, p=3: "),
+    "psi-tables": ("bits_L_spo", verify.check_psi_tables, {"kmax": 10},
+                   "image factors mismatch at (k=3, j=0, p=3)"),
+    "thickening": ("bits_L_spo", verify.check_grt, {"rs": (1,)}, "mismatch at l=-6, r=1, p=3: "),
+}
+
+
+@pytest.mark.parametrize("bad, criterion", [
+    (bad, criterion) for bad, builders in BAD_BUILDERS.items()
+    for criterion, (name, *_) in BUILDER_CHECKS.items() if name in builders])
+def test_cover_checks_catch_a_wrong_bit_builder(monkeypatch, bad, criterion):
+    # the cover reads only the bits; the dict characters the failure path peels stay right
+    name, check, bound, message = BUILDER_CHECKS[criterion]
+    monkeypatch.setattr(verify, name, BAD_BUILDERS[bad][name])
+    ok, detail = check(primes=(3,), **bound)
+    assert not ok and detail.startswith(message)
+    if message.startswith("mismatch at "):
+        # the closed form is right, so the line must name the bit builder
+        assert detail.endswith("the bit-built simples do not cover the character, "
+                               "so the bit builder is at fault")
 
 
 def test_each_memo_is_its_own():
