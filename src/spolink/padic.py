@@ -86,6 +86,17 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return r
 
 
+def binom_column(n: int, j: int, p: int) -> list[int]:
+    """C(i, j) mod p for i = 0, ..., n - 1 (Lucas), built one base-p digit d of
+    i at a time: the block of digit c is C(c, j_d) times the column so far."""
+    col, q = [1], 1
+    while q < n or q <= j:  # every digit of i < n, and of j
+        f = [math.comb(c, j // q % p) % p for c in range(min(p, -(-n // q)))]
+        col = [a * x % p for a in f for x in col]
+        q *= p
+    return col[:n]
+
+
 def lucas_support(n: int, p: int) -> list[int]:
     """The i in [0, n], ascending, with C(n, i) nonzero mod p: by Lucas, those
     whose every base-p digit is at most n's; [] for n < 0."""
@@ -137,3 +148,15 @@ def all_divisible(k: int, j: int, p: int) -> bool:
     if j == 0:
         return True
     return j < p ** a_val(k - j, p)
+
+
+def divisible_js(k: int, p: int) -> list[int]:
+    """The j in [1, k) with all_divisible(k, j, p), ascending, read off k's
+    base-p digits: j < p^a needs p^a | k - j, so the one candidate in
+    [p^(a-1), p^a) is k mod p^a, kept when it lies there and below k."""
+    out, q = [], p
+    while q <= k:
+        if (j := k % q) * p >= q:
+            out.append(j)
+        q *= p
+    return out

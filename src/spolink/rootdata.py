@@ -18,7 +18,6 @@ from collections import namedtuple
 from functools import cache
 from itertools import combinations, product
 from math import prod
-from operator import mul
 from typing import NamedTuple
 
 from . import padic
@@ -160,18 +159,27 @@ def roots(shape: GroupShape) -> tuple[Root, ...]:
     return tuple(out)
 
 
+@cache
+def _root_terms(shape: GroupShape) -> tuple[tuple[int, int, int, int], ...]:
+    """Per root of roots(shape), in order, its at most two nonzero coordinates
+    as (i, a, j, b): a at index i and b at index j, with b = 0 for one."""
+    nonzero = ([(i, c) for i, c in enumerate(r.vec) if c] + [(0, 0)] for r in roots(shape))
+    return tuple((*nz[0], *nz[1]) for nz in nonzero)
+
+
 def phi_plus(flag: tuple[Label, ...], shape: GroupShape) -> set[Root]:
     """Positive system of the Borel attached to a maximal isotropic flag: the
     roots of positive height, where the label l at 0-based position t of an
-    N-entry flag adds N - t times its signed vector to the height vector.
-    Every root is +-l, +-2l or +-l_s +- l_t for labels l, so none has height
-    0, and l_s - l_t is positive exactly when l_s comes first.
+    N-entry flag puts +-(N - t), the sign of l, at l's coordinate of the
+    height vector.  Every root is +-l, +-2l or +-l_s +- l_t for labels l, so
+    none has height 0, and l_s - l_t is positive exactly when l_s comes first.
     """
     check_flag(flag, shape)
-    height = [0] * shape.rank
-    for t, label in enumerate(flag):
-        height = vadd(height, [(len(flag) - t) * c for c in label_vec(label, shape)])
-    return {root for root in roots(shape) if sum(map(mul, height, root.vec)) > 0}
+    height, size = [0] * shape.rank, len(flag)
+    for t, (kd, idx) in enumerate(flag):
+        height[abs(idx) - 1 + (shape.n if kd == OR else 0)] = size - t if idx > 0 else t - size
+    return {root for root, (i, a, j, b) in zip(roots(shape), _root_terms(shape))
+            if height[i] * a + height[j] * b > 0}
 
 
 def phi_plus_vecs(flag: tuple[Label, ...], shape: GroupShape) -> set[Vec]:

@@ -19,7 +19,8 @@ source); the table above is how spolink.cli spells a pair.
 
 from __future__ import annotations
 
-from .padic import all_divisible, binom_mod, check_terms, digits, lucas_count, lucas_support
+from .padic import (all_divisible, binom_column, binom_mod, check_terms, digits, divisible_js,
+                    lucas_count, lucas_support)
 from .words import FIRST, SECOND, build_words
 
 MINUS = "minus"
@@ -77,7 +78,7 @@ def rad_basis(k: int, p: int) -> list[tuple[int, int]]:
     Every weight space is one-dimensional, so the radical is spanned by the
     plus monomials it contains: all even ones with i >= 1; the odd one with
     i = 0 when p does not divide k; and the odd ones with 1 <= i <= k-1 whose
-    binomial run is not all divisible by p.
+    binomial run is not all divisible by p: the j not in divisible_js.
     """
     if k < 0:
         raise ValueError("rad_basis() needs k >= 0")
@@ -86,7 +87,8 @@ def rad_basis(k: int, p: int) -> list[tuple[int, int]]:
     out = [(i, 0) for i in range(1, k + 1)]
     if k % p != 0:
         out.append((0, 1))
-    out += [(j, 1) for j in range(1, k) if not all_divisible(k, j, p)]
+    skip = set(divisible_js(k, p))
+    out += [(j, 1) for j in range(1, k) if j not in skip]
     return out
 
 
@@ -101,32 +103,24 @@ def hom_dim(k: int, l: int, p: int) -> tuple[int, str | None]:
         raise ValueError("hom_dim() needs k, l >= 0")
     if l == k:
         return 1, "even"
-    if k == 0:
-        return 0, None
     d = k - 1 - l
     if d < 0 or d % 2:
         return 0, None
     j = d // 2
-    if j == 0:
-        ok = k % p == 0
-    else:
-        ok = all_divisible(k, j, p)
+    ok = all_divisible(k, j, p) if j else k % p == 0
     return (1, "odd") if ok else (0, None)
 
 
 def is_admissible_psi(k: int, j: int, p: int) -> bool:
     """Whether the weight-lowering morphism at (k, j) exists: head k - 1 - 2j
     stays nonnegative and hom_dim is one."""
-    if k < 1 or j < 0:
-        return False
-    l = k - 1 - 2 * j
-    if l < 0:
-        return False
-    return hom_dim(k, l, p)[0] == 1
+    return 0 <= j and 2 * j < k and hom_dim(k, k - 1 - 2 * j, p)[0] == 1
 
 
 def admissible_js(k: int, p: int) -> list[int]:
-    return [j for j in range((k + 1) // 2) if is_admissible_psi(k, j, p)]
+    """The j with is_admissible_psi(k, j, p), ascending: 0 when p | k, then
+    the j of divisible_js with k - 1 - 2j >= 0."""
+    return ([0] if k >= 1 and k % p == 0 else []) + [j for j in divisible_js(k, p) if 2 * j < k]
 
 
 def _need_admissible(k: int, j: int, p: int) -> None:
@@ -150,10 +144,11 @@ def psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int
     _need_admissible(k, j, p)
     check_terms(2 * k + 1)
     l = k - 1 - 2 * j
+    col = binom_column(k, j, p)  # C(i, j) mod p for i < k
     rows = []
     for eps in (0, 1):
         for i in range(k + 1 - eps):
-            c = binom_mod(i, j, p) if eps else i * binom_mod(i - 1, j, p) % p
+            c = col[i] if eps else i * col[i - 1] % p  # i = 0 reads col[-1], times 0
             ti, teps = i - j - 1 + eps, 1 - eps
             assert not c or 0 <= ti <= l - teps and l - 2 * ti - teps == k - 2 * i - eps, (
                 k, j, i, eps)
@@ -163,11 +158,8 @@ def psi_rows(k: int, j: int, p: int) -> tuple[int, list[tuple[int, int, int, int
 
 def _branch(m: int, p: int, lead: int, t: int = 1) -> list[int]:
     """Weights of the non-head live words of weight m that open with t copies
-    of the symbol of code lead: FIRST (≥) or SECOND (<)."""
-    mask = 4**t - 1  # the first t positions
-    want = mask // 3 * lead
-    live = build_words(m, p)
-    return [e for c, e in zip(live.codes, live.ells) if c & mask == want and e != m]
+    of the symbol of code lead: FIRST (≥) or SECOND (<), grown as one subtree."""
+    return [e for e in build_words(m, p, lead, t).ells if e != m]
 
 
 def branch_parts(l: int, p: int) -> list[int]:

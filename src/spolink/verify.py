@@ -22,7 +22,7 @@ both drive these functions.
 from __future__ import annotations
 
 from operator import sub
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 from . import characters, frobenius, linkage, rootdata, sl2, spo21
 from .characters import (bits_L_sl2, bits_L_spo, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo,
@@ -70,11 +70,11 @@ def check_word_table() -> Check:
     return True, "16 words and all symbolic offsets reproduced"
 
 
-def _memo(simple: Callable[..., T], *args) -> Callable[[int], T]:
+def _memo(simple: Callable[..., T], *args) -> Callable[[Hashable], T]:
     """w -> simple(w, *args), each built once.  The memo is the default of a
     function made anew per call, so each sweep owns one and no closed form sees
     it; a default, unlike a closure cell, leaves bench/tracer.py a hashable closure."""
-    def cached(w: int, memo: dict[int, T] = {}) -> T:
+    def cached(w: Hashable, memo: dict[Hashable, T] = {}) -> T:
         return memo[w] if w in memo else memo.setdefault(w, simple(w, *args))
     return cached
 
@@ -176,8 +176,8 @@ def rad_oracle_quotient(k: int, p: int) -> list[tuple[int, int]]:
 
 
 def check_hom_oracle(kmax: int = 300, primes=(3, 5, 7)) -> Check:
-    """Criterion 5: the closed-form Hom dimensions and parities equal the
-    radical-quotient computation, and rad_basis complements the quotient."""
+    """Criterion 5: the closed-form Hom dimensions and parities equal the radical-quotient
+    computation, rad_basis complements it, and its odd weights are admissible_js's heads."""
     for p in primes:
         for k in range(kmax + 1):
             quotient = rad_oracle_quotient(k, p)
@@ -191,6 +191,9 @@ def check_hom_oracle(kmax: int = 300, primes=(3, 5, 7)) -> Check:
                 return False, f"rad_basis mismatch at k={k}, p={p}"
             if any(w < 0 for w in by_weight):
                 return False, f"negative quotient weight at k={k}, p={p}"
+            odd = {w for w, eps in by_weight.items() if eps}
+            if {k - 1 - 2 * j for j in spo21.admissible_js(k, p)} != odd:
+                return False, f"admissible_js mismatch at k={k}, p={p}"
             for l in range(k + 3):
                 dim, parity = spo21.hom_dim(k, l, p)
                 eps = by_weight.get(l)
@@ -332,25 +335,26 @@ def check_rootdata(rank_max: int = 4) -> Check:
     its delta matches a recomputation, chain lengths and endpoints are right,
     and the four normative pairings of 2 rho0 and 2 rho1 come out exactly."""
     for shape in _shapes(rank_max):
+        positive = _memo(rootdata.phi_plus_vecs, shape)  # one positive system per flag
         all_roots = rootdata.roots(shape)
         if len(set(r.vec for r in all_roots)) != len(all_roots):
             return False, f"duplicate roots for {shape}"
         steps = rootdata.chain_of_borels(shape)
         flags = [rootdata.standard_flag(shape)] + [s.flag_to for s in steps]
         for fl in flags:
-            pos = rootdata.phi_plus_vecs(fl, shape)
+            pos = positive(fl)
             if len(pos) != len(all_roots) // 2:
                 return False, f"|positive system| wrong for {shape} at {fl}"
             if pos & {rootdata.vneg(v) for v in pos}:
                 return False, f"positive system meets its negative for {shape}"
         moves = 0
         for step in steps:
-            before = rootdata.phi_plus_vecs(step.flag_from, shape)
+            before = positive(step.flag_from)
             # adjacent Borels differ by a simple root: alpha - beta is positive for no positive beta
             if (alpha := step.alpha) is not None and (alpha not in step.removed or any(
                     tuple(map(sub, alpha, beta)) in before for beta in before)):
                 return False, f"chain step {step.move} removes no simple root for {shape}"
-            after = rootdata.phi_plus_vecs(step.flag_to, shape)
+            after = positive(step.flag_to)
             added = {rootdata.vneg(v) for v in step.removed}
             if before - after != step.removed or after - before != added:
                 return False, f"declared delta wrong for {shape} step {step.move}"
@@ -364,13 +368,10 @@ def check_rootdata(rank_max: int = 4) -> Check:
                     return False, f"pre-flip rho0 pairing wrong for {shape}"
                 if rootdata.pairing(rho1f, alpha, shape) != 1:
                     return False, f"pre-flip rho1 pairing wrong for {shape}"
-        expected = (shape.n + shape.m) ** 2
-        if shape.parity_type == rootdata.ODD:
-            if moves != expected or len(steps) != expected:
-                return False, f"chain length wrong for {shape}: {moves}"
-        else:
-            if moves != expected - shape.m:
-                return False, f"chain length wrong for {shape}: {moves}"
+        odd = shape.parity_type == rootdata.ODD
+        expected = (shape.n + shape.m) ** 2 - (0 if odd else shape.m)
+        if moves != expected or odd and len(steps) != expected:
+            return False, f"chain length wrong for {shape}: {moves}"
         if flags[-1] != rootdata.negate_flag(rootdata.standard_flag(shape)):
             return False, f"chain endpoint wrong for {shape}"
         if shape.parity_type == rootdata.ODD:

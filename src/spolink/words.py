@@ -52,8 +52,9 @@ class Words(Sequence):
         return PrunedWord(word, self.ells[i])
 
 
-def build_words(k: int, p: int) -> Words:
-    """The live words for weight k >= 0 with their weights, in listing order.
+def build_words(k: int, p: int, lead: int | None = None, t: int = 1) -> Words:
+    """The live words for weight k >= 0 with their weights, in listing order;
+    with lead FIRST or SECOND, only those opening with t copies of its symbol.
 
     Words have one position per base-p digit a_0, ..., a_u of k + 1.  The
     listing is the base word < ≤ ... ≤ (generation -1), then generations
@@ -67,6 +68,11 @@ def build_words(k: int, p: int) -> Words:
     positions are never rewritten except a trailing < by a bump, so a word
     dead before its trailing < is never built, and one dead only there is
     built for its bumps but not listed.  At most MAX_DIGITS digits.
+
+    No rewrite at j touches a position below j, so the words opening with ≥^t
+    grow from the bump chain ≥^t < ≤ ... ≤ of generation t - 1, those opening
+    with < from the base word less generation 0 (≥ < ≤ ... ≤), and none with
+    < <.  Each such subtree is grown alone, in the order of the whole listing.
     """
     if k < 0:
         raise ValueError(f"build_words() needs k >= 0, got {k}")
@@ -77,11 +83,20 @@ def build_words(k: int, p: int) -> Words:
         )
     u = len(a) - 1
     base = sum(1 << 2 * i for i in range(1, u + 1))  # < ≤ ... ≤
-    prev, prev_ells = [base], [k]  # generation j - 1, all live before position j
-    codes, ells = ([base], [k]) if a[0] else ([], [])
+    if lead is None or lead == SECOND and t == 1:
+        j0, seed, ell = 0, base, k
+    elif lead == FIRST and t <= u:  # each bump of the chain lowers ell by 2 a_i p^i
+        seed = (4**t - 1) // 3 * FIRST | base >> 2 * t + 2 << 2 * t + 2
+        j0, ell = t, k - 2 * ((k + 1) % p**t)
+    else:
+        return Words([], [], u + 1)
+    prev, prev_ells = [seed], [ell]  # generation j - 1, all live before position j
+    codes, ells = ([seed], [ell]) if a[j0] else ([], [])
     earlier, earlier_ells = [], []  # live words of generations -1, ..., j - 2
-    q = 1
-    for j in range(u):
+    if lead == SECOND:  # the state after generation 0, less its one word
+        j0, prev, prev_ells, earlier, earlier_ells = 1, [], [], codes[:], ells[:]
+    q = p**j0
+    for j in range(j0, u):
         keep = ~(15 << 2 * j)  # clears positions j and j + 1
         bump, spike = 2 << 2 * j, 3 << 2 * j  # ≥ < and > < at j, j + 1
         drop = 2 * a[j] * q

@@ -7,9 +7,11 @@ from spolink.padic import (
     Prime,
     a_val,
     all_divisible,
+    binom_column,
     binom_mod,
     defect,
     digits,
+    divisible_js,
 )
 
 PRIMES = (3, 5, 7)
@@ -171,3 +173,17 @@ def test_all_divisible_against_direct_binomials(p):
         for j in range(1, k):
             direct = all(binom_mod(k - j + t - 1, t, p) == 0 for t in range(1, j + 1))
             assert all_divisible(k, j, p) == direct, (k, j, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_divisible_js_equal_the_all_divisible_scan(p):
+    for k in range(p**3 + 2 * p):  # through k's fourth digit
+        assert divisible_js(k, p) == [j for j in range(1, k) if all_divisible(k, j, p)], (k, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binom_column_equals_binom_mod(p):
+    # j of one, two and three digits; j = n and j = n + 1 give zeros
+    for n in range(p**3 + 2):
+        for j in (*range(2 * p + 1), p**2 - 1, p**2, p**2 + 1, n, n + 1):
+            assert binom_column(n, j, p) == [binom_mod(i, j, p) for i in range(n)], (n, j, p)

@@ -9,7 +9,8 @@ from operator import add
 import networkx as nx
 import pytest
 import reference_linkage as ref
-from hypothesis import given, reject, settings
+import reference_spo21
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from spolink import verify
@@ -33,7 +34,7 @@ from spolink.linkage import (
     components,
     connected_components,
 )
-from spolink.padic import TooManyTerms
+from spolink.padic import TooManyTerms, digits
 from spolink.rootdata import (
     EVEN,
     ODD,
@@ -47,7 +48,8 @@ from spolink.rootdata import (
     standard_flag,
 )
 from spolink.sl2 import decompose_sl2
-from spolink.spo21 import block_of, comp_factors_h0
+from spolink.spo21 import admissible_js, block_of, comp_factors_h0, psi_rows, rad_basis
+from spolink.words import FIRST, SECOND, SYMBOLS, build_words
 
 primes = st.sampled_from((3, 5, 7, 11))
 weights = st.integers(min_value=-10**6, max_value=10**6)
@@ -400,3 +402,33 @@ def test_flag_normalised_characters_agree_across_chain_flags(shape, p, r, data):
     except TooManyTerms:
         reject()
     assert all(ch == chars[0] for ch in chars[1:]), (shape, lam, p, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=3**19), st.sampled_from((3, 5, 7, 11)),
+       st.sampled_from((FIRST, SECOND)), st.data())
+def test_word_subtrees_equal_the_filtered_listing_in_order(k, p, lead, data):
+    # every t up to u + 2, past the width u + 1 of the words
+    t = data.draw(st.integers(min_value=1, max_value=len(digits(k + 1, p)) + 1), label="t")
+    full = build_words(k, p)
+    want = [(pw.word, pw.ell) for pw in full if pw.word.startswith(SYMBOLS[lead] * t)]
+    assert list(build_words(k, p, lead, t)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5000), st.sampled_from((3, 5, 7, 11, 101)))
+def test_digit_read_js_equal_the_scans(k, p):
+    assert admissible_js(k, p) == reference_spo21.admissible_js_scan(k, p)
+    assert rad_basis(k, p) == reference_spo21.rad_basis_scan(k, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_lucas_column_rows_equal_the_binomial_rows(p, data):
+    # j of up to 4 base-p digits; every admissible j > 0 is k mod p^a
+    a = data.draw(st.integers(min_value=1, max_value=4), label="digits of j")
+    k = data.draw(st.integers(min_value=2 * p ** (a - 1) + 1, max_value=2 * p**a + p), label="k")
+    js = admissible_js(k, p)
+    assume(js)
+    j = data.draw(st.sampled_from(js), label="j")
+    assert psi_rows(k, j, p) == reference_spo21.psi_rows_scan(k, j, p)

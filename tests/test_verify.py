@@ -236,6 +236,24 @@ def test_hom_oracle_catches_a_flipped_parity(monkeypatch, k, l, p):
     assert (ok, detail) == (False, f"hom mismatch at k={k}, l={l}, p={p}")
 
 
+# admissible_js decides which (k, j) criterion 6 sweeps, so a j it drops would
+# go unchecked there; criterion 5 holds its heads to the quotient's odd weights
+@pytest.mark.parametrize("mutate, k", [
+    (lambda js: [j for j in js if j], 3),  # no j = 0: the first k = p has only j = 0
+    (lambda js: js[:-1] if js and js[-1] else js, 4),  # no top j > 0: j = 1 at k = 4
+])
+def test_hom_oracle_catches_a_dropped_admissible_j(monkeypatch, mutate, k):
+    p, true = 3, spo21.admissible_js
+    assert mutate(true(k, p)) != true(k, p)
+    monkeypatch.setattr(spo21, "admissible_js", lambda *a: mutate(true(*a)))
+    ok, detail = verify.check_hom_oracle(kmax=k + 20, primes=(p,))
+    assert (ok, detail) == (False, f"admissible_js mismatch at k={k}, p={p}")
+
+
+def test_hom_oracle_pass_line_is_unchanged():
+    assert verify.check_hom_oracle(kmax=40) == (True, "all k <= 40, p in (3, 5, 7)")
+
+
 def test_rootdata_catches_a_chain_step_with_a_non_simple_root(monkeypatch):
     # odd-type symplectic flips report 2v, which the flip removes but which is
     # v + v; the chain is built by the same apply_move, so a replay of each step
