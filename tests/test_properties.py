@@ -1,6 +1,7 @@
 """Hypothesis properties of the shared block, union-find, Hom, thickened
-constituent, rank-one decomposition, linkage-move, linkage-graph and
-flag-normalised character code, past the fixed sweep bounds."""
+constituent, rank-one decomposition, linkage-move, linkage-graph,
+flag-normalised character, word-subtree, admissible-j and morphism-row code,
+past the fixed sweep bounds."""
 
 import math
 from fractions import Fraction
