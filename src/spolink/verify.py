@@ -3,15 +3,14 @@ independent brute-force route, at fixed desk-scale bounds.
 
 This module joins the two sides: it is the one module that imports both the
 closed forms and the oracle module, characters.  Its own oracles,
-rad_oracle_quotient, oracle_simple_r and oracle_bits_r, call no closed form
-they check.
+rad_oracle_quotient and oracle_bits_r, call no closed form they check.
 
 Criteria 2, 4, 6 and 7 test each decomposition as an exact cover: the
 factors' simple characters, built as the bits of an int from base-p digits,
 must hold a 0/1 character's weights once each.  _cover_sweep shows this
-holds exactly when the greedy peel gives those factors, and check_grt
-carries the argument to the truncated simples.  The peel runs only at a
-failing weight, to name both factor sets, and stays the oracle of
+holds exactly when the greedy peel of the same bits gives those factors, and
+check_grt carries the argument to the truncated simples.  The peel runs only
+at a failing weight, to name both factor sets, and as the oracle of
 criterion 11.
 
 Each check returns (ok, detail).  run_all() executes the lot and prints one
@@ -24,9 +23,8 @@ from __future__ import annotations
 from operator import sub
 from typing import Callable, Hashable, TypeVar
 
-from . import characters, frobenius, linkage, rootdata, sl2, spo21
-from .characters import (bits_L_sl2, bits_L_spo, ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo,
-                         pack, peel)
+from . import frobenius, linkage, rootdata, sl2, spo21
+from .characters import bits_L_sl2, bits_L_spo, pack, peel
 from .padic import defect
 from .words import GE, GT, LE, LT, build_words
 
@@ -95,40 +93,40 @@ def _covers(factors, target: int, lo: int, top: int, packed: Callable[[int], int
     return union == target
 
 
-def _mismatch(where: str, got, ch: dict, simple: Callable[[int], dict]) -> Check:
-    """The closed form's factors got at where, against the greedy peel of ch.
-    A peel equal to got means the cover failed on the bits alone, so the line
-    names the bit builder, not the closed form."""
-    want = peel(ch, simple)
-    if want == dict.fromkeys(got, 1):
-        return False, (f"mismatch at {where}: the peel agrees with {got}, but the bit-built "
-                       "simples do not cover the character, so the bit builder is at fault")
-    return False, f"mismatch at {where}: {got} != {want}"
+def _mismatch(where: str, got, target: int, packed: Callable[[int], int], top: int) -> Check:
+    """The closed form's factors got at where, against the peel of target by
+    the bits the cover read.  A peel of the same bits equals got exactly when
+    the cover holds (see _cover_sweep), so after a failed cover either the
+    peel finds other factors or the bits do not peel, and the line names the
+    bit builder."""
+    try:
+        return False, f"mismatch at {where}: {got} != {peel(target, packed, top=top)}"
+    except ValueError:
+        return False, (f"mismatch at {where}: {got} is not a cover, and the bit-built simples "
+                       "do not cover the character, so the bit builder is at fault")
 
 
-def _cover_sweep(var: str, top: int, primes, factors_of, ch_H0, ch_L, bits_L, step: int) -> Check:
-    """The closed form factors_of(l, p) against the characters of the induced
-    module ch_H0(l) and the simples ch_L(f, p), as bits from bits_L(f, p), for
+def _cover_sweep(var: str, top: int, primes, factors_of, bits_L, step: int) -> Check:
+    """The closed form factors_of(l, p) against the induced character, the
+    string l, l - step, ..., -l, and the simple characters bits_L(f, p), for
     all l <= top.
 
-    Every ch_L(f) has coefficient 1 at f, nonnegative coefficients and no
-    weight above f, so the simple characters are unitriangular and ch_H0(l)
-    has one decomposition into them; the greedy peel finds it.  The peel
-    returns the set F, each factor once, exactly when the sum of ch_L(f) over
-    F is ch_H0(l).  Each side is 0/1: ch_H0(l) is a string of ones, and
+    Every simple character has its head f as top bit, at coefficient 1, so
+    the simples are unitriangular and the induced character has at most one
+    decomposition into them; the greedy peel finds it, each factor once, or
+    raises.  Each side is 0/1: the induced character is a string of ones, and
     bits_L asserts that every shifted copy it ORs in misses the bits it holds,
-    so a set bit is a coefficient 1.  Then that sum holds exactly when the
-    supports of the ch_L(f) are disjoint and their union is the support of
-    ch_H0(l), which _covers tests on bitsets.  Only at a failing l is the
-    character peeled, to name both factor sets."""
+    so a set bit is a coefficient 1.  Then a set F of factors is that
+    decomposition exactly when the supports of its simples are disjoint and
+    their union is the string, which _covers tests on bitsets.  Only at a
+    failing l is the string peeled, to name both factor sets."""
     for p in primes:
         packed = _memo(bits_L, p)
         for l in range(top + 1):
             factors = factors_of(l, p)
             string = ((1 << (2 * l + step)) - 1) // ((1 << step) - 1)  # l, l - step, ..., -l
             if not _covers(factors, string, 0, l, packed):
-                return _mismatch(f"{var}={l}, p={p}", dict.fromkeys(factors, 1), ch_H0(l),
-                                 _memo(ch_L, p))
+                return _mismatch(f"{var}={l}, p={p}", factors, string, packed, l)
     return True, f"all {var} <= {top}, p in {tuple(primes)}"
 
 
@@ -137,7 +135,7 @@ def check_sl2_oracle(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
     checked as an exact cover of ch H0(k)'s weights k, k - 2, ..., -k by the
     factors' simple characters; the exact cover is the conservation
     statement."""
-    return _cover_sweep("k", kmax, primes, sl2.decompose_sl2, ch_H0_sl2, ch_L_sl2, bits_L_sl2, 2)
+    return _cover_sweep("k", kmax, primes, sl2.decompose_sl2, bits_L_sl2, 2)
 
 
 def check_sl2_linkage(kmax: int = 1500, primes=(3, 5, 7)) -> Check:
@@ -154,8 +152,7 @@ def check_spo_oracle(lmax: int = 1500, primes=(3, 5, 7)) -> Check:
     """Criterion 4: rank-one super decompositions equal greedy peels, so the
     peels are multiplicity-free; checked as an exact cover of ch H0(l)'s
     weights l, l - 1, ..., -l by the factors' simple characters."""
-    return _cover_sweep("l", lmax, primes, spo21.comp_factors_h0, ch_H0_spo, ch_L_spo,
-                        bits_L_spo, 1)
+    return _cover_sweep("l", lmax, primes, spo21.comp_factors_h0, bits_L_spo, 1)
 
 
 def rad_oracle_quotient(k: int, p: int) -> list[tuple[int, int]]:
@@ -232,20 +229,13 @@ def check_psi_tables(kmax: int = 300, primes=(3, 5, 7)) -> Check:
     return True, f"all admissible (k, j), k <= {kmax}, p in {tuple(primes)}"
 
 
-def oracle_simple_r(hw: int, r: int, p: int) -> dict:
-    """Thickened simple character by the independent route: truncate the full
-    simple character of the shifted representative, then shift back."""
-    q = p**r
-    m = (hw - q) % q + q
-    base = characters.ch_truncate(ch_L_spo(m, p), m, r, p)
-    return characters.poly_shift(base, hw - m)
-
-
 def oracle_bits_r(hw: int, r: int, p: int) -> int:
-    """oracle_simple_r(hw, r, p) as bits, equal to pack(it, hw): the same route,
-    truncate then shift, read in bits.  bits_L_spo(m) holds weight w at bit
-    m - w, the bit of weight w + hw - m at hw, so the shift leaves the bits as
-    they are, and the window keeps bits 0 .. 2p^r - 1."""
+    """The thickened simple character of head hw, with top hw, by the
+    independent route: the simple super character of hw's representative m
+    in [p^r, 2p^r), truncated to its top 2p^r weights and shifted by hw - m.
+    bits_L_spo(m) holds weight w at bit m - w, the bit of weight w + hw - m
+    under top hw, so the shift leaves the bits as they are, and the window
+    keeps bits 0 .. 2p^r - 1."""
     q = p**r
     m = (hw - q) % q + q
     return bits_L_spo(m, p) & ((1 << 2 * q) - 1)
@@ -257,9 +247,9 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
     morphism image is the single expected simple, its factor covers it, and
     kernel and image factors cover the domain's window, ch_h0_r(lt) too.
 
-    oracle_simple_r(f) truncates a simple below its head: coefficient 1 at f,
-    nonnegative coefficients and no weight above f, so _cover_sweep's argument
-    holds and a cover by oracle_bits_r is exactly a greedy peel of the window."""
+    oracle_bits_r(f) truncates a simple below its head, which keeps its top
+    bit, so _cover_sweep's argument holds and a cover by oracle_bits_r is
+    exactly a greedy peel of the window."""
     for p in primes:
         for r in rs:
             q = p**r
@@ -268,8 +258,7 @@ def check_grt(rs=(1, 2), primes=(3, 5)) -> Check:
             for l in range(-2 * q, 4 * q + 1):
                 got = frobenius.comp_factors_r(l, r, p)
                 if not _covers(got, window, l - 2 * q + 1, l, packed):
-                    return _mismatch(f"l={l}, r={r}, p={p}", got, frobenius.ch_h0_r(l, r, p),
-                                     _memo(oracle_simple_r, r, p))
+                    return _mismatch(f"l={l}, r={r}, p={p}", got, window, packed, l)
                 total = sum(len(frobenius.ch_l_r(hw, r, p)) for hw in got)
                 if total != 2 * q:
                     return False, f"dimension leak at l={l}, r={r}, p={p}"
@@ -411,8 +400,8 @@ def check_flag_independence(p: int = 3) -> Check:
 def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
     """Criterion 11: rank-one linkage graphs on [-2p^2, 4p^2] reproduce the
     block partition, and the odd non-isotropic targets of each source are
-    exactly its non-head constituents (all of them lie in the box), peeled as
-    in criterion 7."""
+    exactly its non-head constituents (all of them lie in the box), peeled
+    from the 2p^r-weight window by oracle_bits_r."""
     shape = rootdata.GroupShape(1, 0, rootdata.ODD)
     for p in primes:
         lo, hi = -2 * p * p, 4 * p * p
@@ -426,10 +415,14 @@ def check_linkage_rank1(primes=(3, 5, 7)) -> Check:
             if mv.kind == linkage.NONISO_ODD:
                 targets.setdefault((mv.source[0], mv.r), set()).add(mv.target[0])
         for r in (1, 2):
-            simple = _memo(oracle_simple_r, r, p)
+            packed, window = _memo(oracle_bits_r, r, p), (1 << 2 * p**r) - 1
             for c in range(0, 3 * p * p + 1, 3):
                 l = c % p**r
-                factors = peel(frobenius.ch_h0_r(l, r, p), simple)
+                try:
+                    factors = peel(window, packed, top=l)
+                except ValueError:
+                    return False, (f"no peel of the window at l={l}, r={r}, p={p}, so the bit "
+                                   "builder oracle_bits_r is at fault")
                 expect = {c - (l - lp) for lp in factors if lp != l}
                 if targets.get((c, r), set()) != expect:
                     return False, f"noniso targets wrong at lam={c}, r={r}, p={p}"

@@ -1,9 +1,11 @@
-"""Reference characters: the tuple-keyed product expansion and the
-dict-residual greedy peel.
+"""Reference characters: the rank-one characters as dicts, the dict-residual
+greedy peel, and the tuple-keyed product expansion.
 
-These are the forms the library replaced with an int-keyed expansion
-(spolink.rootdata) and a dense list residual (spolink.characters); the tests
-replay the library against them.
+The library holds the rank-one simple characters as bitsets and peels them
+as bits (spolink.characters), and keys the product expansion by ints
+(spolink.rootdata); the tests replay it against these forms.  Characters
+here are dicts {weight: coefficient} with int weights, and zero
+coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -12,9 +14,61 @@ from collections import Counter
 from math import prod
 from typing import Callable
 
-from spolink.characters import NegativeResidualError, Poly1
-from spolink.padic import MAX_TERMS, TooManyTerms
+from spolink.padic import MAX_TERMS, TooManyTerms, digits
 from spolink.rootdata import PolyN
+
+Poly1 = dict[int, int]
+
+
+class NegativeResidualError(ValueError):
+    """Raised when peel() drives some coefficient negative: the input was not
+    a nonnegative sum of the supplied simple characters."""
+
+
+def ch_H0_sl2(k: int) -> Poly1:
+    """Character of the rank-one induced module: x^k + x^(k-2) + ... + x^(-k)."""
+    return dict.fromkeys(range(k, -k - 1, -2), 1)
+
+
+def ch_L_sl2(k: int, p: int) -> Poly1:
+    """Character of the simple of highest weight k: x^(k-2i) over i with p not
+    dividing C(k, i), i.e. i digit-dominated by k in base p."""
+    offs = [0]  # the digit-dominated i, digit 0 varying slowest
+    for t, d in enumerate(digits(k, p)):
+        offs = [o + c * p**t for o in offs for c in range(d + 1)]
+    return {k - 2 * i: 1 for i in offs}
+
+
+def ch_H0_spo(l: int) -> Poly1:
+    """Character of the rank-one super induced module: two interleaved strings,
+    weights l, l-1, ..., -l, each once (dimension 2l + 1)."""
+    return dict.fromkeys(range(l, -l - 1, -1), 1)
+
+
+def ch_L_spo(l: int, p: int) -> Poly1:
+    """Character of the simple super module of highest weight l: one string
+    when p | l, the two strings of weights l and l - 1 otherwise."""
+    out = ch_L_sl2(l, p)
+    if l % p != 0:
+        out.update(ch_L_sl2(l - 1, p))
+    return out
+
+
+def ch_truncate(ch: Poly1, l: int, r: int, p: int) -> Poly1:
+    """Keep the descending window of 2 p^r weights l, l-1, ... starting at l."""
+    return {w: c for w, c in ch.items() if 0 <= l - w < 2 * p**r}
+
+
+def poly_shift(a: Poly1, offset: int) -> Poly1:
+    return {w + offset: c for w, c in a.items()}
+
+
+def oracle_simple_r(hw: int, r: int, p: int) -> Poly1:
+    """Thickened simple character: truncate the full simple character of the
+    representative of hw in [p^r, 2p^r), then shift back."""
+    q = p**r
+    m = (hw - q) % q + q
+    return poly_shift(ch_truncate(ch_L_spo(m, p), m, r, p), hw - m)
 
 
 def peel(ch: Poly1, simple_ch: Callable[[int], Poly1]) -> Counter:

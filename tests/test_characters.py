@@ -1,25 +1,15 @@
-import ast
-from collections import Counter
+import inspect
 from itertools import product
 
 import pytest
 import reference_characters as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, ch_truncate, poly_shift
 
-from spolink import padic
-from spolink.characters import (
-    NegativeResidualError,
-    ch_H0_sl2,
-    ch_H0_spo,
-    ch_L_sl2,
-    ch_L_spo,
-    ch_truncate,
-    pack,
-    peel,
-    poly_shift,
-)
-from spolink.padic import MAX_TERMS, TooManyTerms, binom_mod, digits
+from spolink import characters, padic, verify
+from spolink.characters import bits_L_sl2, bits_L_spo, pack, peel
+from spolink.padic import binom_mod, digits
 from spolink.rootdata import (
     EVEN,
     ODD,
@@ -93,23 +83,58 @@ def test_ch_truncate():
     assert ch_truncate(ch_L_spo(3, 3), 3, 1, 3) == {3: 1}
 
 
+def _never(w):
+    raise AssertionError(f"peeled at {w}")
+
+
 def test_peel_known():
-    assert dict(peel(ch_H0_sl2(3), lambda w: ch_L_sl2(w, 3))) == {3: 1, 1: 1}
+    # ch H0(3) of sl2, the weights 3, 1, -1, -3 at bits 0, 2, 4, 6
+    assert peel(0b1010101, lambda w: bits_L_sl2(w, 3), top=3) == {3, 1}
     for p in PRIMES:
         for k in (0, 1, 5, 12):
-            assert dict(peel(ch_L_sl2(k, p), lambda w: ch_L_sl2(w, p))) == {k: 1}
-    assert dict(peel(ch_H0_spo(3), lambda w: ch_L_spo(w, 3))) == {3: 1, 2: 1}
+            assert peel(bits_L_sl2(k, p), lambda w: bits_L_sl2(w, p), top=k) == {k}
+    assert peel(0b1111111, lambda w: bits_L_spo(w, 3), top=3) == {3, 2}  # ch H0(3) of spo
+    assert peel(0, _never, top=5) == frozenset()
 
 
-def test_peel_negative_residual():
-    # a bare weight-2 term is not a nonnegative sum of rank-one simples at p=3
-    with pytest.raises(NegativeResidualError):
-        peel({2: 1}, lambda w: ch_L_sl2(w, 3))
+def test_peel_negative_residual(peel=peel):
+    # a bare weight 2, or the weights 2 and -2 without 0, is no sum of distinct
+    # rank-one simples at p=3, since L(2) holds 2, 0 and -2; a simple character
+    # without its head bit is refused too, not peeled forever
+    for target in (0b1, 0b10001):
+        with pytest.raises(ValueError):
+            peel(target, lambda w: bits_L_sl2(w, 3), top=2)
+    with pytest.raises(ValueError):
+        peel(0b11, lambda w: 0b10, top=1)
 
 
-def test_peel_multiplicities():
-    doubled = {w: 2 * c for w, c in ch_H0_sl2(3).items()}
-    assert dict(peel(doubled, lambda w: ch_L_sl2(w, 3))) == {3: 2, 1: 2}
+def test_a_peel_without_its_containment_test_fails_the_peel_tests():
+    # XOR-ing out a head's character that does not lie in what is left turns
+    # on bits below it, and 0b10001 then peels to {2, 0}
+    source = inspect.getsource(characters.peel)
+    assert source.count("bits & ~target or ") == 1
+    scope = dict(vars(characters))
+    exec(source.replace("bits & ~target or ", ""), scope)
+    assert scope["peel"](0b10001, lambda w: bits_L_sl2(w, 3), top=2) == {2, 0}
+    with pytest.raises(pytest.fail.Exception):
+        test_peel_negative_residual(scope["peel"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20000), st.integers(-20000, 20000), st.sampled_from((3, 5, 7, 11, 101)),
+       st.sampled_from((1, 2)))
+def test_peel_equals_the_dict_peel(l, hw, p, r):
+    # ch H0(l) of sl2 and spo, and the thickened window at head hw, peeled as
+    # bits by the sweeps' builders and as dicts by the reference route
+    q = p**r
+    for target, top, builder, ch, simple in (
+            (((1 << 2 * l + 2) - 1) // 3, l, verify._memo(bits_L_sl2, p),
+             ch_H0_sl2(l), verify._memo(ch_L_sl2, p)),
+            ((1 << 2 * l + 1) - 1, l, verify._memo(bits_L_spo, p),
+             ch_H0_spo(l), verify._memo(ch_L_spo, p)),
+            ((1 << 2 * q) - 1, hw, verify._memo(verify.oracle_bits_r, r, p),
+             dict.fromkeys(range(hw, hw - 2 * q, -1), 1), verify._memo(ref.oracle_simple_r, r, p))):
+        assert peel(target, builder, top=top) == set(ref.peel(ch, simple))
 
 
 def test_poly_shift():
@@ -204,90 +229,3 @@ def test_ch_product_matches_reference_on_a_full_rank_three_system():
     for lam in ((0, 0, 0), (4, -3, 1)):
         got = ch_product_Zr(lam, even, odd, 1, 3)
         assert list(got.items()) == list(ref.ch_product_Zr(lam, even, odd, 1, 3).items())
-
-
-def _outcome(peel_fn, ch, simple):
-    """peel's factors in order with the weights it asked simple for, or the
-    error it raised; a leftover residual compares as a dict, whatever its order."""
-    asked = []
-
-    def recorded(w):
-        asked.append(w)
-        return simple(w)
-
-    try:
-        return list(peel_fn(ch, recorded).items()), asked
-    except ValueError as exc:  # NegativeResidualError, or simple() refusing a weight
-        head, _, rest = str(exc).partition(": ")
-        if head == "nonzero residual left":
-            return type(exc), head, ast.literal_eval(rest), asked
-        return type(exc), str(exc), asked
-
-
-@st.composite
-def peel_inputs(draw):
-    """A character and a family of simple characters to peel it with.
-
-    Either sums of rank-one induced characters with multiplicities, peeled by
-    the simples of that rank, or arbitrary small characters peeled by a made-up
-    family w -> e^w + sum c_d e^(w+d), whose offsets d may reach above the
-    cursor or below the floor and whose coefficients may be zero or negative.
-    Either input may carry zero coefficients and stray terms."""
-    ch: Counter = Counter()
-    if draw(st.booleans()):
-        p = draw(st.sampled_from((2, 3, 5, 7)))
-        induced, simple_of = draw(st.sampled_from([(ch_H0_sl2, ch_L_sl2), (ch_H0_spo, ch_L_spo)]))
-        for l, mult in draw(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 3)),
-                                     min_size=1, max_size=4)):
-            for w, c in induced(l).items():
-                ch[w] += mult * c
-        simple = lambda w: simple_of(w, p)
-    else:
-        ch.update(draw(st.dictionaries(st.integers(-30, 30), st.integers(-1, 3), max_size=12)))
-        extra = draw(st.dictionaries(st.integers(-80, 40).filter(bool), st.integers(-2, 2),
-                                     max_size=4))
-        simple = lambda w: {w: 1, **{w + d: c for d, c in extra.items()}}
-    for w, c in draw(st.dictionaries(st.integers(-70, 70), st.integers(-1, 1), max_size=3)).items():
-        ch[w] += c
-    for w in draw(st.lists(st.integers(-100, 100), max_size=3)):
-        ch.setdefault(w, 0)
-    return dict(ch), simple
-
-
-@settings(max_examples=300, deadline=None)
-@given(peel_inputs())
-def test_peel_matches_reference(inputs):
-    ch, simple = inputs
-    assert _outcome(peel, ch, simple) == _outcome(ref.peel, ch, simple)
-
-
-def test_peel_matches_reference_on_residual_outside_the_span():
-    def high(w):  # terms above the cursor, which a later peel may cancel
-        return {w: 1, w + 3: 1} if w % 2 else {w: 1, w + 1: -1}
-
-    def low(w):  # a term below the floor, never peeled
-        return {w: 1, w - 50: 1}
-
-    for simple in (high, low, lambda w: {w: 1, w + 1: 0}):
-        for ch in ({5: 1, 4: 1}, {5: 2, 4: 1, 3: 0}, {7: 1, 6: 2, 0: 1}, {0: 0}, {}):
-            assert _outcome(peel, ch, simple) == _outcome(ref.peel, ch, simple)
-
-
-def _never(w):
-    raise AssertionError(f"peeled at {w}")
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(-10**12, 10**12), st.integers(MAX_TERMS + 1, 4 * MAX_TERMS))
-def test_peel_refuses_a_span_past_max_terms_at_once(top, span):
-    # spans stay small enough that a peel without the cap fails on _never, not
-    # by filling memory
-    with pytest.raises(TooManyTerms, match="MAX_TERMS"):
-        peel({top: 1, top - span + 1: 2}, _never)
-
-
-def test_peel_span_bound_is_exact_and_skips_zero_terms():
-    assert peel({MAX_TERMS - 1: 1, 0: 2}, lambda w: {w: 1}) == Counter({MAX_TERMS - 1: 1, 0: 2})
-    assert peel({10**15: 0, 4: 1, -10**15: 0}, lambda w: {w: 1}) == Counter({4: 1})
-    with pytest.raises(TooManyTerms, match="MAX_TERMS"):
-        peel({10**15: 1, -10**15: 1}, _never)

@@ -1,7 +1,7 @@
 import pytest
+from reference_characters import ch_L_spo, ch_truncate, peel, poly_shift
 
 from spolink import cli
-from spolink.characters import ch_L_spo, ch_truncate, peel, poly_shift
 from spolink.frobenius import (
     ch_h0_r,
     ch_l_r,

@@ -13,18 +13,10 @@ import reference_linkage as ref
 import reference_spo21
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
+from reference_characters import ch_H0_sl2, ch_H0_spo, ch_L_sl2, ch_L_spo, oracle_simple_r, peel
 
 from spolink import verify
-from spolink.characters import (
-    bits_L_sl2,
-    bits_L_spo,
-    ch_H0_sl2,
-    ch_H0_spo,
-    ch_L_sl2,
-    ch_L_spo,
-    pack,
-    peel,
-)
+from spolink.characters import bits_L_sl2, bits_L_spo, pack
 from spolink.frobenius import ch_h0_r, ch_l_r, comp_factors_r, hom_r
 from spolink.linkage import (
     EVEN_MOVE,
@@ -141,7 +133,7 @@ def test_truncated_bits_equal_the_packed_truncated_simples(r, period, data):
     p = data.draw(st.sampled_from((3, 5, 7, 11, 101) if r < 3 else (3, 5, 7, 11)))
     q = p**r
     hw = data.draw(st.integers(period * q, period * q + q - 1))
-    assert verify.oracle_bits_r(hw, r, p) == pack(verify.oracle_simple_r(hw, r, p), hw)
+    assert verify.oracle_bits_r(hw, r, p) == pack(oracle_simple_r(hw, r, p), hw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,7 +177,7 @@ def test_thickened_cover_verdicts_equal_the_peels(r, p, l, data):
         mutant.discard(data.draw(st.sampled_from(sorted(factors))))
     if kind != "drop":
         mutant.add(data.draw(st.integers(lo, l) | st.sampled_from((lo - 2, lo - 1, l + 1, l + 2))))
-    simple = verify._memo(verify.oracle_simple_r, r, p)
+    simple = verify._memo(oracle_simple_r, r, p)
     want = peel(ch_h0_r(l, r, p), simple) == dict.fromkeys(mutant, 1)
     assert verify._covers(mutant, window, lo, l, packed) == want
 

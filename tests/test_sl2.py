@@ -1,6 +1,6 @@
 import pytest
+from reference_characters import ch_H0_sl2, ch_L_sl2, peel
 
-from spolink.characters import ch_H0_sl2, ch_L_sl2, peel
 from spolink.padic import defect
 from spolink.sl2 import decompose_sl2, linked_sl2
 

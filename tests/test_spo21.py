@@ -1,9 +1,9 @@
 import hashlib
 
 import pytest
+from reference_characters import ch_H0_spo, ch_L_spo, peel
 
 from spolink import cli, frobenius, sl2, spo21
-from spolink.characters import ch_H0_spo, ch_L_spo, peel
 from spolink.padic import binom_mod, digits
 from spolink.spo21 import (
     MINUS,

@@ -8,9 +8,10 @@ answer cached by another check or another prime."""
 from collections import Counter
 
 import pytest
+from reference_characters import ch_L_spo
 
 from spolink import frobenius, linkage, rootdata, sl2, spo21, verify
-from spolink.characters import bits_L_sl2, ch_L_spo
+from spolink.characters import bits_L_sl2, bits_L_spo, pack
 from spolink.padic import digits
 
 PRIMES = (3, 5, 7)
@@ -329,21 +330,61 @@ BUILDER_CHECKS = {
                    "image factors mismatch at (k=3, j=0, p=3)"),
     "thickening": ("bits_L_spo", verify.check_grt, {"rs": (1,)}, "mismatch at l=-6, r=1, p=3: "),
 }
+# the closed form's factors and the peel of the wrong bits, where those bits
+# still tile the character: the line then reads as for a wrong closed form
+STILL_TILING = {
+    ("odd-string-unshifted", "spo-oracle"): (spo21.comp_factors_h0(1, 3), {0, 1}),
+    ("odd-string-unshifted", "thickening"): (frobenius.comp_factors_r(-6, 1, 3), {-8, -7, -6}),
+}
 
 
 @pytest.mark.parametrize("bad, criterion", [
     (bad, criterion) for bad, builders in BAD_BUILDERS.items()
     for criterion, (name, *_) in BUILDER_CHECKS.items() if name in builders])
 def test_cover_checks_catch_a_wrong_bit_builder(monkeypatch, bad, criterion):
-    # the cover reads only the bits; the dict characters the failure path peels stay right
+    # the cover and the failure path's peel read the same wrong bits
     name, check, bound, message = BUILDER_CHECKS[criterion]
     monkeypatch.setattr(verify, name, BAD_BUILDERS[bad][name])
     ok, detail = check(primes=(3,), **bound)
     assert not ok and detail.startswith(message)
-    if message.startswith("mismatch at "):
-        # the closed form is right, so the line must name the bit builder
+    if (bad, criterion) in STILL_TILING:
+        got, peeled = STILL_TILING[bad, criterion]
+        assert detail == f"{message}{got} != {frozenset(peeled)}"
+    elif message.startswith("mismatch at "):
+        # the closed form is right and the bits do not peel, so the line must
+        # name the bit builder
         assert detail.endswith("the bit-built simples do not cover the character, "
                                "so the bit builder is at fault")
+
+
+def test_the_builder_property_catches_bits_that_still_tile():
+    # no check in verify can tell these bits from a wrong closed form; the
+    # property bits_L_spo(w, p) == pack(ch_L_spo(w, p), w) can
+    bits_L = BAD_BUILDERS["odd-string-unshifted"]["bits_L_spo"]
+    assert bits_L(1, 3) != pack(ch_L_spo(1, 3), 1)
+
+
+def _window_off_by(extra):
+    """oracle_bits_r with its window extra weights longer than 2 p^r."""
+    def bits_r(hw, r, p):
+        q = p**r
+        return bits_L_spo((hw - q) % q + q, p) & ((1 << 2 * q + extra) - 1)
+    return bits_r
+
+
+def test_linkage_rank1_fails_on_a_wrong_window_and_does_not_raise(monkeypatch):
+    # one weight long, the head's simple reaches below the window and does not
+    # peel; four weights short, the window peels into extra factors.  One
+    # weight short changes no bit: no truncated simple holds bit 2 p^r - 1
+    for r in (1, 2):
+        assert all(_window_off_by(-1)(hw, r, 3) == verify.oracle_bits_r(hw, r, 3)
+                   for hw in range(3**r, 2 * 3**r))
+    monkeypatch.setattr(verify, "oracle_bits_r", _window_off_by(1))
+    assert verify.check_linkage_rank1(primes=(3,)) == (False, (
+        "no peel of the window at l=0, r=1, p=3, so the bit builder oracle_bits_r is at fault"))
+    monkeypatch.setattr(verify, "oracle_bits_r", _window_off_by(-4))
+    assert verify.check_linkage_rank1(primes=(3,)) == (
+        False, "noniso targets wrong at lam=0, r=1, p=3")
 
 
 def test_each_memo_is_its_own():
