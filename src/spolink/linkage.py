@@ -9,11 +9,12 @@ in p^r-scaled walls.  Components of the resulting graph are block candidates.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import partial
-from itertools import count, product, repeat
-from math import gcd, inf, prod
-from operator import mul
+from itertools import count, product
+from math import gcd, prod
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .frobenius import comp_factors_r
@@ -47,102 +48,42 @@ class LinkageMove(NamedTuple):
 _move = partial(tuple.__new__, LinkageMove)  # LinkageMove._make without its length check
 
 
-def _column(v: Weight, box: Box) -> list[int]:
-    """col[id] = lam.v at every node lam of the box, built in mixed radix coordinate by coordinate."""
-    col = [0]
+def _column(v: Weight, box: Box, start: int) -> list[int]:
+    """col[id] = start + lam.v at each node lam of the box, built in mixed radix."""
+    col = [start]
     for a, (lo, hi) in zip(v, box):
         col = [c + a * x for c in col for x in range(lo, hi + 1)]
     return col
 
 
-def _plans(box: Box, shape: GroupShape, r_set: set[int], p: int) -> tuple[tuple, list[tuple]]:
-    """The moves tuple of (kind, alpha, r) and, per r in r_set ascending, the plan
-    (r, iso, noniso, even) of records the per-node routines unpack, each ending with its
-    move code k, an index into moves; one pass over the standard flag's positive roots,
-    sorted by family and vector, the order of the codes within each r.  An odd record is
-    (alpha, c = 2 rho.folded, the column lam.folded = (lam, alpha), alpha's id offset off,
-    its nonzero coordinates (i, alpha_i, lo, hi), k): lam - s alpha has id i0 - s off and
-    is in the box iff lo <= lam_i - s alpha_i <= hi at each.  An even record holds the wall
-    constants at q = p^r: alpha, c = 2 rho.alpha, d = alpha.alpha, g = gcd(alpha), q d, q g,
-    the id offsets of alpha / g and of q alpha, the nonzero coordinates (i, alpha_i / g,
-    q alpha_i, near edge, far edge; ordered by sign), the column lam.alpha and k.  A zero
-    coordinate needs no test: nodes are in the box, and the move keeps it."""
+def _plans(box: Box, nodes: tuple, shape: GroupShape, r_set: set[int], p: int) -> tuple[tuple, list]:
+    """The moves tuple of (kind, alpha, r) and one record per positive root of the standard
+    flag, sorted by family and vector, the order of the move codes within each r: the k-th
+    root has code k + j len(roots) at the j-th r of r_set ascending.  A record is (family:
+    0 iso, 1 noniso, 2 even; alpha; the column of (lam + rho, alpha), less 1/2 if noniso,
+    or of 2 (lam + rho).alpha if even; alpha's id offset off; its nonzero coordinates (the
+    column lam_i read off the nodes, alpha_i, lo, hi); its codes).  A zero coordinate
+    needs no test: nodes are in the box, and the move keeps it."""
     flag = standard_flag(shape)
     rho2 = rho_parts(flag, shape)[2]
     strides = [prod(hi - lo + 1 for lo, hi in box[i + 1:]) for i in range(len(box))]
     roots = sorted((2 if root.parity == "even" else 0 if root.isotropic else 1, root.vec)
                    for root in phi_plus(flag, shape))  # families 0 iso, 1 noniso, 2 even
-    plans = [(r, [], [], []) for r in sorted(r_set)]
-    for k, (family, alpha) in enumerate(roots):
-        off, codes = sum(map(mul, alpha, strides)), count(k, len(roots))  # its code at each r
-        if family < 2:
+    axes = [list(map(itemgetter(i), nodes)) for i in range(len(box))]
+    plans = []
+    for k, (family, alpha) in enumerate(roots if r_set else ()):
+        if family < 2:  # 2 (lam + rho) folded = 2 col + c is even at every lam iff c is
             folded = tuple(a if t < shape.n else -a for t, a in enumerate(alpha))
-            c, col = sum(map(mul, rho2, folded)), _column(folded, box)
-            moving = tuple((i, a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a)
-            for plan, code in zip(plans, codes):
-                plan[1 + family].append((alpha, c, col, off, moving, code))
-            continue
-        c, d, g = sum(map(mul, rho2, alpha)), sum(a * a for a in alpha), gcd(*alpha)
-        col = _column(alpha, box)
-        for (r, _, _, even), code in zip(plans, codes):
-            q = p**r
-            moving = [(i, a // g, q * a) + ((lo, hi) if a > 0 else (hi, lo))
-                      for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
-            even.append((alpha, c, d, g, q * d, q * g, off // g, q * off, moving, col, code))
+            c = sum(map(mul, rho2, folded))
+            assert c % 2 == family, alpha
+            col = _column(folded, box, c // 2)
+        else:
+            col = _column(tuple(2 * a for a in alpha), box, sum(map(mul, rho2, alpha)))
+        moving = [(axes[i], a, lo, hi) for i, (a, (lo, hi)) in enumerate(zip(alpha, box)) if a]
+        plans.append((family, alpha, col, sum(map(mul, alpha, strides)), moving,
+                      range(k, len(roots) * len(r_set), len(roots))))
     kinds = ISO_ODD, NONISO_ODD, EVEN_MOVE
-    return tuple((kinds[family], alpha, r) for r, *_ in plans for family, alpha in roots), plans
-
-
-def _iso_odd(lam: Weight, i0: int, plan: tuple, p: int, dst, code) -> None:
-    for alpha, c, col, off, moving, k in plan:
-        val = 2 * col[i0] + c  # 2 (lam + rho, alpha)
-        assert val % 2 == 0, (lam, alpha)
-        if val // 2 % p == 0:
-            for i, a, lo, hi in moving:
-                if not lo <= lam[i] - a <= hi:
-                    break
-            else:
-                dst.append(i0 - off), code.append(k)
-
-
-def _noniso_odd(lam: Weight, i0: int, plan: tuple, r: int, p: int, steps, dst, code,
-                tested: int) -> int:
-    # tested: the steps tested against the box so far; returned with lam's added
-    for alpha, c, col, off, moving, k in plan:
-        val = 2 * col[i0] + c - 1
-        assert val % 2 == 0, (lam, alpha)
-        l = val // 2 % p**r
-        ks = steps.get((l, r))
-        if ks is None:
-            ks = steps[l, r] = [l - lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
-        tested += len(ks)
-        check_terms(tested, "tests at least {:,} non-isotropic steps against the box")
-        for s in ks:
-            for i, a, lo, hi in moving:
-                if not lo <= lam[i] - s * a <= hi:
-                    break
-            else:
-                dst.append(i0 - s * off), code.append(k)
-    return tested
-
-
-def _even(lam: Weight, i0: int, plan: tuple, dst, code) -> None:
-    for alpha, c, d, g, qd, qg, off_g, qoff, moving, col, k in plan:
-        v = 2 * col[i0] + c
-        # integral at every wall or none; 2 rho's parities are equal within a
-        # block.  d divides v alpha_i for every i iff it divides v gcd(alpha).
-        assert v * g % d == 0, (lam, alpha)
-        s = v * g // d  # v alpha_i / d = s alpha_i / g
-        w_lo, w_hi = -inf, (v - 1) // qd
-        for i, a, qa, near, far in moving:
-            b = lam[i] - s * a
-            first, last = -((b - near) // qa), (far - b) // qa
-            w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
-        if w_lo <= w_hi:  # wall w_lo's target is lam + (w_lo q g - s) alpha / g
-            n = w_hi - w_lo + 1
-            t0 = i0 + (w_lo * qg - s) * off_g
-            dst.extend(range(t0, t0 + n * qoff, qoff))
-            code.extend(repeat(k, n))
+    return tuple((kinds[family], alpha, r) for r in sorted(r_set) for family, alpha in roots), plans
 
 
 class LinkageGraph(NamedTuple):
@@ -175,31 +116,100 @@ def build_graph(box: Box, shape: GroupShape, r_set: set[int], p: int) -> Linkage
       tests of them against the box count towards MAX_TERMS.
     - even: lam -> lam - ((lam + rho, alpha^vee) - w q) alpha at every wall w with a
       positive step, alpha^vee normalised by the positive-definite form, rho the supersymmetric
-      one (which keeps rank-one components inside the block classes).  The box
-      edges bound w, so the kept walls are one range, planned per root once per r.
+      one (which keeps rank-one components inside the block classes).  The box edges bound
+      w, so the kept walls are one range [w_lo, w_hi], found per node at the least r, r0: at
+      p^r they are the multiples of m = p^(r - r0) in it, [ceil(w_lo / m), floor(w_hi / m)].
 
     Enumerating from every node also covers the reversed residue convention of
     the noniso moves.  A node's id, its position in nodes, is mixed radix with coordinate
     0 the most significant; a move by k alpha adds k off(alpha) = k sum alpha_i stride_i.
-    Each root's pairing lam.v is read from one column per graph, and the edges are
-    stored as id columns (see LinkageGraph).  Raises TooManyTerms past MAX_TERMS nodes,
-    before any is built, or past MAX_TERMS noniso step tests, before the tests that
-    pass it; and TooManyEdges past MAX_EDGES."""
+    Each root takes one pass over the id columns of its pairings and of the coordinates
+    it moves (see _plans), so the edges come out root by root, each as one 64-bit key,
+    packed in an array, with the fields (source id, move code, target id) from the top bit
+    down.  One sort puts them in node order, by code within a node and by target within a
+    code: a standard positive root leads with a positive coordinate no smaller than the
+    others, so off > 0 unless alpha moves a coordinate of width 1, which no move in the box
+    does, and the targets lam - s alpha of one code ascend as s descends over the walls or
+    noniso steps.  The keys are then cut into id columns (see LinkageGraph).  Raises
+    TooManyTerms past MAX_TERMS nodes, before any is built, or past MAX_TERMS noniso step
+    tests, before the tests that pass it; and TooManyEdges past MAX_EDGES edges, counted
+    after each r of an iso pass and each node of the others."""
     if len(box) != shape.rank:
         raise ValueError(f"box rank {len(box)} != shape rank {shape.rank}")
     check_terms(prod(hi - lo + 1 for lo, hi in box))
     nodes = tuple(product(*[range(lo, hi + 1) for lo, hi in box]))
-    moves, plans = _plans(box, shape, r_set, p)
-    src, dst, code, steps, tested = array("q"), array("q"), array("q"), {}, 0
-    for i0, lam in enumerate(nodes):
-        for r, iso_r, noniso_r, even_r in plans:
-            _iso_odd(lam, i0, iso_r, p, dst, code)
-            tested = _noniso_odd(lam, i0, noniso_r, r, p, steps, dst, code, tested)
-            _even(lam, i0, even_r, dst, code)
-        src.extend(repeat(i0, len(dst) - len(src)))
-        if len(src) > MAX_EDGES:
-            raise TooManyEdges(f"more than MAX_EDGES = {MAX_EDGES:,} linkage edges")
-    return LinkageGraph(nodes, src, dst, code, moves)
+    moves, plans = _plans(box, nodes, shape, r_set, p)
+    rs, nb, cb = sorted(r_set), len(nodes).bit_length(), len(moves).bit_length()
+    row = (1 << nb + cb) + 1  # from node i's key (i, k, i) to node i + 1's
+    assert 2 * nb + cb <= 64, (len(nodes), len(moves))  # nodes <= MAX_TERMS < 2^20
+    keys, steps, tested, cap = array("Q"), {r: {} for r in r_set}, 0, MAX_EDGES
+    for family, alpha, col, off, moving, codes in plans:
+        bases = [k << nb for k in codes]  # the key (0, k, 0) at each r
+        if family == 0:
+            (xs, xlo, xhi), (ys, ylo, yhi) = [(col_i, lo + a, hi + a) for col_i, a, lo, hi in moving]
+            hits = [t for t, v, x, y in zip(count(bases[0] - off, row), col, xs, ys)
+                    if v % p == 0 and xlo <= x <= xhi and ylo <= y <= yhi]  # lam - alpha in the box
+            for base in bases:  # the same hits at every r
+                keys.extend(map((base - bases[0]).__add__, hits))
+                if len(keys) > cap:
+                    break
+        elif family == 1:
+            ((xs, a, lo, hi),) = moving
+            per_r = [(r, p**r, steps[r], base) for r, base in zip(rs, bases)]
+            for b, v, x in zip(count(0, row), col, xs):
+                for r, q, memo, base in per_r:
+                    l = v % q
+                    ks = memo.get(l)
+                    if ks is None:
+                        ks = memo[l] = [l - lp for lp in sorted(comp_factors_r(l, r, p)) if lp != l]
+                    tested += len(ks)
+                    check_terms(tested, "tests at least {:,} non-isotropic steps against the box")
+                    for s in ks:
+                        if lo <= x - s * a <= hi:
+                            keys.append(b + base - s * off)
+                if len(keys) > cap:
+                    break
+        else:
+            # v = 2 (lam + rho).alpha; d | v alpha_i at each i iff d | v gcd(alpha); wall w's target
+            # is lam + (w q g - s) alpha / g with s = v g / d, coordinate i at y_i + w q alpha_i.
+            # A root with one nonzero coordinate repeats it as the second, which two skips
+            d, g, q0 = sum(a * a for a in alpha), gcd(*alpha), p ** rs[0]
+            walls = [(p ** (r - rs[0]), p**r * g, p**r * off, base) for r, base in zip(rs, bases)]
+            (xs, a1, qa1, near1, far1), (ys, a2, qa2, near2, far2) = [
+                (col_i, a // g, q0 * a) + ((lo, hi) if a > 0 else (hi, lo))
+                for col_i, a, lo, hi in (moving * 2)[:2]]
+            two, qd, off_g = len(moving) == 2, q0 * d, off // g
+            for b, v, x, y in zip(count(0, row), col, xs, ys):
+                assert v * g % d == 0, (nodes[b // row], alpha)
+                s = v * g // d
+                y1 = x - s * a1
+                w_lo, w_hi, top = -((y1 - near1) // qa1), (far1 - y1) // qa1, (v - 1) // qd
+                if two:
+                    y2 = y - s * a2
+                    first, last = -((y2 - near2) // qa2), (far2 - y2) // qa2
+                    w_lo, w_hi = first if first > w_lo else w_lo, last if last < w_hi else w_hi
+                w_hi = top if top < w_hi else w_hi
+                if w_lo <= w_hi:  # the walls at r0
+                    for m, qg, step, base in walls:
+                        lo, hi = -(-w_lo // m), w_hi // m
+                        if lo <= hi:  # wall lo's key; the run ascends by q off per wall
+                            t = b + base + (lo * qg - s) * off_g
+                            keys.extend(range(t, t + (hi - lo + 1) * step, step))
+                    if len(keys) > cap:
+                        break
+        if len(keys) > cap:
+            raise TooManyEdges(f"more than MAX_EDGES = {cap:,} linkage edges")
+    # the sorted keys end to end as the 64-bit words of one int: one shift and one mask
+    # of it cut a field out of every key at once
+    order, n = sys.byteorder, len(keys)
+    words = int.from_bytes(array("Q", sorted(keys)), order)
+    del keys
+
+    def field(shift: int, bits: int) -> array:
+        mask = int.from_bytes(((1 << bits) - 1).to_bytes(8, order) * n, order)
+        return array("q", (words >> shift & mask).to_bytes(8 * n, order))
+
+    return LinkageGraph(nodes, field(nb + cb, nb), field(0, nb), field(nb, cb), moves)
 
 
 def connected_components(nodes, pairs) -> list[list]:

@@ -1,7 +1,13 @@
+import inspect
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
+import reference_linkage as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spolink import linkage
 
@@ -179,3 +185,134 @@ def test_gcd_integrality_equals_the_per_coordinate_check():
             d, g = sum(a * a for a in alpha), gcd(*alpha)
             for v in range(-50, 50):
                 assert (v * g % d == 0) == all(v * a % d == 0 for a in alpha), (alpha, v)
+
+
+def test_standard_positive_roots_have_a_positive_id_offset():
+    # build_graph sorts packed (source, code, target) keys and relies on the targets of
+    # one source and code ascending as the step s of lam - s alpha descends: every
+    # standard positive root leads with a positive coordinate no smaller than the rest,
+    # so its id offset is positive on every box in which a move along it can stay
+    shapes = [GroupShape(n, m, t) for n in range(5) for m in range(5 - n) if n + m
+              for t in (ODD, EVEN)]
+    for shape in shapes:
+        roots = [root.vec for root in phi_plus(standard_flag(shape), shape)]
+        for alpha in roots:
+            lead = next(a for a in alpha if a)
+            assert lead > 0 and all(abs(a) <= lead for a in alpha), alpha
+        for widths in product((1, 2, 3), repeat=shape.rank):
+            strides = [prod(widths[i + 1:]) for i in range(shape.rank)]
+            for alpha in roots:
+                off = sum(a * w for a, w in zip(alpha, strides))
+                assert off > 0 or any(a and w == 1 for a, w in zip(alpha, widths)), (alpha, widths)
+
+
+def _assert_builds_the_reference(box, shape, r_set, p, build=build_graph):
+    got = build(box, shape, r_set, p)
+    assert (got.nodes, tuple(got.edges)) == ref.build_graph(box, shape, r_set, p)
+
+
+@st.composite
+def wide_boxes(draw):
+    """Rank 1 up to 6 p^2 wide, rank 2 up to 2 p^2 a side, and an r-set inside {1, 2, 3}:
+    at r >= 2 a node here sees several walls of one root, and without 1 in the set the
+    walls at the least r are not those at p."""
+    p = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(0, 2))
+    m = draw(st.integers(1 if n == 0 else 0, 2 - n))
+    shape = GroupShape(n, m, draw(st.sampled_from((ODD, EVEN))))
+    width = 6 * p * p if shape.rank == 1 else 2 * p * p
+    box = []
+    for _ in range(shape.rank):
+        lo = draw(st.integers(-p * p, p * p))
+        box.append((lo, lo + draw(st.integers(0, width - 1))))
+    return box, shape, draw(st.sets(st.sampled_from((1, 2, 3)), min_size=1)), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_boxes())
+def test_wide_boxes_build_the_reference_in_order(inputs):
+    _assert_builds_the_reference(*inputs)
+
+
+def _mutant(*edits):
+    """build_graph with each (old, new) of edits made to its source, old found once."""
+    source = inspect.getsource(linkage.build_graph)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    scope = dict(vars(linkage))
+    exec(source, scope)
+    return scope["build_graph"]
+
+
+def test_a_build_without_its_sort_is_out_of_order():
+    # the passes emit root by root; only the sort puts the edges in node order
+    mutant = _mutant(("sorted(keys)", "keys"))
+    box, shape = [(0, 8), (0, 8)], GroupShape(1, 1, ODD)
+    assert {*mutant(box, shape, {1, 2}, 3).edges} == {*build_graph(box, shape, {1, 2}, 3).edges}
+    with pytest.raises(AssertionError):
+        _assert_builds_the_reference(box, shape, {1, 2}, 3, mutant)
+
+
+def test_a_build_that_floors_the_lowest_wall_fails():
+    # at r above the least, the walls are the multiples of m in [w_lo, w_hi]: the
+    # lowest is ceil(w_lo / m); floor adds a wall whose target leaves the box, and its
+    # id then reads a node out of range
+    mutant = _mutant(("-(-w_lo // m)", "w_lo // m"))
+    with pytest.raises((AssertionError, IndexError)):
+        _assert_builds_the_reference([(0, 40)], GroupShape(1, 0, ODD), {1, 2}, 3, mutant)
+
+
+# tracemalloc's peaks for test_the_edge_cap_stays_cheap_in_memory's builds, which
+# MAX_EDGES = 10,000 stops: 3,610,791 bytes (odd) and 2,709,055 (even) for the per-node
+# builder before the edges became sorted keys, 3,625,843 and 2,724,067 for this one, mostly
+# the 20,001 node tuples and the columns of pairings and coordinates.  Each bound is the
+# per-node builder's peak plus 5%.
+CAPPED_PEAK_BOUNDS = {ODD: 3_800_000, EVEN: 2_850_000}
+
+
+def _capped_peak(monkeypatch, build, box, shape, r_set, cap=10_000):
+    """tracemalloc's peak over a build at p = 3 that MAX_EDGES = cap stops."""
+    monkeypatch.setitem(build.__globals__, "MAX_EDGES", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyEdges):
+            build(box, shape, r_set, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_the_edge_cap_stays_cheap_in_memory(monkeypatch, parity):
+    # the running count stops the build within a pass, a node after the cap; a whole
+    # even pass over this box would hold some 10^8 edge keys
+    peak = _capped_peak(monkeypatch, build_graph, [(0, 20_000)], GroupShape(1, 0, parity), {1, 2})
+    assert peak < CAPPED_PEAK_BOUNDS[parity]
+
+
+def _iso_peak_ratio(monkeypatch, build):
+    """A refused (1, 1) box's peak at r in 1..40 over its peak at r = 1.  The first root
+    of the build is iso, with some 3,300 hits here, well past MAX_EDGES = 1,000."""
+    box, shape = [(0, 99), (0, 99)], GroupShape(1, 1, ODD)
+    return (_capped_peak(monkeypatch, build, box, shape, set(range(1, 41)), 1_000)
+            / _capped_peak(monkeypatch, build, box, shape, {1}, 1_000))
+
+
+def test_a_refused_iso_pass_holds_one_r_of_edges(monkeypatch):
+    # an iso root's hits serve every r, and the running count stops its pass at the
+    # first r that passes MAX_EDGES, so 40 r cost what one does
+    assert _iso_peak_ratio(monkeypatch, build_graph) < 1.1
+
+
+def test_a_build_without_its_running_edge_cap_passes_the_memory_bounds(monkeypatch):
+    # with only the check after each pass, each pass runs to its end before the cap stops
+    # the build: the odd box's noniso pass, and the (1, 1) box's iso pass at all 40 r; the
+    # even box is cut to 2,001 nodes, since its full even pass is what the running count saves
+    check = " " * 16 + "if len(keys) > cap:\n" + " " * 20 + "break\n"
+    mutant = _mutant(("hits))\n" + check, "hits))\n"), ("s * off)\n" + check, "s * off)\n"),
+                     (" " * 20 + "if len(keys) > cap:\n" + " " * 24 + "break\n", ""))
+    odd, even = GroupShape(1, 0, ODD), GroupShape(1, 0, EVEN)
+    assert _capped_peak(monkeypatch, mutant, [(0, 20_000)], odd, {1, 2}) > CAPPED_PEAK_BOUNDS[ODD]
+    assert _capped_peak(monkeypatch, mutant, [(0, 2_000)], even, {1, 2}) > CAPPED_PEAK_BOUNDS[EVEN]
+    assert _iso_peak_ratio(monkeypatch, mutant) > 1.1
